@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .control import (
 from .errors import ConfigError
 from .geometry import Plane, Point3, SurfaceOrientation
 from .mmwave import ChannelRealization, compose_end_to_end, realize
-from .multiris import MultiRisScene, RisPanel, compose_multi, realize_multi
+from .multiris import MultiRisRealization, MultiRisScene, RisPanel, compose_multi, realize_multi
 from .propagation import Environment, EnvironmentKind, load_params_file, params_from_mapping
 from .scattering import ScatteringParams
 from .scene import LOS_MODES, Scene
@@ -57,6 +58,10 @@ __all__ = [
 
 BANDS = ("mmwave", "sub6")
 STRATEGIES = ("cophase", "pinv_surrogate", "random", "off")
+
+# Channel tensor payload, in bytes, that ``run`` draws and writes per chunk.
+# It bounds what a run holds at once; the output bytes do not depend on it.
+_CHUNK_BYTES = 1 << 20
 
 _KNOWN_KEYS = {
     "band", "environment", "frequency_ghz", "seed", "realizations",
@@ -152,7 +157,13 @@ def _req(data: dict, key: str):
 def _number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return number
 
 def _integer(value, key: str, lo: int | None = None, hi: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -530,6 +541,54 @@ def _map_ordered(fn, items, workers: int) -> list:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
+def _tensor_dims(config: RunConfig) -> dict[str, tuple[int, int]]:
+    """(rows, cols) of each channel tensor ``run`` writes, by tensor name."""
+    scene = config.scene
+    nt, nr = scene.tx_geometry.size, scene.rx_geometry.size
+    surfaces = (
+        [(str(k), p.geometry.size) for k, p in enumerate(scene.panels)]
+        if config.multi
+        else [("", scene.ris_geometry.size)]
+    )
+    dims = {}
+    for suffix, n in surfaces:
+        dims[f"H{suffix}"] = (n, nt)
+        dims[f"G{suffix}"] = (nr, n)
+    dims["D"] = (nr, nt)
+    return dims
+
+def _channel_matrices(real) -> dict[str, np.ndarray]:
+    """One realization's matrices under the names of ``_tensor_dims``."""
+    if isinstance(real, MultiRisRealization):
+        mats = {}
+        for k, (h_mat, g_mat) in enumerate(real.hops):
+            mats[f"H{k}"], mats[f"G{k}"] = h_mat, g_mat
+        mats["D"] = real.D
+        return mats
+    return {"H": real.H, "G": real.G, "D": real.D}
+
+def _run_chunk(config: RunConfig, indices: range, parts: dict[str, Path]) -> list[float]:
+    """Draw realizations ``indices`` and append them to the part files."""
+    results = _map_ordered(
+        lambda i: _one_realization(config, config.scene, config.seed, i), indices, config.workers
+    )
+    start = indices.start
+    if config.write_channels:
+        mats = [_channel_matrices(real) for real, _ in results]
+        for name in mats[0]:
+            chunk = [m[name] for m in mats]
+            write_tensor(parts[name], chunk, start, config.realizations)
+            if config.csv:
+                write_tensor_csv(parts[f"{name}_csv"], chunk, start)
+    rates = [rate for _, rate in results]
+    if config.write_rates:
+        with open(parts["rates"], "w" if start == 0 else "a", encoding="utf-8", newline="\n") as fh:
+            if start == 0:
+                fh.write("index,rate_bits_hz\n")
+            for i, r in enumerate(rates, start):
+                fh.write(f"{i},{r:.12g}\n")
+    return rates
+
 def run(config: RunConfig) -> RunResult:
     """Execute a realization run and write its outputs.
 
@@ -537,56 +596,47 @@ def run(config: RunConfig) -> RunResult:
     matrix when ``write_channels``, ``rates.csv`` when ``write_rates``, CSV
     mirrors of the tensors when ``csv``, and always ``metadata.json`` with
     dims and SHA-256 digests of every written file.
+
+    Realizations are drawn and appended to the files chunk by chunk, so
+    memory does not grow with ``config.realizations``: the run holds one
+    chunk and the rates. Files are written under ``.part`` names and renamed
+    once complete, ``metadata.json`` last; a run that raises removes its
+    ``.part`` files and leaves the directory as it found it.
     """
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    results = _map_ordered(
-        lambda i: _one_realization(config, config.scene, config.seed, i),
-        range(config.realizations),
-        config.workers,
-    )
-    reals = [r for r, _ in results]
-    rates = np.array([rate for _, rate in results])
-
-    tensors: dict[str, np.ndarray] = {}
-    if config.multi:
-        for k in range(config.scene.n_panels):
-            tensors[f"H{k}"] = np.stack([r.hops[k][0] for r in reals])
-            tensors[f"G{k}"] = np.stack([r.hops[k][1] for r in reals])
-        tensors["D"] = np.stack([r.D for r in reals])
-    else:
-        tensors["H"] = np.stack([r.H for r in reals])
-        tensors["G"] = np.stack([r.G for r in reals])
-        tensors["D"] = np.stack([r.D for r in reals])
-
+    dims = _tensor_dims(config)
     files: dict[str, Path] = {}
-    digests: dict[str, str] = {}
     file_meta: dict[str, dict] = {}
     if config.write_channels:
-        for name, arr in tensors.items():
-            path = out / f"{name}.risch"
-            write_tensor(path, arr)
-            files[name] = path
-            digests[name] = file_digest(path)
-            file_meta[name] = {
-                "file": path.name,
-                "dims": list(arr.shape),
-                "sha256": digests[name],
-            }
+        for name, shape in dims.items():
+            files[name] = out / f"{name}.risch"
+            file_meta[name] = {"file": files[name].name, "dims": [config.realizations, *shape]}
             if config.csv:
-                csv_path = out / f"{name}.csv"
-                write_tensor_csv(csv_path, arr)
-                files[f"{name}_csv"] = csv_path
-                digests[f"{name}_csv"] = file_digest(csv_path)
+                files[f"{name}_csv"] = out / f"{name}.csv"
     if config.write_rates:
-        path = out / "rates.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("index,rate_bits_hz\n")
-            for i, r in enumerate(rates):
-                fh.write(f"{i},{r:.12g}\n")
-        files["rates"] = path
-        digests["rates"] = file_digest(path)
-        file_meta["rates"] = {"file": path.name, "sha256": digests["rates"]}
+        files["rates"] = out / "rates.csv"
+        file_meta["rates"] = {"file": "rates.csv"}
+    parts = {key: path.with_name(path.name + ".part") for key, path in files.items()}
+
+    per_draw = 16 * sum(rows * cols for rows, cols in dims.values())
+    step = max(1, _CHUNK_BYTES // per_draw)
+    rates = np.empty(config.realizations)
+    try:
+        for start in range(0, config.realizations, step):
+            stop = min(start + step, config.realizations)
+            rates[start:stop] = _run_chunk(config, range(start, stop), parts)
+        digests = {key: file_digest(part) for key, part in parts.items()}
+    except BaseException:
+        for part in parts.values():
+            part.unlink(missing_ok=True)
+        raise
+    meta_path = out / "metadata.json"
+    meta_path.unlink(missing_ok=True)  # no stale sidecar over a mix of old and new files
+    for key, part in parts.items():
+        os.replace(part, files[key])
+    for key, entry in file_meta.items():
+        entry["sha256"] = digests[key]
 
     metadata = {
         "tool": "rischan",
@@ -604,8 +654,9 @@ def run(config: RunConfig) -> RunResult:
         "mean_rate_bits_hz": float(rates.mean()) if rates.size else None,
         "files": file_meta,
     }
-    meta_path = out / "metadata.json"
-    write_metadata(meta_path, metadata)
+    meta_part = out / "metadata.json.part"
+    write_metadata(meta_part, metadata)
+    os.replace(meta_part, meta_path)
     files["metadata"] = meta_path
     return RunResult(out_dir=out, files=files, digests=digests, rates=rates, metadata=metadata)
 

@@ -102,6 +102,13 @@ class TestExitCodes:
         assert main(["validate", "-c", str(cfg)]) == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_non_finite_number(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, tx_power_dbm=float("nan"))
+        assert "NaN" in cfg.read_text()
+        assert main(["rate", "-c", str(cfg)]) == 2
+        assert "tx_power_dbm" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_failure(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,

@@ -2,11 +2,14 @@
 
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rischan import engine
 from rischan.arrays import ElementPattern
 from rischan.engine import CoverageArea, coverage_run, load_config, run
 from rischan.errors import ConfigError, GenerationError
@@ -112,6 +115,23 @@ class TestLoadConfigValidation:
             load_config(base_cfg(tx=[1.0, 2.0]))
         with pytest.raises(ConfigError, match=r"tx\[2\]"):
             load_config(base_cfg(tx=[1.0, 2.0, "high"]))
+
+    @pytest.mark.parametrize(
+        "over, key",
+        [
+            ({"tx_power_dbm": math.nan}, "tx_power_dbm"),
+            ({"spacing_wavelengths": math.inf}, "spacing_wavelengths"),
+            (
+                {"coverage": {"x": [36.0, 40.0], "y": [46.0, 48.0], "step": math.nan, "z": 1.0}},
+                "coverage.step",
+            ),
+            ({"rx": [math.nan, 48.0, 1.0]}, r"rx\[0\]"),
+        ],
+        ids=["tx_power_nan", "spacing_inf", "coverage_step_nan", "rx_nan"],
+    )
+    def test_non_finite_number(self, over, key):
+        with pytest.raises(ConfigError, match=key + ": expected a finite number"):
+            load_config(base_cfg(**over))
 
     def test_n_not_square(self):
         with pytest.raises(ConfigError, match="perfect square"):
@@ -417,6 +437,93 @@ class TestRun:
         )
         with pytest.raises(GenerationError, match="inadmissible"):
             run(cfg)
+
+
+def draw_bytes(cfg) -> int:
+    """Channel tensor payload of one realization of ``cfg``."""
+    return 16 * sum(rows * cols for rows, cols in engine._tensor_dims(cfg).values())
+
+
+def dir_bytes(path: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+TWO_PANEL_MIMO = dict(
+    environment="UMi_StreetCanyon",
+    tx=[0.0, 40.0, 10.0],
+    rx=[60.0, 30.0, 1.5],
+    ris=[[80.0, 0.0, 12.0], [40.0, 0.0, 12.0]],
+    ris_facing=1,
+    nt=4,
+    nr=4,
+)
+
+
+class TestStreamingRun:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "over", [{"csv": True, "control": {"strategy": "cophase"}}, TWO_PANEL_MIMO],
+        ids=["siso_csv", "mimo_two_panel"],
+    )
+    def test_chunk_size_invisible(self, tmp_path, monkeypatch, over, workers):
+        cfg = run_cfg(tmp_path, realizations=17, workers=workers, **over)
+        outputs = []
+        for draws in (1, 7, None):
+            chunk = 2**62 if draws is None else draws * draw_bytes(cfg)
+            monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk)
+            result = run(cfg)
+            outputs.append(dir_bytes(cfg.out_dir))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert not any(name.endswith(".part") for name in outputs[0])
+        for name, entry in result.metadata["files"].items():
+            if "dims" in entry:
+                assert list(read_tensor(result.files[name]).shape) == entry["dims"]
+
+    def test_memory_flat_in_realizations(self, tmp_path, monkeypatch):
+        # The generator's own working set varies from draw to draw, so its
+        # peak over 400 draws exceeds that over 40; a stub that returns fresh
+        # copies of one realization isolates what run() itself holds.
+        cfg = run_cfg(tmp_path, n=256, control={"strategy": "cophase"})
+        real, rate = engine._one_realization(cfg, cfg.scene, cfg.seed, 0)
+
+        def fresh_copy(config, scene, seed_val, index):
+            return replace(real, H=real.H.copy(), G=real.G.copy(), D=real.D.copy()), rate
+
+        monkeypatch.setattr(engine, "_one_realization", fresh_copy)
+        monkeypatch.setattr(engine, "_CHUNK_BYTES", 3 * draw_bytes(cfg))
+        run(cfg)
+        peaks = []
+        for count in (40, 400):
+            tracemalloc.start()
+            try:
+                run(replace(cfg, realizations=count))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    def test_failed_run_leaves_nothing_complete(self, tmp_path, monkeypatch):
+        cfg = run_cfg(tmp_path, realizations=9, csv=True)
+        monkeypatch.setattr(engine, "_CHUNK_BYTES", 2 * draw_bytes(cfg))
+        original = engine._one_realization
+
+        def failing(config, scene, seed_val, index):
+            if index == 5:
+                raise GenerationError("injected failure")
+            return original(config, scene, seed_val, index)
+
+        monkeypatch.setattr(engine, "_one_realization", failing)
+        with pytest.raises(GenerationError, match="injected"):
+            run(cfg)
+        assert list(cfg.out_dir.iterdir()) == []
+        # over the outputs of a completed run, a failed one changes no byte
+        monkeypatch.setattr(engine, "_one_realization", original)
+        run(cfg)
+        before = dir_bytes(cfg.out_dir)
+        monkeypatch.setattr(engine, "_one_realization", failing)
+        with pytest.raises(GenerationError, match="injected"):
+            run(replace(cfg, seed=8))
+        assert dir_bytes(cfg.out_dir) == before
 
 
 class TestCoverageRun:

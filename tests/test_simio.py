@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from rischan import simio
 from rischan.simio import (
     FORMAT_VERSION,
     MAGIC,
@@ -71,6 +72,38 @@ class TestTensorRoundtrip:
         got = read_tensor(path)
         assert got.dtype == np.complex128
         np.testing.assert_array_equal(got, np.ones((1, 2, 2), dtype=complex))
+
+
+class TestStreamingWrites:
+    def test_blocks_equal_whole(self, tmp_path, tensor):
+        whole, blocks = tmp_path / "w.risch", tmp_path / "b.risch"
+        write_tensor(whole, tensor)
+        write_tensor(blocks, tensor[:1], 0, total=3)
+        write_tensor(blocks, list(tensor[1:]), 1)  # a sequence of matrices
+        assert blocks.read_bytes() == whole.read_bytes()
+
+    def test_incomplete_file_refused(self, tmp_path, tensor):
+        path = tmp_path / "t.risch"
+        write_tensor(path, tensor[:2], 0, total=3)
+        with pytest.raises(ValueError, match="payload"):
+            read_tensor(path)
+
+    def test_append_checks_shape_and_position(self, tmp_path, tensor):
+        path = tmp_path / "t.risch"
+        write_tensor(path, tensor[:1], 0, total=3)
+        with pytest.raises(ValueError, match="cannot append"):
+            write_tensor(path, np.zeros((1, 4, 2)), 1)
+        with pytest.raises(ValueError, match="cannot append"):
+            write_tensor(path, tensor, 1)  # past the header's count
+        with pytest.raises(ValueError, match="not 2 realizations"):
+            write_tensor(path, tensor[2:], 2)
+
+    def test_csv_blocks_equal_whole(self, tmp_path, tensor):
+        whole, blocks = tmp_path / "w.csv", tmp_path / "b.csv"
+        write_tensor_csv(whole, tensor)
+        write_tensor_csv(blocks, tensor[:2])
+        write_tensor_csv(blocks, tensor[2:], 2)
+        assert blocks.read_bytes() == whole.read_bytes()
 
 
 class TestReadValidation:
@@ -155,3 +188,10 @@ def test_file_digest_matches_hashlib(tmp_path):
     path = tmp_path / "x.bin"
     path.write_bytes(b"some bytes\x00\xff")
     assert file_digest(path) == hashlib.sha256(b"some bytes\x00\xff").hexdigest()
+
+
+def test_file_digest_over_several_blocks(tmp_path):
+    data = bytes(range(256)) * (5 * simio._BLOCK // 512) + b"tail"
+    path = tmp_path / "x.bin"
+    path.write_bytes(data)
+    assert file_digest(path) == hashlib.sha256(data).hexdigest()
