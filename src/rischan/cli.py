@@ -117,11 +117,10 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "validate":
-            desc = (
-                config.scene.scene_for(0).describe() + f" (+{config.scene.n_panels - 1} surface(s))"
-                if config.multi
-                else config.scene.describe()
-            )
+            panels = config.scene.panel_scenes
+            desc = panels[0].describe()
+            if len(panels) > 1:
+                desc += f" (+{len(panels) - 1} surface(s))"
             print("configuration ok")
             print(f"  band={config.band} seed={config.seed} realizations={config.realizations}")
             print(f"  strategy={config.strategy} quant_bits={config.quant_bits}")

@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +35,9 @@ from .control import (
 )
 from .errors import ConfigError
 from .geometry import Plane, Point3, SurfaceOrientation
-from .mmwave import ChannelRealization, compose_end_to_end, realize
-from .multiris import MultiRisRealization, MultiRisScene, RisPanel, compose_multi, realize_multi
+# realize and compose_end_to_end: unused here, but bench/tracer.py wraps these names
+from .mmwave import compose_end_to_end, realize  # noqa: F401
+from .multiris import MultiRisScene, RisPanel, compose_multi, realize_multi
 from .propagation import Environment, EnvironmentKind, load_params_file, params_from_mapping
 from .scattering import ScatteringParams
 from .scene import LOS_MODES, Scene
@@ -132,7 +133,7 @@ class RunConfig:
 
     @property
     def multi(self) -> bool:
-        return isinstance(self.scene, MultiRisScene)
+        return len(self.scene.panel_scenes) > 1
 
     @property
     def config_sha256(self) -> str:
@@ -198,6 +199,17 @@ def _facing(value, key: str) -> int:
         raise ConfigError(f"{key}: expected 1 or -1, got {value!r}")
     return int(value)
 
+def _per_surface(data: dict, key: str, default, count: int, check, nested: bool = False) -> list:
+    """Config ``key`` (``default`` when missing) for each of ``count``
+    surfaces, through ``check(value, key)``: one value for all, or a list
+    with one entry per surface (a list of lists if ``nested``)."""
+    value = data.get(key, default)
+    if not (isinstance(value, list) and value and (not nested or isinstance(value[0], list))):
+        return [check(value, key)] * count
+    if len(value) != count:
+        raise ConfigError(f"{key}: got {len(value)} entries for {count} surfaces")
+    return [check(v, f"{key}[{i}]") for i, v in enumerate(value)]
+
 def _shape_for(n: int | None, shape, key: str) -> tuple[int, int]:
     if shape is not None:
         if not (isinstance(shape, (list, tuple)) and len(shape) == 2):
@@ -216,6 +228,24 @@ def _shape_for(n: int | None, shape, key: str) -> tuple[int, int]:
             f"(e.g. [{n}, 1] for a linear layout)"
         )
     return root, root
+
+def _params(cls, section: dict, key: str):
+    """``cls`` built from the fields of config section ``key``, each value
+    checked against the type of the field's default (a None default takes
+    null or a number)."""
+    values = {}
+    for name, value in section.items():
+        default, field_key = cls.__dataclass_fields__[name].default, f"{key}.{name}"
+        if isinstance(default, bool):
+            values[name] = _boolean(value, field_key)
+        elif isinstance(default, int):
+            values[name] = _integer(value, field_key)
+        else:
+            values[name] = None if value is None and default is None else _number(value, field_key)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 def _terminal_array(data, key: str, default_wall: Plane, spacing: float) -> ArrayGeometry:
     if data is None:
@@ -297,31 +327,12 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
     positions = [_point(p, f"ris[{i}]") for i, p in enumerate(ris_val)] if multi else [_point(ris_val, "ris")]
     n_panels = len(positions)
 
-    n_val = data.get("n")
-    if isinstance(n_val, list):
-        if len(n_val) != n_panels:
-            raise ConfigError(f"n: got {len(n_val)} entries for {n_panels} surfaces")
-        n_list = [_integer(v, f"n[{i}]", lo=1) for i, v in enumerate(n_val)]
-    elif n_val is None:
-        n_list = [None] * n_panels
-    else:
-        n_list = [_integer(n_val, "n", lo=1)] * n_panels
-
-    wall_val = data.get("ris_wall", "xz")
-    walls = wall_val if isinstance(wall_val, list) else [wall_val] * n_panels
-    if len(walls) != n_panels:
-        raise ConfigError(f"ris_wall: got {len(walls)} entries for {n_panels} surfaces")
-    facing_val = data.get("ris_facing", 1)
-    facings = facing_val if isinstance(facing_val, list) else [facing_val] * n_panels
-    if len(facings) != n_panels:
-        raise ConfigError(f"ris_facing: got {len(facings)} entries for {n_panels} surfaces")
-    shape_val = data.get("ris_shape")
-    if shape_val is not None and isinstance(shape_val, list) and shape_val and isinstance(shape_val[0], list):
-        shapes = shape_val
-        if len(shapes) != n_panels:
-            raise ConfigError(f"ris_shape: got {len(shapes)} entries for {n_panels} surfaces")
-    else:
-        shapes = [shape_val] * n_panels
+    n_list = _per_surface(
+        data, "n", None, n_panels, lambda v, k: None if v is None else _integer(v, k, lo=1)
+    )
+    walls = _per_surface(data, "ris_wall", "xz", n_panels, _wall)
+    facings = _per_surface(data, "ris_facing", 1, n_panels, _facing)
+    shapes = _per_surface(data, "ris_shape", None, n_panels, lambda v, k: v, nested=True)
 
     spacing = _number(data.get("spacing_wavelengths", 0.5), "spacing_wavelengths")
     if spacing <= 0:
@@ -336,8 +347,7 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
     ris_geoms = []
     for k in range(n_panels):
         n_h, n_v = _shape_for(n_list[k], shapes[k], "ris_shape")
-        orient = SurfaceOrientation(_wall(walls[k], "ris_wall"), _facing(facings[k], "ris_facing"))
-        ris_geoms.append(ArrayGeometry(n_h, n_v, spacing, orient))
+        ris_geoms.append(ArrayGeometry(n_h, n_v, spacing, SurfaceOrientation(walls[k], facings[k])))
 
     nt = data.get("nt")
     nr = data.get("nr")
@@ -377,10 +387,7 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
     unknown = set(scat) - set(ScatteringParams.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"scattering: unknown fields {sorted(unknown)}")
-    try:
-        scattering = ScatteringParams(**scat)
-    except ValueError as exc:
-        raise ConfigError(f"scattering: {exc}") from exc
+    scattering = _params(ScatteringParams, scat, "scattering")
 
     control = data.get("control", {})
     if not isinstance(control, dict):
@@ -403,12 +410,11 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
     sub6_edge = sub6_cfg.get("element_edge_m")
     if sub6_edge is not None:
         sub6_edge = _number(sub6_edge, "sub6.element_edge_m")
-    try:
-        sub6_params = Sub6Params(
-            **{k: v for k, v in sub6_cfg.items() if k not in ("g_mode", "element_edge_m")}
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sub6: {exc}") from exc
+    sub6_params = _params(
+        Sub6Params,
+        {k: v for k, v in sub6_cfg.items() if k not in ("g_mode", "element_edge_m")},
+        "sub6",
+    )
 
     coverage = None
     if "coverage" in data:
@@ -517,20 +523,13 @@ def _one_realization(config: RunConfig, scene, seed_val: int, index: int):
         real = realize_sub6(
             scene, seed_val, index, config.sub6_params, config.sub6_g_mode, config.sub6_edge_m
         )
-        phases = _phase_config(config, real.H, real.G, seed_val, index, 0)
-        composed = compose_end_to_end(real, phases)
-    elif isinstance(scene, MultiRisScene):
-        real = realize_multi(scene, seed_val, index, clustered=config.clustered)
-        phases = [
-            _phase_config(config, h_mat, g_mat, seed_val, index, k)
-            for k, (h_mat, g_mat) in enumerate(real.hops)
-        ]
-        composed = compose_multi(real, phases)
     else:
-        real = realize(scene, seed_val, index, clustered=config.clustered)
-        phases = _phase_config(config, real.H, real.G, seed_val, index, 0)
-        composed = compose_end_to_end(real, phases)
-    rate = achievable_rate(composed, config.tx_power_dbm, config.noise_dbm)
+        real = realize_multi(scene, seed_val, index, clustered=config.clustered)
+    phases = [
+        _phase_config(config, h_mat, g_mat, seed_val, index, k)
+        for k, (h_mat, g_mat) in enumerate(real.hops)
+    ]
+    rate = achievable_rate(compose_multi(real, phases), config.tx_power_dbm, config.noise_dbm)
     return real, rate.rate_bits_hz
 
 def _map_ordered(fn, items, workers: int) -> list:
@@ -541,31 +540,25 @@ def _map_ordered(fn, items, workers: int) -> list:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
+def _by_tensor_name(hops, direct) -> dict:
+    """Per-surface (H, G) items and the direct-link item under their tensor
+    names: H and G for one surface, H0, G0, H1, ... for several."""
+    named = {}
+    for k, (h_item, g_item) in enumerate(hops):
+        suffix = str(k) if len(hops) > 1 else ""
+        named[f"H{suffix}"], named[f"G{suffix}"] = h_item, g_item
+    named["D"] = direct
+    return named
+
 def _tensor_dims(config: RunConfig) -> dict[str, tuple[int, int]]:
     """(rows, cols) of each channel tensor ``run`` writes, by tensor name."""
-    scene = config.scene
-    nt, nr = scene.tx_geometry.size, scene.rx_geometry.size
-    surfaces = (
-        [(str(k), p.geometry.size) for k, p in enumerate(scene.panels)]
-        if config.multi
-        else [("", scene.ris_geometry.size)]
-    )
-    dims = {}
-    for suffix, n in surfaces:
-        dims[f"H{suffix}"] = (n, nt)
-        dims[f"G{suffix}"] = (nr, n)
-    dims["D"] = (nr, nt)
-    return dims
+    panels = config.scene.panel_scenes
+    nt, nr = panels[0].nt, panels[0].nr
+    return _by_tensor_name([((p.n, nt), (nr, p.n)) for p in panels], (nr, nt))
 
 def _channel_matrices(real) -> dict[str, np.ndarray]:
     """One realization's matrices under the names of ``_tensor_dims``."""
-    if isinstance(real, MultiRisRealization):
-        mats = {}
-        for k, (h_mat, g_mat) in enumerate(real.hops):
-            mats[f"H{k}"], mats[f"G{k}"] = h_mat, g_mat
-        mats["D"] = real.D
-        return mats
-    return {"H": real.H, "G": real.G, "D": real.D}
+    return _by_tensor_name(real.hops, real.D)
 
 def _run_chunk(config: RunConfig, indices: range, parts: dict[str, Path]) -> list[float]:
     """Draw realizations ``indices`` and append them to the part files."""
@@ -588,6 +581,35 @@ def _run_chunk(config: RunConfig, indices: range, parts: dict[str, Path]) -> lis
             for i, r in enumerate(rates, start):
                 fh.write(f"{i},{r:.12g}\n")
     return rates
+
+def _part(path: Path) -> Path:
+    """Where ``path`` is written until it is complete."""
+    return path.with_name(path.name + ".part")
+
+def _publish(out: Path, files: dict[str, Path], metadata: dict) -> Path:
+    """Give the complete ``.part`` files of ``files`` their final names, then
+    write ``metadata.json`` the same way, last. The old sidecar goes first, so
+    none is left over a mix of old and new files."""
+    meta_path = out / "metadata.json"
+    meta_path.unlink(missing_ok=True)
+    for path in files.values():
+        os.replace(_part(path), path)
+    write_metadata(_part(meta_path), metadata)
+    os.replace(_part(meta_path), meta_path)
+    return meta_path
+
+def _metadata(config: RunConfig, **fields) -> dict:
+    """The sidecar fields of every run, then the entry point's ``fields``."""
+    return {
+        "tool": "rischan",
+        "tool_version": __version__,
+        "config_sha256": config.config_sha256,
+        "band": config.band,
+        "seed": config.seed,
+        "realizations": config.realizations,
+        "strategy": config.strategy,
+        **fields,
+    }
 
 def run(config: RunConfig) -> RunResult:
     """Execute a realization run and write its outputs.
@@ -617,7 +639,7 @@ def run(config: RunConfig) -> RunResult:
     if config.write_rates:
         files["rates"] = out / "rates.csv"
         file_meta["rates"] = {"file": "rates.csv"}
-    parts = {key: path.with_name(path.name + ".part") for key, path in files.items()}
+    parts = {key: _part(path) for key, path in files.items()}
 
     per_draw = 16 * sum(rows * cols for rows, cols in dims.values())
     step = max(1, _CHUNK_BYTES // per_draw)
@@ -631,33 +653,19 @@ def run(config: RunConfig) -> RunResult:
         for part in parts.values():
             part.unlink(missing_ok=True)
         raise
-    meta_path = out / "metadata.json"
-    meta_path.unlink(missing_ok=True)  # no stale sidecar over a mix of old and new files
-    for key, part in parts.items():
-        os.replace(part, files[key])
     for key, entry in file_meta.items():
         entry["sha256"] = digests[key]
-
-    metadata = {
-        "tool": "rischan",
-        "tool_version": __version__,
-        "format": "RISCH1",
-        "format_version": 1,
-        "config_sha256": config.config_sha256,
-        "band": config.band,
-        "seed": config.seed,
-        "realizations": config.realizations,
-        "strategy": config.strategy,
-        "quant_bits": config.quant_bits,
-        "tx_power_dbm": config.tx_power_dbm,
-        "noise_dbm": config.noise_dbm,
-        "mean_rate_bits_hz": float(rates.mean()) if rates.size else None,
-        "files": file_meta,
-    }
-    meta_part = out / "metadata.json.part"
-    write_metadata(meta_part, metadata)
-    os.replace(meta_part, meta_path)
-    files["metadata"] = meta_path
+    metadata = _metadata(
+        config,
+        format="RISCH1",
+        format_version=1,
+        quant_bits=config.quant_bits,
+        tx_power_dbm=config.tx_power_dbm,
+        noise_dbm=config.noise_dbm,
+        mean_rate_bits_hz=float(rates.mean()) if rates.size else None,
+        files=file_meta,
+    )
+    files["metadata"] = _publish(out, files, metadata)
     return RunResult(out_dir=out, files=files, digests=digests, rates=rates, metadata=metadata)
 
 def coverage_run(config: RunConfig) -> tuple[CoverageGrid, RunResult]:
@@ -666,7 +674,8 @@ def coverage_run(config: RunConfig) -> tuple[CoverageGrid, RunResult]:
     Each cell gets its own hash-derived seed namespace, so the map is
     independent of cell evaluation order and worker count. Cells whose
     position collides with a terminal come out NaN. Writes
-    ``coverage.csv`` (x, y, mean_rate_bits_hz) plus ``metadata.json``.
+    ``coverage.csv`` (x, y, mean_rate_bits_hz) plus ``metadata.json``, under
+    ``.part`` names until both are complete, as ``run`` does.
     """
     if config.coverage is None:
         raise ConfigError("coverage: section is required for a coverage run")
@@ -693,25 +702,18 @@ def coverage_run(config: RunConfig) -> tuple[CoverageGrid, RunResult]:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     path = out / "coverage.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(_part(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,mean_rate_bits_hz\n")
         for ix in range(xs.size):
             for iy in range(ys.size):
                 fh.write(f"{xs[ix]:.12g},{ys[iy]:.12g},{grid[ix, iy]:.12g}\n")
-    digest = file_digest(path)
-    metadata = {
-        "tool": "rischan",
-        "tool_version": __version__,
-        "config_sha256": config.config_sha256,
-        "band": config.band,
-        "seed": config.seed,
-        "realizations": config.realizations,
-        "strategy": config.strategy,
-        "grid": {"nx": int(xs.size), "ny": int(ys.size), "z": area.z, "step": area.step},
-        "files": {"coverage": {"file": path.name, "sha256": digest}},
-    }
-    meta_path = out / "metadata.json"
-    write_metadata(meta_path, metadata)
+    digest = file_digest(_part(path))
+    metadata = _metadata(
+        config,
+        grid={"nx": int(xs.size), "ny": int(ys.size), "z": area.z, "step": area.step},
+        files={"coverage": {"file": path.name, "sha256": digest}},
+    )
+    meta_path = _publish(out, {"coverage": path}, metadata)
     result = RunResult(
         out_dir=out,
         files={"coverage": path, "metadata": meta_path},

@@ -17,6 +17,12 @@ a line-of-sight ray:
   fading, re-aimed final leg with an excess phase); outdoors it draws an
   independent set.
 
+A realization is one :class:`ChannelRealization`: an (H_k, G_k) pair per
+surface plus D, a single surface being the one-panel case. One draw loop
+over a ``(scene, streams)`` pair per panel serves :func:`gen_mimo`,
+:func:`realize` and :func:`rischan.multiris.realize_multi`, and
+:func:`compose` forms ``C = D + sum_k G_k diag(exp(j phi_k)) H_k``.
+
 Multi-antenna terminals turn each ray's rank-one contribution into an outer
 product of the two ends' array responses (plain transpose, no conjugation).
 Departure angles at the wall-mounted Tx are geometric; arrival angles at the
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,6 +68,7 @@ __all__ = [
     "gen_hsiso",
     "gen_mimo",
     "realize",
+    "compose",
     "compose_end_to_end",
 ]
 
@@ -102,22 +109,38 @@ class RealizationStreams:
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """One draw of the three channel matrices of a single-surface scene."""
+    """One draw of a scene's channel matrices: an (H_k, G_k) hop pair per
+    surface plus the common direct link. A single-surface scene is the
+    one-panel case; ``H``, ``G`` and ``los`` view its (first) panel."""
 
-    H: np.ndarray  # (N, Nt) Tx -> surface
-    G: np.ndarray  # (Nr, N) surface -> Rx
+    hops: tuple[tuple[np.ndarray, np.ndarray], ...]  # (H_k (N_k, Nt), G_k (Nr, N_k))
     D: np.ndarray  # (Nr, Nt) direct Tx -> Rx
-    los: dict[Link, bool]
+    los_panels: tuple[dict[Link, bool], ...]  # TX_RIS and RIS_RX visibility per panel
+    los_direct: bool
     index: int = 0
 
     @property
+    def n_panels(self) -> int:
+        return len(self.hops)
+
+    @property
+    def H(self) -> np.ndarray:
+        return self.hops[0][0]
+
+    @property
+    def G(self) -> np.ndarray:
+        return self.hops[0][1]
+
+    @property
+    def los(self) -> dict[Link, bool]:
+        return {**self.los_panels[0], Link.TX_RX: self.los_direct}
+
+    @property
     def outage_links(self) -> frozenset[Link]:
-        """Hops whose matrix came out identically zero (no LOS, no rays)."""
-        out = set()
-        for link, mat in ((Link.TX_RIS, self.H), (Link.RIS_RX, self.G), (Link.TX_RX, self.D)):
-            if not np.any(mat):
-                out.add(link)
-        return frozenset(out)
+        """Hops of the first panel and the direct link whose matrix came out
+        identically zero (no LOS, no rays)."""
+        mats = ((Link.TX_RIS, self.H), (Link.RIS_RX, self.G), (Link.TX_RX, self.D))
+        return frozenset(link for link, mat in mats if not np.any(mat))
 
 
 # Endpoints (A, B) of each link's path. A hop matrix has B's array along its
@@ -299,6 +322,35 @@ def gen_hsiso(scene: Scene, clusters: ClusterSet | None, rng) -> complex:
         raise ValueError(f"expected a {Link.TX_RX} cluster set, got {clusters.link}")
     return complex(_hop(scene, Link.TX_RX, clusters, rng, arrays=False)[0][0, 0])
 
+def _draw_panels(panels, clustered: bool, index: int) -> ChannelRealization:
+    """One realization from a ``(scene, streams)`` pair per surface.
+
+    Each panel draws its H and G hops from its own scene and streams; the
+    direct link is drawn once, from the first panel's scene and streams,
+    re-viewing that panel's Tx-side clusters when its scene shares them.
+    """
+    hops, los_panels, tx_sets = [], [], []
+    for scene, streams in panels:
+        cl_h = generate_clusters(scene, Link.TX_RIS, streams.clusters_h) if clustered else None
+        h_mat, los_h = _hop(scene, Link.TX_RIS, cl_h, streams.h)
+        cl_g = None
+        if clustered and not scene.environment.indoor:
+            cl_g = generate_clusters(scene, Link.RIS_RX, streams.clusters_g)
+        g_mat, los_g = _hop(scene, Link.RIS_RX, cl_g, streams.g, streams.rxang_g)
+        tx_sets.append(cl_h)
+        hops.append((h_mat, g_mat))
+        los_panels.append({Link.TX_RIS: los_h, Link.RIS_RX: los_g})
+
+    scene, streams = panels[0]
+    cl_d = None
+    if clustered:
+        if scene.shares_direct_clusters:
+            cl_d = share_clusters(scene, tx_sets[0], streams.clusters_d)
+        else:
+            cl_d = generate_clusters(scene, Link.TX_RX, streams.clusters_d)
+    d_mat, los_d = _hop(scene, Link.TX_RX, cl_d, streams.d, streams.rxang_d)
+    return ChannelRealization(tuple(hops), d_mat, tuple(los_panels), los_d, index)
+
 def gen_mimo(
     scene: Scene, streams: RealizationStreams, clustered: bool = True, index: int = 0
 ) -> ChannelRealization:
@@ -310,30 +362,7 @@ def gen_mimo(
     vector/scalar code path, so e.g. ``H[:, 0]`` equals :func:`gen_h` run on
     the same streams.
     """
-    indoor = scene.environment.indoor
-    cl_h = generate_clusters(scene, Link.TX_RIS, streams.clusters_h) if clustered else None
-    h_mat, los_h = _hop(scene, Link.TX_RIS, cl_h, streams.h)
-
-    cl_g = None
-    if clustered and not indoor:
-        cl_g = generate_clusters(scene, Link.RIS_RX, streams.clusters_g)
-    g_mat, los_g = _hop(scene, Link.RIS_RX, cl_g, streams.g, streams.rxang_g)
-
-    cl_d = None
-    if clustered:
-        if scene.shares_direct_clusters:
-            cl_d = share_clusters(scene, cl_h, streams.clusters_d)
-        else:
-            cl_d = generate_clusters(scene, Link.TX_RX, streams.clusters_d)
-    d_mat, los_d = _hop(scene, Link.TX_RX, cl_d, streams.d, streams.rxang_d)
-
-    return ChannelRealization(
-        H=h_mat,
-        G=g_mat,
-        D=d_mat,
-        los={Link.TX_RIS: los_h, Link.RIS_RX: los_g, Link.TX_RX: los_d},
-        index=index,
-    )
+    return _draw_panels([(scene, streams)], clustered, index)
 
 def realize(
     scene: Scene, master_seed: int, index: int = 0, panel: int = 0, clustered: bool = True
@@ -342,23 +371,35 @@ def realize(
     streams = RealizationStreams.derive(master_seed, index, panel)
     return gen_mimo(scene, streams, clustered=clustered, index=index)
 
-def compose_end_to_end(realization: ChannelRealization, phases) -> np.ndarray:
-    """Effective Rx x Tx channel through the configured surface.
+def compose(realization: ChannelRealization, phase_list: Sequence) -> np.ndarray:
+    """Effective Rx x Tx channel ``D + sum_k G_k diag(exp(j phi_k)) H_k``.
 
-    ``phases`` is a radian vector (or a phase-config object) of length N;
-    passing None drops the surface contribution, leaving the direct link.
+    ``phase_list[k]`` is a radian vector (or a phase-config object) for
+    panel k, or None to leave that panel out of the sum (surface absent or
+    switched off); with every entry None only the direct link remains.
     """
-    h_mat, g_mat, d_mat = realization.H, realization.G, realization.D
-    if phases is None:
-        return d_mat.copy()
-    phi = np.asarray(getattr(phases, "phases", phases), dtype=float)
-    n = h_mat.shape[0]
-    if phi.shape != (n,):
-        raise ValueError(f"phases shape {phi.shape} does not match surface size ({n},)")
-    if g_mat.shape[1] != n:
-        raise ValueError(f"G has {g_mat.shape[1]} columns but H has {n} rows")
-    if d_mat.shape != (g_mat.shape[0], h_mat.shape[1]):
+    if len(phase_list) != realization.n_panels:
         raise ValueError(
-            f"D shape {d_mat.shape} does not match (Nr, Nt)=({g_mat.shape[0]}, {h_mat.shape[1]})"
+            f"phase_list has {len(phase_list)} entries for {realization.n_panels} panels"
         )
-    return (g_mat * np.exp(1j * phi)[None, :]) @ h_mat + d_mat
+    total = realization.D.copy()
+    for k, ((h_mat, g_mat), phases) in enumerate(zip(realization.hops, phase_list)):
+        if phases is None:
+            continue
+        phi = np.asarray(getattr(phases, "phases", phases), dtype=float)
+        n = h_mat.shape[0]
+        if phi.shape != (n,):
+            raise ValueError(f"panel {k}: phases shape {phi.shape} does not match ({n},)")
+        if g_mat.shape[1] != n:
+            raise ValueError(f"panel {k}: G has {g_mat.shape[1]} columns but H has {n} rows")
+        if total.shape != (g_mat.shape[0], h_mat.shape[1]):
+            raise ValueError(
+                f"D shape {total.shape} does not match (Nr, Nt)=({g_mat.shape[0]}, {h_mat.shape[1]})"
+            )
+        total = total + (g_mat * np.exp(1j * phi)[None, :]) @ h_mat
+    return total
+
+def compose_end_to_end(realization: ChannelRealization, phases) -> np.ndarray:
+    """Effective channel through a single surface: ``compose(realization,
+    [phases])``; ``phases=None`` leaves the direct link alone."""
+    return compose(realization, [phases])

@@ -5,6 +5,9 @@ sum of the per-surface cascades plus the common direct link:
 
     C = sum_k G_k Phi_k H_k + D
 
+A plain :class:`~rischan.scene.Scene` is the one-panel case: both scene
+types list their surfaces in ``panel_scenes``, and their draws share one
+record (``MultiRisRealization`` is :class:`~rischan.mmwave.ChannelRealization`).
 Surface-to-surface re-reflections are not modeled. Every surface draws its
 own independent cluster realizations (tagged by panel index), while the
 direct link is drawn once from panel-independent streams, so adding or
@@ -16,18 +19,18 @@ single-surface indoor scene.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
 
 from .arrays import ArrayGeometry, ElementPattern
 from .errors import ConfigError
 from .geometry import Point3
-from .mmwave import RealizationStreams, _hop
+from .mmwave import ChannelRealization, RealizationStreams, _draw_panels
+from .mmwave import compose as compose_multi
 from .propagation import Environment
-from .scattering import Link, ScatteringParams, generate_clusters
+from .scattering import ScatteringParams
+# unused here, but bench/tracer.py wraps this name of this module
+from .scattering import generate_clusters  # noqa: F401
 from .scene import Scene
 
 __all__ = ["RisPanel", "MultiRisScene", "MultiRisRealization", "realize_multi", "compose_multi"]
@@ -63,112 +66,44 @@ class MultiRisScene:
     def __post_init__(self) -> None:
         if not self.panels:
             raise ConfigError("panels: need at least one reflecting surface")
-        self._panel_scenes  # full per-panel validation
+        self.panel_scenes  # full per-panel validation
 
     @property
     def n_panels(self) -> int:
         return len(self.panels)
 
     @cached_property
-    def _panel_scenes(self) -> tuple[Scene, ...]:
-        common = dict(
-            environment=self.environment,
-            frequency_hz=self.frequency_hz,
-            tx=self.tx,
-            rx=self.rx,
-            tx_geometry=self.tx_geometry,
-            rx_geometry=self.rx_geometry,
-            element_pattern=self.element_pattern,
-            scattering=self.scattering,
-            share_direct_clusters=False,
-            los_tx_ris=self.los_tx_ris,
-            los_ris_rx=self.los_ris_rx,
-            los_tx_rx=self.los_tx_rx,
-            shadow_clustered=self.shadow_clustered,
-            shadow_los=self.shadow_los,
+    def panel_scenes(self) -> tuple[Scene, ...]:
+        """Single-surface view of each panel (independent direct clusters);
+        the same objects on every call, so per-scene constants are kept."""
+        common = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "panels"}
+        return tuple(
+            Scene(ris=p.position, ris_geometry=p.geometry, share_direct_clusters=False, **common)
+            for p in self.panels
         )
-        return tuple(Scene(ris=p.position, ris_geometry=p.geometry, **common) for p in self.panels)
 
     def scene_for(self, k: int) -> Scene:
-        """Single-surface view of panel ``k`` (independent direct clusters);
-        the same object on every call, so per-scene constants are kept."""
-        return self._panel_scenes[k]
+        return self.panel_scenes[k]
 
     def with_rx(self, rx: Point3) -> "MultiRisScene":
         return replace(self, rx=rx)
 
 
-@dataclass(frozen=True, eq=False)
-class MultiRisRealization:
-    """One draw of all per-surface hop pairs plus the common direct link."""
-
-    hops: tuple[tuple[np.ndarray, np.ndarray], ...]  # (H_k, G_k) per panel
-    D: np.ndarray
-    los_panels: tuple[dict[Link, bool], ...]
-    los_direct: bool
-    index: int = 0
-
-    @property
-    def n_panels(self) -> int:
-        return len(self.hops)
+MultiRisRealization = ChannelRealization
 
 
 def realize_multi(
-    mscene: MultiRisScene, master_seed: int, index: int = 0, clustered: bool = True
-) -> MultiRisRealization:
-    """Generate realization ``index`` of a multi-surface scene.
+    mscene: MultiRisScene | Scene, master_seed: int, index: int = 0, clustered: bool = True
+) -> ChannelRealization:
+    """Generate realization ``index`` of a scene with one or more surfaces.
 
     Panel k consumes the panel-k streams; the direct link consumes the
     panel-independent streams, so its draw is the same whatever subset of
-    panels exists.
+    panels exists. A plain :class:`Scene` gives the draw of
+    :func:`rischan.mmwave.realize`.
     """
-    hops = []
-    los_panels = []
-    for k in range(mscene.n_panels):
-        scene_k = mscene.scene_for(k)
-        streams = RealizationStreams.derive(master_seed, index, panel=k)
-        cl_h = generate_clusters(scene_k, Link.TX_RIS, streams.clusters_h) if clustered else None
-        h_mat, los_h = _hop(scene_k, Link.TX_RIS, cl_h, streams.h)
-        cl_g = None
-        if clustered and not mscene.environment.indoor:
-            cl_g = generate_clusters(scene_k, Link.RIS_RX, streams.clusters_g)
-        g_mat, los_g = _hop(scene_k, Link.RIS_RX, cl_g, streams.g, streams.rxang_g)
-        hops.append((h_mat, g_mat))
-        los_panels.append({Link.TX_RIS: los_h, Link.RIS_RX: los_g})
-
-    scene_d = mscene.scene_for(0)
-    streams_d = RealizationStreams.derive(master_seed, index, panel=0)
-    cl_d = generate_clusters(scene_d, Link.TX_RX, streams_d.clusters_d) if clustered else None
-    d_mat, los_d = _hop(scene_d, Link.TX_RX, cl_d, streams_d.d, streams_d.rxang_d)
-
-    return MultiRisRealization(
-        hops=tuple(hops),
-        D=d_mat,
-        los_panels=tuple(los_panels),
-        los_direct=los_d,
-        index=index,
-    )
-
-def compose_multi(realization: MultiRisRealization, phase_list: Sequence) -> np.ndarray:
-    """Effective channel with one phase vector per panel.
-
-    ``phase_list[k]`` is a radian vector (or phase-config object) for panel
-    k, or None to leave that panel out of the sum entirely (surface absent
-    or switched off).
-    """
-    if len(phase_list) != realization.n_panels:
-        raise ValueError(
-            f"phase_list has {len(phase_list)} entries for {realization.n_panels} panels"
-        )
-    total = realization.D.copy()
-    for k, ((h_mat, g_mat), phases) in enumerate(zip(realization.hops, phase_list)):
-        if phases is None:
-            continue
-        phi = np.asarray(getattr(phases, "phases", phases), dtype=float)
-        n = h_mat.shape[0]
-        if phi.shape != (n,):
-            raise ValueError(f"panel {k}: phases shape {phi.shape} does not match ({n},)")
-        if g_mat.shape[1] != n:
-            raise ValueError(f"panel {k}: G has {g_mat.shape[1]} columns, H has {n} rows")
-        total = total + (g_mat * np.exp(1j * phi)[None, :]) @ h_mat
-    return total
+    panels = [
+        (scene, RealizationStreams.derive(master_seed, index, panel=k))
+        for k, scene in enumerate(mscene.panel_scenes)
+    ]
+    return _draw_panels(panels, clustered, index)

@@ -96,6 +96,11 @@ class Scene:
         return self.rx_geometry.size
 
     @property
+    def panel_scenes(self) -> tuple["Scene", ...]:
+        """The per-surface views: this scene is its own one panel."""
+        return (self,)
+
+    @property
     def shares_direct_clusters(self) -> bool:
         """Effective sharing switch (defaults to the environment's layout)."""
         if self.share_direct_clusters is None:

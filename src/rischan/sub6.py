@@ -297,6 +297,16 @@ def gen_g_near(scene: Scene, edge_m: float | None = None) -> np.ndarray:
     c, s = ef.cis(-gamma)
     return as_complex(amp * c, amp * s)
 
+def _select_g_mode(scene: Scene, mode: str, edge_m: float | None) -> str:
+    """The surface -> Rx form, "near" or "far", that ``mode`` selects for
+    ``scene``; see :func:`gen_g_sub6` for the "auto" rule."""
+    if mode not in ("auto", "near", "far"):
+        raise ValueError(f"g_mode={mode!r}: expected auto, near, or far")
+    if mode == "auto":
+        r_f = fraunhofer_distance(scene.ris_geometry, scene.wavelength, edge_m)
+        mode = "near" if distance(scene.ris, scene.rx) < r_f else "far"
+    return mode
+
 def gen_g_sub6(
     scene: Scene,
     profile: ClusterPowerProfile,
@@ -311,12 +321,7 @@ def gen_g_sub6(
     receiver is closer than the panel's Fraunhofer distance). The near form
     is deterministic and consumes no draws.
     """
-    if mode not in ("auto", "near", "far"):
-        raise ValueError(f"mode={mode!r}: expected auto, near, or far")
-    if mode == "auto":
-        r_f = fraunhofer_distance(scene.ris_geometry, scene.wavelength, edge_m)
-        mode = "near" if distance(scene.ris, scene.rx) < r_f else "far"
-    if mode == "near":
+    if _select_g_mode(scene, mode, edge_m) == "near":
         return gen_g_near(scene, edge_m)
     return gen_g_sub6_far(scene, profile, rng, params)
 
@@ -361,18 +366,13 @@ def realize_sub6(
     """
     if scene.nt != 1 or scene.nr != 1:
         raise ValueError("sub-6 GHz generation covers single-antenna terminals (Nt = Nr = 1)")
-    if g_mode not in ("auto", "near", "far"):
-        raise ValueError(f"g_mode={g_mode!r}: expected auto, near, or far")
+    mode = _select_g_mode(scene, g_mode, edge_m)
     p = params or Sub6Params()
     streams = Sub6Streams.derive(master_seed, index)
 
     prof_h = gen_cluster_powers(streams.powers_h, p)
     h, los_h = _sub6_hop(scene, Link.TX_RIS, prof_h, streams.h, p)
 
-    mode = g_mode
-    if mode == "auto":
-        r_f = fraunhofer_distance(scene.ris_geometry, scene.wavelength, edge_m)
-        mode = "near" if distance(scene.ris, scene.rx) < r_f else "far"
     if mode == "near":
         g = gen_g_near(scene, edge_m)
         los_g = True
@@ -384,9 +384,9 @@ def realize_sub6(
     d, los_d = _sub6_hop(scene, Link.TX_RX, prof_d, streams.d, p)
 
     return ChannelRealization(
-        H=h[:, None],
-        G=g[None, :],
+        hops=((h[:, None], g[None, :]),),
         D=np.array([[d]], dtype=complex),
-        los={Link.TX_RIS: los_h, Link.RIS_RX: los_g, Link.TX_RX: los_d},
+        los_panels=({Link.TX_RIS: los_h, Link.RIS_RX: los_g},),
+        los_direct=los_d,
         index=index,
     )

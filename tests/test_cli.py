@@ -9,6 +9,9 @@ from rischan.cli import PARAMS_ENV, main
 from rischan.simio import read_metadata, read_tensor
 
 
+SUB6 = {"band": "sub6", "frequency_ghz": 3.5}
+
+
 def write_cfg(tmp_path, name="run.json", **over):
     cfg = {
         "environment": "InH_IndoorOffice",
@@ -107,6 +110,22 @@ class TestExitCodes:
         assert "NaN" in cfg.read_text()
         assert main(["rate", "-c", str(cfg)]) == 2
         assert "tx_power_dbm" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "over, key",
+        [
+            ({"scattering": {"spread_m": float("nan")}}, "scattering.spread_m"),
+            ({"scattering": {"spread_m": "3"}}, "scattering.spread_m"),
+            ({**SUB6, "sub6": {"delay_spread_s": float("nan")}}, "sub6.delay_spread_s"),
+            ({**SUB6, "sub6": {"ray_az_spread_deg": float("inf")}}, "sub6.ray_az_spread_deg"),
+        ],
+        ids=["spread_nan", "spread_str", "delay_nan", "ray_az_inf"],
+    )
+    def test_bad_section_field(self, tmp_path, capsys, over, key):
+        cfg = write_cfg(tmp_path, **over)
+        assert main(["rate", "-c", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_runtime_failure(self, tmp_path, capsys):

@@ -18,6 +18,9 @@ from rischan.scene import Scene
 from rischan.simio import file_digest, read_metadata, read_tensor
 
 
+SUB6 = {"band": "sub6", "frequency_ghz": 3.5}
+
+
 def base_cfg(**over):
     cfg = {
         "environment": "InH_IndoorOffice",
@@ -131,6 +134,22 @@ class TestLoadConfigValidation:
     )
     def test_non_finite_number(self, over, key):
         with pytest.raises(ConfigError, match=key + ": expected a finite number"):
+            load_config(base_cfg(**over))
+
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"scattering": {"spread_m": math.nan}}, "scattering.spread_m: expected a finite"),
+            ({"scattering": {"spread_m": "3"}}, "scattering.spread_m: expected a number"),
+            ({"scattering": {"max_subrays": 5.0}}, "scattering.max_subrays: expected an integer"),
+            ({**SUB6, "sub6": {"delay_spread_s": math.nan}}, "sub6.delay_spread_s: expected a finite"),
+            ({**SUB6, "sub6": {"ray_az_spread_deg": math.inf}}, "sub6.ray_az_spread_deg: expected a finite"),
+            ({**SUB6, "sub6": {"n_rays": "20"}}, "sub6.n_rays: expected an integer"),
+        ],
+        ids=["spread_nan", "spread_str", "subrays_float", "delay_nan", "ray_az_inf", "rays_str"],
+    )
+    def test_section_field_types(self, over, message):
+        with pytest.raises(ConfigError, match=message):
             load_config(base_cfg(**over))
 
     def test_n_not_square(self):
@@ -264,6 +283,14 @@ class TestLoadConfigMulti:
             load_config(self.multi_cfg(ris_wall=["xz"]))
         with pytest.raises(ConfigError, match="ris_facing"):
             load_config(self.multi_cfg(ris_facing=[-1]))
+
+    def test_per_panel_shape_and_entry_keys(self):
+        scene = load_config(self.multi_cfg(ris_shape=[[4, 4], [8, 2]])).scene
+        assert [(p.geometry.n_h, p.geometry.n_v) for p in scene.panels] == [(4, 4), (8, 2)]
+        with pytest.raises(ConfigError, match=r"n\[1\]"):
+            load_config(self.multi_cfg(n=[16, 0]))
+        with pytest.raises(ConfigError, match=r"ris_wall\[0\]"):
+            load_config(self.multi_cfg(ris_wall=["floor", "xz"]))
 
     def test_multi_rejects_sub6(self):
         with pytest.raises(ConfigError, match="mmwave"):
@@ -487,7 +514,8 @@ class TestStreamingRun:
         real, rate = engine._one_realization(cfg, cfg.scene, cfg.seed, 0)
 
         def fresh_copy(config, scene, seed_val, index):
-            return replace(real, H=real.H.copy(), G=real.G.copy(), D=real.D.copy()), rate
+            hops = ((real.H.copy(), real.G.copy()),)
+            return replace(real, hops=hops, D=real.D.copy()), rate
 
         monkeypatch.setattr(engine, "_one_realization", fresh_copy)
         monkeypatch.setattr(engine, "_CHUNK_BYTES", 3 * draw_bytes(cfg))
@@ -561,6 +589,22 @@ class TestCoverageRun:
         _, r1 = coverage_run(self.cov_cfg(tmp_path))
         _, r2 = coverage_run(self.cov_cfg(tmp_path))
         assert r1.digests == r2.digests
+
+    def test_publish_never_pairs_new_csv_with_old_sidecar(self, tmp_path, monkeypatch):
+        cfg = self.cov_cfg(tmp_path)
+        coverage_run(cfg)
+
+        def failing(path, metadata):
+            raise OSError("injected failure")
+
+        monkeypatch.setattr(engine, "write_metadata", failing)
+        with pytest.raises(OSError, match="injected"):
+            coverage_run(replace(cfg, seed=8))
+        assert not (cfg.out_dir / "metadata.json").exists()
+        monkeypatch.undo()
+        _, result = coverage_run(cfg)
+        assert sorted(p.name for p in cfg.out_dir.iterdir()) == ["coverage.csv", "metadata.json"]
+        assert file_digest(cfg.out_dir / "coverage.csv") == result.digests["coverage"]
 
     def test_terminal_cell_is_nan(self, tmp_path):
         cfg = self.cov_cfg(

@@ -11,6 +11,7 @@ from rischan.geometry import Point3, distance, distance_2d
 from rischan.mmwave import (
     ChannelRealization,
     RealizationStreams,
+    compose,
     compose_end_to_end,
     gen_g,
     gen_h,
@@ -217,6 +218,13 @@ class TestCompose:
         expected = (self.real.G * np.exp(1j * phi)) @ self.real.H + self.real.D
         np.testing.assert_allclose(out, expected)
 
+    def test_one_panel_bitwise(self, rng):
+        """rates.csv bytes rest on compose giving exactly this expression."""
+        phi = rng.uniform(0, 2 * math.pi, 16)
+        expected = (self.real.G * np.exp(1j * phi)) @ self.real.H + self.real.D
+        np.testing.assert_array_equal(compose(self.real, [phi]), expected)
+        np.testing.assert_array_equal(compose_end_to_end(self.real, phi), expected)
+
     def test_accepts_config_object(self):
         cfg = RisPhaseConfig(np.linspace(0, 1, 16))
         np.testing.assert_array_equal(
@@ -227,12 +235,18 @@ class TestCompose:
         with pytest.raises(ValueError, match="phases shape"):
             compose_end_to_end(self.real, np.zeros(5))
         bad = ChannelRealization(
-            H=self.real.H, G=self.real.G[:, :8], D=self.real.D, los=self.real.los
+            hops=((self.real.H, self.real.G[:, :8]),),
+            D=self.real.D,
+            los_panels=self.real.los_panels,
+            los_direct=self.real.los_direct,
         )
         with pytest.raises(ValueError, match="columns"):
             compose_end_to_end(bad, np.zeros(16))
         bad_d = ChannelRealization(
-            H=self.real.H, G=self.real.G, D=np.zeros((2, 2)), los=self.real.los
+            hops=self.real.hops,
+            D=np.zeros((2, 2)),
+            los_panels=self.real.los_panels,
+            los_direct=self.real.los_direct,
         )
         with pytest.raises(ValueError, match="D shape"):
             compose_end_to_end(bad_d, np.zeros(16))

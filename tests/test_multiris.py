@@ -20,7 +20,10 @@ from rischan.multiris import (
 from rischan.propagation import Environment
 from rischan.scattering import Link
 
+from conftest import make_indoor_scene
+
 XZ_IN = SurfaceOrientation(Plane.XZ, facing=-1)
+XZ_OUT = SurfaceOrientation(Plane.XZ, facing=1)
 
 
 def make_multi(n_panels=2, **overrides):
@@ -104,11 +107,30 @@ class TestRealizeMulti:
         np.testing.assert_array_equal(one.hops[0][1], two.hops[0][1])
         np.testing.assert_array_equal(one.D, two.D)
 
-    def test_panel0_matches_single_surface_scene(self):
-        """A one-panel scene reproduces the plain single-surface draws."""
-        m = make_multi(1)
+    @pytest.mark.parametrize(
+        "make_scene",
+        [
+            lambda: make_multi(1),
+            lambda: MultiRisScene(
+                environment=Environment.street_canyon(),
+                frequency_hz=28e9,
+                tx=Point3(0.0, 40.0, 10.0),
+                rx=Point3(60.0, 30.0, 1.5),
+                panels=(RisPanel(Point3(80.0, 0.0, 12.0), ArrayGeometry(4, 4, orientation=XZ_OUT)),),
+                tx_geometry=ArrayGeometry(2),
+                rx_geometry=ArrayGeometry(2),
+            ),
+            make_indoor_scene,
+        ],
+        ids=["indoor_panel", "umi_mimo_2x2", "indoor_scene_sharing"],
+    )
+    def test_panel0_matches_single_surface_scene(self, make_scene):
+        """A one-panel scene reproduces the plain single-surface draws: with
+        two-antenna terminals and a clustered G outdoors, and for a plain
+        indoor Scene whose direct link re-views the Tx-side clusters."""
+        m = make_scene()
         mreal = realize_multi(m, 5, index=4)
-        sreal = realize(m.scene_for(0), 5, index=4)
+        sreal = realize(m.panel_scenes[0], 5, index=4)
         np.testing.assert_array_equal(mreal.hops[0][0], sreal.H)
         np.testing.assert_array_equal(mreal.hops[0][1], sreal.G)
         np.testing.assert_array_equal(mreal.D, sreal.D)
