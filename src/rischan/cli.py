@@ -18,14 +18,13 @@ unknown key), 3 runtime failure during generation or output writing.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from .engine import BANDS, STRATEGIES, coverage_run, load_config, run
+from .engine import BANDS, STRATEGIES, coverage_run, load_config, read_json_object, run
 from .errors import ConfigError
 
 __all__ = ["main"]
@@ -61,16 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 def _load(args: argparse.Namespace):
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"config file {args.config!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {args.config!r} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config: expected a JSON object at the top level")
-
+    data = read_json_object(args.config, "config")
     if args.seed is not None:
         data["seed"] = args.seed
     if args.realizations is not None:
@@ -83,8 +73,9 @@ def _load(args: argparse.Namespace):
         data["frequency_ghz"] = args.frequency_ghz
     if args.band is not None:
         data["band"] = args.band
-    if args.strategy is not None or args.quant_bits is not None:
-        control = dict(data.get("control", {}))
+    control = data.get("control", {})
+    if isinstance(control, dict) and (args.strategy is not None or args.quant_bits is not None):
+        control = dict(control)
         if args.strategy is not None:
             control["strategy"] = args.strategy
         if args.quant_bits is not None:

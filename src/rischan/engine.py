@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .geometry import Plane, Point3, SurfaceOrientation
 # realize and compose_end_to_end: unused here, but bench/tracer.py wraps these names
 from .mmwave import compose_end_to_end, realize  # noqa: F401
 from .multiris import MultiRisScene, RisPanel, compose_multi, realize_multi
-from .propagation import Environment, EnvironmentKind, load_params_file, params_from_mapping
+from .propagation import Environment, EnvironmentKind
 from .scattering import ScatteringParams
 from .scene import LOS_MODES, Scene
 from .simio import file_digest, write_metadata, write_tensor, write_tensor_csv
@@ -53,6 +53,7 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "load_config",
+    "read_json_object",
     "run",
     "coverage_run",
 ]
@@ -63,6 +64,9 @@ STRATEGIES = ("cophase", "pinv_surrogate", "random", "off")
 # Channel tensor payload, in bytes, that ``run`` draws and writes per chunk.
 # It bounds what a run holds at once; the output bytes do not depend on it.
 _CHUNK_BYTES = 1 << 20
+
+# Largest coverage grid, in cells, that ``load_config`` accepts.
+_MAX_GRID_CELLS = 10**6
 
 _KNOWN_KEYS = {
     "band", "environment", "frequency_ghz", "seed", "realizations",
@@ -84,9 +88,13 @@ class CoverageArea:
     step: float
     z: float
 
+    def count(self, lo: float, hi: float) -> float:
+        """Points on the inclusive axis [lo, hi]; inf if beyond the float range."""
+        steps = (hi - lo) / self.step + 1e-9
+        return math.floor(steps) + 1 if steps < math.inf else math.inf
+
     def axis(self, lo: float, hi: float) -> np.ndarray:
-        count = int(math.floor((hi - lo) / self.step + 1e-9)) + 1
-        return lo + self.step * np.arange(count)
+        return lo + self.step * np.arange(self.count(lo, hi))
 
     @property
     def xs(self) -> np.ndarray:
@@ -190,12 +198,17 @@ def _point(value, key: str) -> Point3:
         raise ConfigError(f"{key}: expected [x, y, z], got {value!r}")
     return Point3(*(_number(v, f"{key}[{i}]") for i, v in enumerate(value)))
 
+def _pair(value, key: str) -> tuple[float, float]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{key}: expected [min, max], got {value!r}")
+    return _number(value[0], key), _number(value[1], key)
+
 def _wall(value, key: str) -> Plane:
     _choice(value, key, ("xz", "yz"))
     return Plane.XZ if value == "xz" else Plane.YZ
 
 def _facing(value, key: str) -> int:
-    if value not in (1, -1):
+    if isinstance(value, bool) or value not in (1, -1):
         raise ConfigError(f"{key}: expected 1 or -1, got {value!r}")
     return int(value)
 
@@ -229,38 +242,75 @@ def _shape_for(n: int | None, shape, key: str) -> tuple[int, int]:
         )
     return root, root
 
-def _params(cls, section: dict, key: str):
-    """``cls`` built from the fields of config section ``key``, each value
-    checked against the type of the field's default (a None default takes
-    null or a number)."""
-    values = {}
-    for name, value in section.items():
-        default, field_key = cls.__dataclass_fields__[name].default, f"{key}.{name}"
-        if isinstance(default, bool):
-            values[name] = _boolean(value, field_key)
-        elif isinstance(default, int):
-            values[name] = _integer(value, field_key)
-        else:
-            values[name] = None if value is None and default is None else _number(value, field_key)
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in file ``path``; ``what`` names the file in errors."""
+    where = f"{what} file {str(path)!r}"
     try:
-        return cls(**values)
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{where} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, bytes not UTF-8
+        raise ConfigError(f"{where}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    return data
+
+def _section(value, key: str, fields, what: str = "fields") -> dict:
+    """Config section ``key``: a mapping with names from ``fields`` only."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: expected a mapping, got {value!r}")
+    unknown = set(value) - set(fields)
+    if unknown:
+        raise ConfigError(
+            f"{key}: unknown {what} {sorted(unknown)}; expected from {sorted(fields)}"
+        )
+    return value
+
+def _build(key: str, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``; the ValueError of a violated constraint
+    becomes a ConfigError naming config ``key``."""
+    try:
+        return cls(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
-def _terminal_array(data, key: str, default_wall: Plane, spacing: float) -> ArrayGeometry:
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigError(f"{key}: expected a mapping, got {data!r}")
-    unknown = set(data) - {"shape", "n", "wall", "facing", "spacing_wavelengths"}
-    if unknown:
-        raise ConfigError(f"{key}: unknown fields {sorted(unknown)}")
-    n = _integer(data["n"], f"{key}.n", lo=1) if "n" in data else None
-    n_h, n_v = _shape_for(n, data.get("shape"), f"{key}.shape") if (n or data.get("shape")) else (1, 1)
-    wall = _wall(data["wall"], f"{key}.wall") if "wall" in data else default_wall
-    facing = _facing(data["facing"], f"{key}.facing") if "facing" in data else 1
-    sp = _number(data.get("spacing_wavelengths", spacing), f"{key}.spacing_wavelengths")
-    return ArrayGeometry(n_h, n_v, sp, SurfaceOrientation(wall, facing))
+def _params(base, section, key: str):
+    """``base`` with the fields of config section ``key`` replaced, each value
+    checked against the type of the field's value in ``base`` (a None there
+    takes null or a number)."""
+    values = {}
+    for name, value in _section(section, key, base.__dataclass_fields__).items():
+        current, field_key = getattr(base, name), f"{key}.{name}"
+        if isinstance(current, bool):
+            values[name] = _boolean(value, field_key)
+        elif isinstance(current, int):
+            values[name] = _integer(value, field_key)
+        else:
+            values[name] = None if value is None and current is None else _number(value, field_key)
+    return _build(key, replace, base, **values)
+
+def _terminal_array(data: dict, key: str, spacing: float) -> ArrayGeometry:
+    spec = {} if data.get(key) is None else data[key]
+    spec = _section(spec, key, ("shape", "n", "wall", "facing", "spacing_wavelengths"))
+    n = _integer(spec["n"], f"{key}.n", lo=1) if "n" in spec else None
+    shape = spec.get("shape")
+    n_h, n_v = _shape_for(n, shape, f"{key}.shape") if (n or shape) else (1, 1)
+    wall = _wall(spec["wall"], f"{key}.wall") if "wall" in spec else Plane.YZ
+    facing = _facing(spec["facing"], f"{key}.facing") if "facing" in spec else 1
+    sp = _number(spec.get("spacing_wavelengths", spacing), f"{key}.spacing_wavelengths")
+    return _build(key, ArrayGeometry, n_h, n_v, sp, SurfaceOrientation(wall, facing))
+
+def _path_loss_tables(params) -> dict:
+    """The ``params`` table (a mapping or the path of a JSON file) as
+    PathLossParams by environment name, each over that environment's defaults."""
+    if isinstance(params, (str, Path)):
+        params = read_json_object(params, "params")
+    names = [kind.value for kind in EnvironmentKind]
+    return {
+        name: _params(Environment._default(EnvironmentKind(name)).path_loss, v, f"params.{name}")
+        for name, v in _section(params, "params", names, "environments").items()
+    }
 
 def load_config(source, default_params_path: str | None = None) -> RunConfig:
     """Validate a run description (mapping, or path to a JSON file).
@@ -269,16 +319,7 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
     the configuration itself has no ``params`` entry (the CLI wires the
     ``RISCHAN_PARAMS`` environment variable into this).
     """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"config file {source!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {source!r} is not valid JSON: {exc}") from exc
-    else:
-        data = source
+    data = read_json_object(source, "config") if isinstance(source, (str, Path)) else source
     if not isinstance(data, dict):
         raise ConfigError("config: expected a JSON object at the top level")
     unknown = set(data) - _KNOWN_KEYS
@@ -291,28 +332,17 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
     )
     kind = EnvironmentKind(env_name)
 
-    params_src = data.get("params", None)
-    if params_src is None and default_params_path:
-        params_src = default_params_path
-    overrides = {}
-    if params_src is not None:
-        table = (
-            params_from_mapping(params_src)
-            if isinstance(params_src, dict)
-            else load_params_file(params_src)
-        )
-        if kind in table:
-            overrides["path_loss"] = table[kind]
+    params = data.get("params")
+    path_loss = _path_loss_tables(params if params is not None else default_params_path or {})
+    overrides = {"path_loss": path_loss[env_name]} if env_name in path_loss else {}
     if "bounds" in data:
         b = data["bounds"]
-        if not (isinstance(b, list) and len(b) == 3 and all(len(ax) == 2 for ax in b)):
+        if not (isinstance(b, list) and len(b) == 3):
             raise ConfigError(f"bounds: expected [[x0,x1],[y0,y1],[z0,z1]], got {b!r}")
-        overrides["bounds"] = tuple(
-            (_number(ax[0], "bounds"), _number(ax[1], "bounds")) for ax in b
-        )
+        overrides["bounds"] = tuple(_pair(ax, f"bounds[{i}]") for i, ax in enumerate(b))
     if "cluster_density" in data:
         overrides["cluster_density"] = _number(data["cluster_density"], "cluster_density")
-    env = Environment._default(kind, **overrides)
+    env = _build("environment", Environment._default, kind, **overrides)
 
     freq_hz = _number(_req(data, "frequency_ghz"), "frequency_ghz") * 1e9
     seed = _integer(data.get("seed", 1), "seed", lo=0)
@@ -335,24 +365,21 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
     shapes = _per_surface(data, "ris_shape", None, n_panels, lambda v, k: v, nested=True)
 
     spacing = _number(data.get("spacing_wavelengths", 0.5), "spacing_wavelengths")
-    if spacing <= 0:
-        raise ConfigError(f"spacing_wavelengths: must be > 0, got {spacing}")
-
     q_val = data.get("pattern_q", 0.285)
-    if q_val is None:
-        pattern = None
-    else:
-        pattern = ElementPattern(_number(q_val, "pattern_q"))
+    pattern = (
+        None if q_val is None else _build("pattern_q", ElementPattern, _number(q_val, "pattern_q"))
+    )
 
     ris_geoms = []
     for k in range(n_panels):
         n_h, n_v = _shape_for(n_list[k], shapes[k], "ris_shape")
-        ris_geoms.append(ArrayGeometry(n_h, n_v, spacing, SurfaceOrientation(walls[k], facings[k])))
+        orientation = SurfaceOrientation(walls[k], facings[k])
+        ris_geoms.append(_build("ris", ArrayGeometry, n_h, n_v, spacing, orientation))
 
     nt = data.get("nt")
     nr = data.get("nr")
-    tx_geom = _terminal_array(data.get("tx_array"), "tx_array", Plane.YZ, spacing)
-    rx_geom = _terminal_array(data.get("rx_array"), "rx_array", Plane.YZ, spacing)
+    tx_geom = _terminal_array(data, "tx_array", spacing)
+    rx_geom = _terminal_array(data, "rx_array", spacing)
     if nt is not None:
         if "tx_array" in data:
             raise ConfigError("nt: give either nt or tx_array, not both")
@@ -362,80 +389,43 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
             raise ConfigError("nr: give either nr or rx_array, not both")
         rx_geom = ArrayGeometry(_integer(nr, "nr", lo=1), 1, spacing, SurfaceOrientation(Plane.YZ))
 
-    los = data.get("los", {})
-    if not isinstance(los, dict):
-        raise ConfigError(f"los: expected a mapping, got {los!r}")
-    unknown = set(los) - {"tx_ris", "ris_rx", "tx_rx"}
-    if unknown:
-        raise ConfigError(f"los: unknown fields {sorted(unknown)}")
-    los_modes = {
-        k: _choice(los.get(k, "auto"), f"los.{k}", LOS_MODES) for k in ("tx_ris", "ris_rx", "tx_rx")
-    }
+    links = ("tx_ris", "ris_rx", "tx_rx")
+    los = _section(data.get("los", {}), "los", links)
+    los_modes = {k: _choice(los.get(k, "auto"), f"los.{k}", LOS_MODES) for k in links}
 
-    shadowing = data.get("shadowing", {})
-    if not isinstance(shadowing, dict):
-        raise ConfigError(f"shadowing: expected a mapping, got {shadowing!r}")
-    unknown = set(shadowing) - {"clustered", "los"}
-    if unknown:
-        raise ConfigError(f"shadowing: unknown fields {sorted(unknown)}")
+    shadowing = _section(data.get("shadowing", {}), "shadowing", ("clustered", "los"))
     shadow_clustered = _boolean(shadowing.get("clustered", True), "shadowing.clustered")
     shadow_los = _boolean(shadowing.get("los", False), "shadowing.los")
 
-    scat = data.get("scattering", {})
-    if not isinstance(scat, dict):
-        raise ConfigError(f"scattering: expected a mapping, got {scat!r}")
-    unknown = set(scat) - set(ScatteringParams.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"scattering: unknown fields {sorted(unknown)}")
-    scattering = _params(ScatteringParams, scat, "scattering")
+    scattering = _params(ScatteringParams(), data.get("scattering", {}), "scattering")
 
-    control = data.get("control", {})
-    if not isinstance(control, dict):
-        raise ConfigError(f"control: expected a mapping, got {control!r}")
-    unknown = set(control) - {"strategy", "quant_bits"}
-    if unknown:
-        raise ConfigError(f"control: unknown fields {sorted(unknown)}")
+    control = _section(data.get("control", {}), "control", ("strategy", "quant_bits"))
     strategy = _choice(control.get("strategy", "pinv_surrogate"), "control.strategy", STRATEGIES)
     quant_bits = control.get("quant_bits")
     if quant_bits is not None:
         quant_bits = _integer(quant_bits, "control.quant_bits", lo=1, hi=16)
 
-    sub6_cfg = data.get("sub6", {})
-    if not isinstance(sub6_cfg, dict):
-        raise ConfigError(f"sub6: expected a mapping, got {sub6_cfg!r}")
-    unknown = set(sub6_cfg) - (set(Sub6Params.__dataclass_fields__) | {"g_mode", "element_edge_m"})
-    if unknown:
-        raise ConfigError(f"sub6: unknown fields {sorted(unknown)}")
-    sub6_g_mode = _choice(sub6_cfg.get("g_mode", "auto"), "sub6.g_mode", ("auto", "near", "far"))
-    sub6_edge = sub6_cfg.get("element_edge_m")
+    sub6_fields = [*Sub6Params.__dataclass_fields__, "g_mode", "element_edge_m"]
+    sub6_cfg = dict(_section(data.get("sub6", {}), "sub6", sub6_fields))
+    sub6_g_mode = _choice(sub6_cfg.pop("g_mode", "auto"), "sub6.g_mode", ("auto", "near", "far"))
+    sub6_edge = sub6_cfg.pop("element_edge_m", None)
     if sub6_edge is not None:
         sub6_edge = _number(sub6_edge, "sub6.element_edge_m")
-    sub6_params = _params(
-        Sub6Params,
-        {k: v for k, v in sub6_cfg.items() if k not in ("g_mode", "element_edge_m")},
-        "sub6",
-    )
+    sub6_params = _params(Sub6Params(), sub6_cfg, "sub6")
 
     coverage = None
     if "coverage" in data:
-        cov = data["coverage"]
-        if not isinstance(cov, dict):
-            raise ConfigError(f"coverage: expected a mapping, got {cov!r}")
-        unknown = set(cov) - {"x", "y", "step", "z"}
-        if unknown:
-            raise ConfigError(f"coverage: unknown fields {sorted(unknown)}")
-        for axis in ("x", "y"):
-            rng = cov.get(axis)
-            if not (isinstance(rng, list) and len(rng) == 2):
-                raise ConfigError(f"coverage.{axis}: expected [min, max]")
+        cov = _section(data["coverage"], "coverage", ("x", "y", "step", "z"))
+        (x0, x1), (y0, y1) = _pair(cov.get("x"), "coverage.x"), _pair(cov.get("y"), "coverage.y")
         step = _number(_req(cov, "step"), "coverage.step")
         if step <= 0:
             raise ConfigError(f"coverage.step: must be > 0, got {step}")
-        x0, x1 = (_number(v, "coverage.x") for v in cov["x"])
-        y0, y1 = (_number(v, "coverage.y") for v in cov["y"])
         if x1 < x0 or y1 < y0:
             raise ConfigError("coverage: ranges must satisfy min <= max")
         coverage = CoverageArea((x0, x1), (y0, y1), step, _number(_req(cov, "z"), "coverage.z"))
+        cells = coverage.count(x0, x1) * coverage.count(y0, y1)
+        if cells > _MAX_GRID_CELLS:
+            raise ConfigError(f"coverage: {cells} grid cells, over the limit of {_MAX_GRID_CELLS}")
 
     clustered = _boolean(data.get("clustered", True), "clustered")
     share = data.get("share_direct_clusters")

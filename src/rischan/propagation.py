@@ -14,7 +14,6 @@ probabilities for the same environments, evaluated on ground distance.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -36,8 +35,6 @@ __all__ = [
     "path_loss",
     "los_probability",
     "draw_los",
-    "params_from_mapping",
-    "load_params_file",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -67,6 +64,10 @@ class PathLossParams:
     b_los: float = 0.0
     b_nlos: float = 0.0
     anchor_hz: float = 24.2e9
+
+    def __post_init__(self) -> None:
+        if not self.anchor_hz > 0:
+            raise ValueError(f"anchor_hz must be > 0, got {self.anchor_hz!r}")
 
 
 _DEFAULT_PATH_LOSS = {
@@ -108,6 +109,12 @@ class Environment:
     path_loss: PathLossParams
     bounds: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
     cluster_density: float
+
+    def __post_init__(self) -> None:
+        if not all(lo < hi for lo, hi in self.bounds):
+            raise ValueError(f"bounds must have min < max on every axis, got {self.bounds!r}")
+        if not self.cluster_density >= 0:
+            raise ValueError(f"cluster_density must be >= 0, got {self.cluster_density!r}")
 
     @property
     def indoor(self) -> bool:
@@ -207,43 +214,3 @@ def los_probability(d2d_m: float, kind: EnvironmentKind) -> float:
 def draw_los(d2d_m: float, kind: EnvironmentKind, rng) -> bool:
     """Bernoulli LOS state; always consumes exactly one uniform draw."""
     return bool(rng.uniform() < los_probability(d2d_m, kind))
-
-def params_from_mapping(data: dict) -> dict[EnvironmentKind, PathLossParams]:
-    """Build a parameter table from a JSON-style mapping.
-
-    Top-level keys are environment names (``EnvironmentKind`` values), each
-    mapping field names of :class:`PathLossParams` to numbers. Unknown names
-    raise :class:`ConfigError`.
-    """
-    table: dict[EnvironmentKind, PathLossParams] = {}
-    valid = {k.value: k for k in EnvironmentKind}
-    field_names = set(PathLossParams.__dataclass_fields__)
-    for env_name, fields in data.items():
-        if env_name not in valid:
-            raise ConfigError(
-                f"params: unknown environment {env_name!r}; expected one of {sorted(valid)}"
-            )
-        kind = valid[env_name]
-        if not isinstance(fields, dict):
-            raise ConfigError(f"params[{env_name!r}] must be a mapping of field overrides")
-        unknown = set(fields) - field_names
-        if unknown:
-            raise ConfigError(
-                f"params[{env_name!r}]: unknown fields {sorted(unknown)}; "
-                f"expected from {sorted(field_names)}"
-            )
-        table[kind] = replace(_DEFAULT_PATH_LOSS[kind], **{k: float(v) for k, v in fields.items()})
-    return table
-
-def load_params_file(path) -> dict[EnvironmentKind, PathLossParams]:
-    """Read a JSON parameter table (see :func:`params_from_mapping`)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"params file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"params file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"params file {path!r} must contain a JSON object")
-    return params_from_mapping(data)

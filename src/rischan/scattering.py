@@ -52,12 +52,18 @@ class Link(Enum):
     TX_RX = "txrx"
 
 
+# Largest ``retry_cap``. At tens of microseconds per resampling round, a hop
+# that cannot be placed fails within a second at this cap, not hours later.
+MAX_RETRY_CAP = 10_000
+
+
 @dataclass(frozen=True)
 class ScatteringParams:
     """Knobs of the cluster generator.
 
     ``cluster_density`` of None defers to the environment default. Sub-ray
-    counts are drawn uniformly on [min_subrays, max_subrays].
+    counts are drawn uniformly on [min_subrays, max_subrays]. Placement gives
+    up after ``retry_cap`` resampling rounds, at most ``MAX_RETRY_CAP``.
     """
 
     cluster_density: float | None = None
@@ -75,8 +81,10 @@ class ScatteringParams:
             )
         if self.spread_m < 0 or self.min_leg_m < 0:
             raise ValueError("spread_m and min_leg_m must be >= 0")
-        if self.retry_cap < 1:
-            raise ValueError(f"retry_cap must be >= 1, got {self.retry_cap!r}")
+        if not 1 <= self.retry_cap <= MAX_RETRY_CAP:
+            raise ValueError(f"retry_cap must be in [1, {MAX_RETRY_CAP}], got {self.retry_cap!r}")
+        if self.cluster_density is not None and not self.cluster_density >= 0:
+            raise ValueError(f"cluster_density must be >= 0, got {self.cluster_density!r}")
 
 
 @dataclass(frozen=True)

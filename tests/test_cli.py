@@ -12,6 +12,10 @@ from rischan.simio import read_metadata, read_tensor
 SUB6 = {"band": "sub6", "frequency_ghz": 3.5}
 
 
+def inh_params(**fields):
+    return {"params": {"InH_IndoorOffice": fields}}
+
+
 def write_cfg(tmp_path, name="run.json", **over):
     cfg = {
         "environment": "InH_IndoorOffice",
@@ -119,13 +123,39 @@ class TestExitCodes:
             ({"scattering": {"spread_m": "3"}}, "scattering.spread_m"),
             ({**SUB6, "sub6": {"delay_spread_s": float("nan")}}, "sub6.delay_spread_s"),
             ({**SUB6, "sub6": {"ray_az_spread_deg": float("inf")}}, "sub6.ray_az_spread_deg"),
+            (inh_params(exponent_los=float("nan")), "params.InH_IndoorOffice.exponent_los"),
+            (inh_params(exponent_los="abc"), "params.InH_IndoorOffice.exponent_los"),
+            (inh_params(exponent_los=True), "params.InH_IndoorOffice.exponent_los"),
+            (inh_params(anchor_hz=0), "params.InH_IndoorOffice: anchor_hz"),
+            ({"bounds": [1, 2, 3]}, "bounds"),
+            ({"bounds": [[75.0, 0.0], [0.0, 50.0], [0.0, 3.5]]}, "bounds must have min < max"),
+            ({"cluster_density": -1}, "cluster_density"),
+            ({"scattering": {"cluster_density": -1}}, "scattering: cluster_density"),
+            ({"pattern_q": -1}, "pattern_q"),
+            ({"tx_array": {"spacing_wavelengths": 0}}, "tx_array: spacing_wavelengths"),
+            ({"scattering": {"retry_cap": 10**9}}, "scattering: retry_cap"),
+            (
+                {"coverage": {"x": [0.0, 1e6], "y": [0.0, 1e6], "step": 1e-3, "z": 1.0}},
+                "coverage: 1000000002000000001 grid cells, over the limit of 1000000",
+            ),
         ],
-        ids=["spread_nan", "spread_str", "delay_nan", "ray_az_inf"],
+        ids=[
+            "spread_nan", "spread_str", "delay_nan", "ray_az_inf", "exponent_nan",
+            "exponent_str", "exponent_bool", "anchor_zero", "bounds_flat", "bounds_reversed",
+            "density_negative", "scattering_density_negative", "pattern_q_negative",
+            "tx_spacing_zero", "retry_cap_over", "coverage_grid_over",
+        ],
     )
     def test_bad_section_field(self, tmp_path, capsys, over, key):
         cfg = write_cfg(tmp_path, **over)
         assert main(["rate", "-c", str(cfg)]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_override_on_non_mapping_control(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, control=[["strategy", "off"]])
+        assert main(["rate", "-c", str(cfg), "--strategy", "random"]) == 2
+        assert "control: expected a mapping" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_runtime_failure(self, tmp_path, capsys):

@@ -81,6 +81,14 @@ class TestLoadConfigDefaults:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
 
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_bytes(b'{"seed": "\xff"}')
+        with pytest.raises(ConfigError, match="config file"):
+            load_config(path)
+        with pytest.raises(ConfigError, match="params file"):
+            load_config(base_cfg(), default_params_path=str(path))
+
     def test_top_level_must_be_object(self):
         with pytest.raises(ConfigError, match="JSON object"):
             load_config([1, 2])
@@ -145,12 +153,24 @@ class TestLoadConfigValidation:
             ({**SUB6, "sub6": {"delay_spread_s": math.nan}}, "sub6.delay_spread_s: expected a finite"),
             ({**SUB6, "sub6": {"ray_az_spread_deg": math.inf}}, "sub6.ray_az_spread_deg: expected a finite"),
             ({**SUB6, "sub6": {"n_rays": "20"}}, "sub6.n_rays: expected an integer"),
+            ({"params": [1]}, "params: expected a mapping"),
+            ({"los": None}, "los: expected a mapping"),
+            ({"tx_array": {"facing": True}}, "tx_array.facing: expected 1 or -1"),
+            ({"ris_facing": True}, "ris_facing: expected 1 or -1"),
+            ({"scattering": {"retry_cap": 10_001}}, r"retry_cap must be in \[1, 10000\]"),
         ],
-        ids=["spread_nan", "spread_str", "subrays_float", "delay_nan", "ray_az_inf", "rays_str"],
+        ids=[
+            "spread_nan", "spread_str", "subrays_float", "delay_nan", "ray_az_inf", "rays_str",
+            "params_list", "los_null", "tx_facing_bool", "ris_facing_bool", "retry_cap_over",
+        ],
     )
     def test_section_field_types(self, over, message):
         with pytest.raises(ConfigError, match=message):
             load_config(base_cfg(**over))
+
+    def test_null_terminal_array_is_default(self):
+        scene = load_config(base_cfg(tx_array=None, scattering={"retry_cap": 10_000})).scene
+        assert scene.nt == 1 and scene.scattering.retry_cap == 10_000
 
     def test_n_not_square(self):
         with pytest.raises(ConfigError, match="perfect square"):
@@ -354,6 +374,14 @@ class TestCoverageConfig:
         del cfg["coverage"]["step"]
         with pytest.raises(ConfigError, match="step"):
             load_config(cfg)
+
+    def test_grid_cell_limit(self):
+        # 1000 x 1000 points is exactly the limit; no axis is allocated here
+        assert load_config(self.cov_cfg(x=[0.0, 999.0], y=[0.0, 999.0], step=1.0)).coverage
+        with pytest.raises(ConfigError, match="1001000 grid cells, over the limit of 1000000"):
+            load_config(self.cov_cfg(x=[0.0, 1000.0], y=[0.0, 999.0], step=1.0))
+        with pytest.raises(ConfigError, match="inf grid cells"):
+            load_config(self.cov_cfg(x=[-1e308, 1e308], y=[0.0, 1.0], step=1.0))
 
     def test_axis_endpoint_inclusive(self):
         area = CoverageArea((0.0, 1.0), (0.0, 0.0), 0.1, 1.5)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rischan.engine import load_config
 from rischan.errors import ConfigError
 from rischan.propagation import (
     SPEED_OF_LIGHT,
@@ -14,9 +15,7 @@ from rischan.propagation import (
     check_frequency,
     ci_intercept_db,
     draw_los,
-    load_params_file,
     los_probability,
-    params_from_mapping,
     path_loss,
 )
 from rischan.streams import substream
@@ -148,42 +147,60 @@ def test_draw_los_deterministic():
     assert any(got) and not all(got)  # 40 m sits strictly between the extremes
 
 
+def run_config(**over):
+    cfg = {
+        "environment": "InH_IndoorOffice",
+        "frequency_ghz": 28.0,
+        "tx": [0.0, 25.0, 2.0],
+        "rx": [38.0, 48.0, 1.0],
+        "ris": [40.0, 50.0, 2.0],
+        "n": 16,
+        "ris_facing": -1,
+    }
+    cfg.update(over)
+    return cfg
+
+
 class TestParamTables:
+    """The path-loss ``params`` table as ``load_config`` reads it: inline, or
+    from the file named by ``default_params_path``."""
+
     def test_override_round_trip(self):
-        table = params_from_mapping({"InH_IndoorOffice": {"exponent_los": 2.5}})
-        p = table[EnvironmentKind.INDOOR_OFFICE]
+        cfg = load_config(run_config(params={"InH_IndoorOffice": {"exponent_los": 2.5}}))
+        p = cfg.scene.environment.path_loss
         assert p.exponent_los == 2.5
         assert p.exponent_nlos == 3.19  # untouched defaults survive
 
     def test_unknown_environment(self):
         with pytest.raises(ConfigError, match="unknown environment"):
-            params_from_mapping({"Orbit": {}})
+            load_config(run_config(params={"Orbit": {}}))
 
     def test_unknown_field(self):
         with pytest.raises(ConfigError, match="unknown fields"):
-            params_from_mapping({"UMi_StreetCanyon": {"gamma": 1.0}})
+            load_config(run_config(params={"UMi_StreetCanyon": {"gamma": 1.0}}))
 
     def test_non_mapping_fields(self):
-        with pytest.raises(ConfigError):
-            params_from_mapping({"UMi_StreetCanyon": 3})
+        with pytest.raises(ConfigError, match="params.UMi_StreetCanyon"):
+            load_config(run_config(params={"UMi_StreetCanyon": 3}))
 
     def test_load_file(self, tmp_path):
         path = tmp_path / "params.json"
         path.write_text(json.dumps({"UMi_StreetCanyon": {"sigma_los_db": 4.0}}))
-        table = load_params_file(path)
-        assert table[EnvironmentKind.STREET_CANYON].sigma_los_db == 4.0
+        umi = run_config(environment="UMi_StreetCanyon")
+        cfg = load_config(umi, default_params_path=str(path))
+        assert cfg.scene.environment.path_loss.sigma_los_db == 4.0
 
     def test_load_file_errors(self, tmp_path):
         with pytest.raises(ConfigError):
-            load_params_file(tmp_path / "missing.json")
+            load_config(run_config(), default_params_path=str(tmp_path / "missing.json"))
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(ConfigError, match="valid JSON"):
-            load_params_file(bad)
+            load_config(run_config(), default_params_path=str(bad))
         arr = tmp_path / "arr.json"
         arr.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="JSON object"):
-            load_params_file(arr)
+            load_config(run_config(), default_params_path=str(arr))
 
 
 def test_environment_presets():
