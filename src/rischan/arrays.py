@@ -31,6 +31,7 @@ __all__ = [
     "element_gain_cos",
     "steering_vector",
     "steering_matrix",
+    "axis_factors",
     "response_sum",
     "as_complex",
     "reflection_matrix",
@@ -125,20 +126,25 @@ def _powers(wr, wi, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Built by doubling: rows [0, 2^k) times w^(2^k) give rows [2^k, 2^(k+1)),
     and w^(2^k) is squared for the next step; real arithmetic throughout.
+    re and im are the halves of one (2, n, K) array, so each complex
+    product is two real products over both halves, then one difference
+    and one sum.
     """
-    re, im = np.empty((n, wr.size)), np.empty((n, wr.size))
-    re[0], im[0] = 1.0, 0.0
+    out = np.empty((2, n, wr.size))
+    out[0, 0], out[1, 0] = 1.0, 0.0
     k = 1
     while k < n:
         j = min(2 * k, n)
-        a, b = re[: j - k], im[: j - k]
-        re[k:j], im[k:j] = a * wr - b * wi, a * wi + b * wr
+        ab = out[:, : j - k]
+        p, q = ab * wr, ab * wi  # (a wr, b wr), (a wi, b wi)
+        np.subtract(p[0], q[1], out=out[0, k:j])  # a wr - b wi
+        np.add(q[0], p[1], out=out[1, k:j])  # a wi + b wr
         if j < n:
             wr, wi = wr * wr - wi * wi, 2.0 * wr * wi
         k = j
-    return re, im
+    return out[0], out[1]
 
-def _axis_factors(ends, wavelength: float):
+def axis_factors(ends, wavelength: float):
     """(re, im) responses of the array axes of every end, h then v per end.
 
     ``ends`` lists (geometry, unit), ``unit`` holding the (M, 3) direction
@@ -188,7 +194,7 @@ def _rank_one_sum(coeff, factors) -> tuple[np.ndarray, np.ndarray]:
 
     return dot(lr, fr) - dot(li, fi), dot(lr, fi) + dot(li, fr)
 
-def response_sum(coeff, ends, wavelength: float) -> np.ndarray:
+def response_sum(coeff, ends, wavelength: float, factors=None) -> np.ndarray:
     """Sum over rays m of coeff_m a_1(u_1m) (x) a_2(u_2m) (x) ..., complex.
 
     The hop kernel of every generator. ``coeff`` is the (re, im) pair of
@@ -197,9 +203,13 @@ def response_sum(coeff, ends, wavelength: float) -> np.ndarray:
     (size_1, size_2, ...). Array axes of one element contribute the factor
     1 and are left out, so a single-antenna end costs nothing and gives the
     very bits of a hop without that end. The C library is called once for
-    the whole hop (see :func:`_axis_factors`).
+    the whole hop (see :func:`axis_factors`), or not at all when the caller
+    passes ``factors``, the :func:`axis_factors` of ``ends`` that it keeps
+    for a ray set the scene fixes.
     """
-    re, im = _rank_one_sum(coeff, _axis_factors(ends, wavelength))
+    if factors is None:
+        factors = axis_factors(ends, wavelength)
+    re, im = _rank_one_sum(coeff, factors)
     return as_complex(re, im).reshape([geometry.size for geometry, _ in ends])
 
 def as_complex(re, im) -> np.ndarray:
@@ -217,7 +227,7 @@ def steering_matrix(
     Phase of element p toward direction u is (2 pi / lambda) <offset_p, u>;
     returns shape (size, M) for M directions (or (size,) for scalars).
     Built as the Kronecker product of the two axes' responses (see
-    :func:`_axis_factors`).
+    :func:`axis_factors`).
     """
     az = np.atleast_1d(np.asarray(azimuth, dtype=float))
     el = np.atleast_1d(np.asarray(elevation, dtype=float))
@@ -225,7 +235,7 @@ def steering_matrix(
         raise ValueError(f"azimuth/elevation shapes differ: {az.shape} vs {el.shape}")
     m = az.size
     re, im = np.ones((1, m)), np.zeros((1, m))
-    for fr, fi in _axis_factors([(geometry, direction_unit(az.ravel(), el.ravel()))], wavelength):
+    for fr, fi in axis_factors([(geometry, direction_unit(az.ravel(), el.ravel()))], wavelength):
         re, im = re[:, None, :], im[:, None, :]
         re, im = (re * fr - im * fi).reshape(-1, m), (re * fi + im * fr).reshape(-1, m)
     a = as_complex(re, im)

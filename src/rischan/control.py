@@ -29,6 +29,7 @@ __all__ = [
     "phases_dominant",
     "random_phases",
     "quantize_phases",
+    "snr_ratio",
     "achievable_rate",
 ]
 
@@ -141,6 +142,23 @@ def quantize_phases(config: RisPhaseConfig, bits: int) -> RisPhaseConfig:
     k = np.mod(np.floor(config.phases / step + 0.5), levels)
     return RisPhaseConfig(k * step, quant_bits=bits, note=config.note)
 
+def snr_ratio(tx_power_dbm: float, noise_dbm: float) -> float:
+    """Transmit-to-noise power ratio rho = 10^((tx - noise) / 10), linear.
+
+    Raises ValueError where rho is not a finite float (the power levels
+    are too far apart, or not finite).
+    """
+    try:
+        rho = 10.0 ** ((tx_power_dbm - noise_dbm) / 10.0)
+    except OverflowError:
+        rho = math.inf
+    if not math.isfinite(rho):
+        raise ValueError(
+            f"tx_power_dbm={tx_power_dbm!r} over noise_dbm={noise_dbm!r} gives a "
+            "signal-to-noise ratio beyond the float range"
+        )
+    return rho
+
 def achievable_rate(
     composed: np.ndarray, tx_power_dbm: float = 30.0, noise_dbm: float = -100.0
 ) -> RateResult:
@@ -154,7 +172,7 @@ def achievable_rate(
     c_mat = np.atleast_2d(np.asarray(composed, dtype=complex))
     if c_mat.ndim != 2:
         raise ValueError(f"composed channel must be 2-d, got shape {c_mat.shape}")
-    rho = 10.0 ** ((tx_power_dbm - noise_dbm) / 10.0)
+    rho = snr_ratio(tx_power_dbm, noise_dbm)
     s = np.linalg.svd(c_mat, compute_uv=False)
     rate = float(np.sum(np.log1p(rho / c_mat.shape[1] * s**2)) / math.log(2.0))
     return RateResult(rate_bits_hz=rate, snr_linear=rho)

@@ -56,19 +56,24 @@ def _ieee(fn):
     return safe
 
 
+_SAFE = {fn: _ieee(fn) for fn in _NUMPY}
+
+
 def _run(fn, shape, *columns) -> np.ndarray:
     """``fn`` over aligned lists of arguments, as a float64 array of ``shape``."""
     n = len(columns[0])
     try:
         out = np.fromiter(map(fn, *columns), dtype=float, count=n)
     except (ValueError, OverflowError):
-        out = np.fromiter(map(_ieee(fn), *columns), dtype=float, count=n)
+        out = np.fromiter(map(_SAFE[fn], *columns), dtype=float, count=n)
     return out.reshape(shape)
 
 
 def _apply(fn, x, *scalars) -> np.ndarray:
     """``fn(element, *scalars)`` over the elements of ``x``."""
     a = np.asarray(x, dtype=float)
+    if not a.ndim:  # one element: the same C call without the list and iterator
+        return np.array(_SAFE[fn](float(a), *map(float, scalars)))
     flat = a.ravel().tolist()
     return _run(fn, a.shape, flat, *([float(v)] * len(flat) for v in scalars))
 

@@ -32,6 +32,7 @@ from .control import (
     phases_dominant,
     quantize_phases,
     random_phases,
+    snr_ratio,
 )
 from .errors import ConfigError
 from .geometry import Plane, Point3, SurfaceOrientation
@@ -43,7 +44,7 @@ from .scattering import ScatteringParams
 from .scene import LOS_MODES, Scene
 from .simio import file_digest, write_metadata, write_tensor, write_tensor_csv
 from .streams import cell_seed, substream
-from .sub6 import Sub6Params, realize_sub6
+from .sub6 import Sub6Params, element_edge, realize_sub6
 
 __all__ = [
     "BANDS",
@@ -465,11 +466,17 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
 
     if band == "sub6" and (tx_geom.size != 1 or rx_geom.size != 1):
         raise ConfigError("band=sub6 covers single-antenna terminals; set nt=nr=1")
+    if band == "sub6":
+        _build("sub6.element_edge_m", element_edge, ris_geoms[0], scene.wavelength, sub6_edge)
     if strategy == "cophase" and (tx_geom.size != 1 or rx_geom.size != 1):
         raise ConfigError(
             "control.strategy=cophase applies to single-antenna terminals; "
             "use pinv_surrogate for matrix channels"
         )
+
+    tx_power_dbm = _number(data.get("tx_power_dbm", 30.0), "tx_power_dbm")
+    noise_dbm = _number(data.get("noise_dbm", -100.0), "noise_dbm")
+    _build("tx_power_dbm", snr_ratio, tx_power_dbm, noise_dbm)
 
     return RunConfig(
         raw=data,
@@ -480,8 +487,8 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
         clustered=clustered,
         strategy=strategy,
         quant_bits=quant_bits,
-        tx_power_dbm=_number(data.get("tx_power_dbm", 30.0), "tx_power_dbm"),
-        noise_dbm=_number(data.get("noise_dbm", -100.0), "noise_dbm"),
+        tx_power_dbm=tx_power_dbm,
+        noise_dbm=noise_dbm,
         workers=_integer(data.get("workers", 1), "workers", lo=1),
         out_dir=Path(data.get("out_dir", "out")),
         write_channels=_boolean(data.get("write_channels", True), "write_channels"),

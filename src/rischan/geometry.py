@@ -30,6 +30,7 @@ __all__ = [
     "angles_from",
     "angles_from_many",
     "direction_unit",
+    "vector_norm",
 ]
 
 
@@ -123,11 +124,20 @@ def distance_2d(a: Point3, b: Point3) -> float:
     """Ground (xy-plane) distance in meters, used by visibility models."""
     return math.hypot(b.x - a.x, b.y - a.y)
 
+def vector_norm(v: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
+    """Euclidean norms of the float vectors along ``axis`` of ``v``.
+
+    ``sqrt(add.reduce(v * v, axis))``: the very expression
+    ``np.linalg.norm(v, axis=axis)`` evaluates for a real array, without
+    its argument handling, so the bits are the same.
+    """
+    return np.sqrt(np.add.reduce(v * v, axis=axis, keepdims=keepdims))
+
 def direction_unit(azimuth, elevation) -> np.ndarray:
     """Unit vector(s) for (azimuth, elevation); broadcasts over arrays."""
-    az, el = np.broadcast_arrays(
-        np.asarray(azimuth, dtype=float), np.asarray(elevation, dtype=float)
-    )
+    az, el = np.asarray(azimuth, dtype=float), np.asarray(elevation, dtype=float)
+    if az.shape != el.shape:
+        az, el = np.broadcast_arrays(az, el)
     c, s = ef.cis(np.stack([az, el]))
     return np.stack([s[1] * c[0], s[1] * s[0], c[1]], axis=-1)
 
@@ -144,7 +154,7 @@ def angles_from_many(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized :func:`angles_from` for an (M, 3) block of targets."""
     d = np.asarray(targets, dtype=float) - np.asarray(origin, dtype=float)
-    r = np.linalg.norm(d, axis=-1)
+    r = vector_norm(d)
     if np.any(r == 0.0):
         raise ValueError("direction undefined: target coincides with origin")
     az = ef.arctan2(d[..., 1], d[..., 0])

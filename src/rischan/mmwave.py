@@ -35,8 +35,9 @@ a documented fixed order. Each line-of-sight block consumes exactly one
 uniform (visibility), one uniform (phase), and, if the scene enables LOS
 shadowing, one normal draw, whether or not the ray ends up visible; forced
 "on"/"off" modes consume the same draws. :class:`RealizationStreams` names
-one substream per purpose so realizations can be generated independently,
-in any order, with bitwise-stable results. The arithmetic from the draws
+one substream per purpose, derived when the draw first reads it, so
+realizations can be generated independently, in any order, with
+bitwise-stable results. The arithmetic from the draws
 to the matrices follows the README's determinism contract (no BLAS; the
 elementary functions of :mod:`rischan.elementary`), so those bits do not
 depend on the CPU either.
@@ -51,14 +52,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import elementary as ef
-from .arrays import ArrayGeometry, element_gain_cos, response_sum
+from .arrays import ArrayGeometry, axis_factors, element_gain_cos, response_sum
 # unused here, but bench/tracer.py wraps these names of this module
 from .arrays import element_gain, steering_matrix, steering_vector  # noqa: F401
 from .geometry import direction_unit, distance, distance_2d
-from .propagation import PathLossSample, los_probability, path_loss
+from .propagation import PathLossSample, los_probability
 from .scattering import ClusterSet, Link, generate_clusters, share_clusters
 from .scene import Scene
-from .streams import substream
+from .streams import NamedStreams, substream
 
 __all__ = [
     "RealizationStreams",
@@ -75,36 +76,30 @@ __all__ = [
 _SINGLE = ArrayGeometry(1)
 
 
-@dataclass
-class RealizationStreams:
-    """The named substreams consumed by one channel realization.
+class RealizationStreams(NamedStreams):
+    """The named substreams consumed by one channel realization, each
+    derived the first time the draw reads it.
 
     ``panel`` tags the surface-specific streams so multi-surface scenes get
     independent draws per surface while the direct link stays common to all
     of them (one physical Tx-Rx path, whatever the surface count).
     """
 
-    clusters_h: np.random.Generator
-    clusters_g: np.random.Generator
-    clusters_d: np.random.Generator
-    h: np.random.Generator
-    g: np.random.Generator
-    d: np.random.Generator
-    rxang_g: np.random.Generator
-    rxang_d: np.random.Generator
+    PANEL_PATHS = {
+        "clusters_h": ("clusters", "txris"),
+        "clusters_g": ("clusters", "risrx"),
+        "h": ("link", "h"),
+        "g": ("link", "g"),
+        "rxang_g": ("rxang", "g"),
+    }
+    COMMON_PATHS = {
+        "clusters_d": ("clusters", "txrx"),
+        "d": ("link", "d"),
+        "rxang_d": ("rxang", "d"),
+    }
 
-    @classmethod
-    def derive(cls, master_seed: int, index: int, panel: int = 0) -> "RealizationStreams":
-        return cls(
-            clusters_h=substream(master_seed, "clusters", "txris", panel, index),
-            clusters_g=substream(master_seed, "clusters", "risrx", panel, index),
-            clusters_d=substream(master_seed, "clusters", "txrx", index),
-            h=substream(master_seed, "link", "h", panel, index),
-            g=substream(master_seed, "link", "g", panel, index),
-            d=substream(master_seed, "link", "d", index),
-            rxang_g=substream(master_seed, "rxang", "g", panel, index),
-            rxang_d=substream(master_seed, "rxang", "d", index),
-        )
+    def _derive(self, master_seed: int, *path) -> np.random.Generator:
+        return substream(master_seed, *path)  # this module's binding, read per call
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,34 +147,36 @@ _PATHS = {Link.TX_RIS: ("tx", "ris"), Link.RIS_RX: ("ris", "rx"), Link.TX_RX: ("
 class _LosConstants(NamedTuple):
     """What a scene fixes about one link's LOS ray."""
 
+    mode: str  # the link's visibility policy, one of LOS_MODES
     p: float  # visibility probability of the "auto" mode
     loss_db: float  # close-in loss without shadowing
+    loss: float  # the same as a linear power factor
     directions: dict  # fixed end -> (unit (1, 3), cos boresight (1,)) toward the other end
 
 
 def _los_constants(scene: Scene, link: Link) -> _LosConstants:
-    """Per-scene LOS geometry of ``link``, computed once per scene object."""
-    key = ("los", link)
-    if key not in scene.memo:
-        names = _PATHS[link]
-        pos = {"tx": scene.tx, "ris": scene.ris, "rx": scene.rx}
-        a, b = (pos[n] for n in names)
-        d = distance(a, b)
-        if link is Link.RIS_RX and scene.environment.indoor:
-            p = 1.0  # placement guarantees the surface sees the Rx indoors
-        else:
-            p = los_probability(distance_2d(a, b), scene.environment.kind)
-        loss_db = path_loss(scene.frequency_hz, d, scene.environment.path_loss, los=True).loss_db
-        mounts = {"tx": scene.tx_geometry.orientation, "ris": scene.ris_geometry.orientation}
-        directions = {}
-        for end, other in (names, names[::-1]):
-            if end in mounts:
-                unit = (pos[other].as_array() - pos[end].as_array())[None, :] / d
-                directions[end] = (unit, mounts[end].normal_component(unit))
-        scene.memo[key] = _LosConstants(p, loss_db, directions)
-    return scene.memo[key]
+    """Per-scene LOS geometry of ``link`` (kept by :func:`_los`)."""
+    names = _PATHS[link]
+    pos = {"tx": scene.tx, "ris": scene.ris, "rx": scene.rx}
+    a, b = (pos[n] for n in names)
+    d = distance(a, b)
+    if link is Link.RIS_RX and scene.environment.indoor:
+        p = 1.0  # placement guarantees the surface sees the Rx indoors
+    else:
+        p = los_probability(distance_2d(a, b), scene.environment.kind)
+    loss = scene.close_in(True).sample(d)
+    mounts = {"tx": scene.tx_geometry.orientation, "ris": scene.ris_geometry.orientation}
+    directions = {}
+    for end, other in (names, names[::-1]):
+        if end in mounts:
+            unit = (pos[other].as_array() - pos[end].as_array())[None, :] / d
+            directions[end] = (unit, mounts[end].normal_component(unit))
+    return _LosConstants(scene.los_mode(link), p, loss.loss_db, loss.linear, directions)
 
-def _los_block(scene: Scene, link: Link, rng):
+def _los(scene: Scene, link: Link) -> _LosConstants:
+    return scene.constant(("los", link), _los_constants, scene, link)
+
+def _los_block(scene: Scene, los: _LosConstants, rng):
     """Visibility, phase, and loss of one LOS ray; fixed draw count.
 
     Returns (on, phase, loss_linear).
@@ -187,12 +184,10 @@ def _los_block(scene: Scene, link: Link, rng):
     u = rng.uniform()
     phase = rng.uniform(0.0, 2.0 * math.pi)
     shadow = rng.standard_normal() if scene.shadow_los else None
-    los = _los_constants(scene, link)
-    mode = scene.los_mode(link)
-    on = mode == "on" or (mode == "auto" and u < los.p)
-    loss_db = los.loss_db
-    if shadow is not None:
-        loss_db = loss_db + scene.environment.path_loss.sigma_los_db * shadow
+    on = los.mode == "on" or (los.mode == "auto" and u < los.p)
+    if shadow is None:
+        return on, phase, los.loss
+    loss_db = los.loss_db + scene.environment.path_loss.sigma_los_db * shadow
     return on, phase, PathLossSample(loss_db).linear
 
 def _uniform_angles(rng, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,20 +216,20 @@ def _ray_directions(clusters, side: str, los_direction, on: bool):
         return np.zeros((0, 3)), np.zeros(0)
     return tuple(np.concatenate(x) for x in zip(*parts))
 
-def _ray_amplitudes(scene: Scene, clusters, cos_bore, on: bool, phase: float, loss: float):
+def _ray_amplitudes(clusters, gain, on: bool, phase: float, loss: float):
     """(re, im) amplitude of every ray of a hop: the sub-rays, scaled by
     1/sqrt(sub-ray count), then the LOS ray when it is visible.
 
-    ``cos_bore`` holds the boresight cosines at the surface of the sub-rays
-    and then of the LOS ray, or is None for the direct hop, which sees no
-    element pattern. Sub-rays re-aimed at the Rx carry their excess phase.
+    ``gain`` holds the element-pattern gains at the surface of the sub-rays
+    and then of the LOS ray, or is None for a hop that sees no element
+    pattern. Sub-rays re-aimed at the Rx carry their excess phase.
     """
     m = clusters.n_subrays if clusters is not None else 0
     power = clusters.attenuation if m else np.zeros(0)
     if on:
-        power = np.append(power, loss)
-    if cos_bore is not None and scene.element_pattern is not None:
-        power = power * element_gain_cos(scene.element_pattern, cos_bore)
+        power = np.concatenate((power, (loss,)))
+    if gain is not None:
+        power = power * gain
     amp = np.sqrt(power)
     re = np.zeros(amp.size)
     im = np.zeros(amp.size)
@@ -249,6 +244,41 @@ def _ray_amplitudes(scene: Scene, clusters, cos_bore, on: bool, phase: float, lo
         re[m], im[m] = amp[m] * math.cos(phase), amp[m] * math.sin(phase)
     return re, im
 
+def _rays(scene: Scene, link: Link, los: _LosConstants, clusters, rxang, on: bool, arrays: bool):
+    """(ends, shape, gain) of a hop's rays, the sub-rays of ``clusters`` and
+    then the LOS ray when it is visible: the (geometry, unit directions)
+    of each array end, the hop matrix shape, and the element-pattern gain
+    of each ray at the surface (None where there is no surface or
+    pattern)."""
+    m = clusters.n_subrays if clusters is not None else 0
+    geometries = {
+        "ris": scene.ris_geometry,
+        "tx": scene.tx_geometry if arrays else _SINGLE,
+        "rx": scene.rx_geometry if arrays else _SINGLE,
+    }
+    ends, shape, gain = [], [], None
+    for side, name in zip(("angles_b", "angles_a"), _PATHS[link][::-1]):
+        geometry = geometries[name]
+        shape.append(geometry.size)
+        if name == "ris":
+            unit, cos_bore = _ray_directions(clusters, side, los.directions[name], on)
+            if scene.element_pattern is not None:
+                gain = element_gain_cos(scene.element_pattern, cos_bore)
+        elif geometry.size == 1:
+            continue
+        elif name == "rx":
+            unit = _rx_directions(rxang, m, on)
+        else:
+            unit = _ray_directions(clusters, side, los.directions[name], on)[0]
+        ends.append((geometry, unit))
+    return ends, shape, gain
+
+def _los_rays(scene: Scene, link: Link, arrays: bool):
+    """:func:`_rays` of a visible LOS ray alone, then the axis factors of
+    its ends: constants of the scene when no end is the mobile Rx's array."""
+    ends, shape, gain = _rays(scene, link, _los(scene, link), None, None, True, arrays)
+    return ends, shape, gain, axis_factors(ends, scene.wavelength)
+
 def _hop(
     scene: Scene, link: Link, clusters, rng, rxang=None, arrays: bool = True
 ) -> tuple[np.ndarray, bool]:
@@ -257,36 +287,23 @@ def _hop(
     Every hop is a sum over rays (the sub-rays of ``clusters``, then the
     LOS ray when visible) of the ray amplitude times the outer product of
     the two ends' array responses. ``rxang`` is the stream of the mobile
-    Rx's arrival angles, drawn only for a multi-antenna Rx. With
-    ``arrays=False`` both terminals count as single antennas: the
-    vector/scalar channels of :func:`gen_h`, :func:`gen_g` and
-    :func:`gen_hsiso`. A single-antenna end contributes the factor 1, so
-    those are exactly the (N, 1), (1, N) and (1, 1) matrices of the same
+    Rx's arrival angles, drawn only for a multi-antenna Rx and None
+    otherwise. With ``arrays=False`` both terminals count as single
+    antennas: the vector/scalar channels of :func:`gen_h`, :func:`gen_g`
+    and :func:`gen_hsiso`. A single-antenna end contributes the factor 1,
+    so those are exactly the (N, 1), (1, N) and (1, 1) matrices of the same
     scene with single-antenna terminals.
     """
-    on, phase, loss = _los_block(scene, link, rng)
-    los = _los_constants(scene, link)
-    m = clusters.n_subrays if clusters is not None else 0
-    geometries = {
-        "ris": scene.ris_geometry,
-        "tx": scene.tx_geometry if arrays else _SINGLE,
-        "rx": scene.rx_geometry if arrays else _SINGLE,
-    }
-    ends, shape, cos_bore = [], [], None
-    for side, name in zip(("angles_b", "angles_a"), _PATHS[link][::-1]):
-        geometry = geometries[name]
-        shape.append(geometry.size)
-        if name == "ris":
-            unit, cos_bore = _ray_directions(clusters, side, los.directions[name], on)
-        elif geometry.size == 1:
-            continue
-        elif name == "rx":
-            unit = _rx_directions(rxang, m, on)
-        else:
-            unit = _ray_directions(clusters, side, los.directions[name], on)[0]
-        ends.append((geometry, unit))
-    coeff = _ray_amplitudes(scene, clusters, cos_bore, on, phase, loss)
-    return response_sum(coeff, ends, scene.wavelength).reshape(shape), on
+    los = _los(scene, link)
+    on, phase, loss = _los_block(scene, los, rng)
+    if clusters is None and on and rxang is None:  # one ray, both ends fixed
+        key = ("los rays", link, arrays)
+        ends, shape, gain, factors = scene.constant(key, _los_rays, scene, link, arrays)
+    else:
+        ends, shape, gain = _rays(scene, link, los, clusters, rxang, on, arrays)
+        factors = None
+    coeff = _ray_amplitudes(clusters, gain, on, phase, loss)
+    return response_sum(coeff, ends, scene.wavelength, factors).reshape(shape), on
 
 def gen_h(scene: Scene, clusters: ClusterSet | None, rng) -> np.ndarray:
     """Tx -> surface channel vector, shape (N,).
@@ -328,6 +345,9 @@ def _draw_panels(panels, clustered: bool, index: int) -> ChannelRealization:
     Each panel draws its H and G hops from its own scene and streams; the
     direct link is drawn once, from the first panel's scene and streams,
     re-viewing that panel's Tx-side clusters when its scene shares them.
+    A stream is read (and so derived) only when its draws are consumed:
+    the Rx angle streams for a multi-antenna Rx, the surface -> Rx cluster
+    stream outdoors, the direct cluster stream for a draw it feeds.
     """
     hops, los_panels, tx_sets = [], [], []
     for scene, streams in panels:
@@ -336,7 +356,8 @@ def _draw_panels(panels, clustered: bool, index: int) -> ChannelRealization:
         cl_g = None
         if clustered and not scene.environment.indoor:
             cl_g = generate_clusters(scene, Link.RIS_RX, streams.clusters_g)
-        g_mat, los_g = _hop(scene, Link.RIS_RX, cl_g, streams.g, streams.rxang_g)
+        rxang = streams.rxang_g if scene.nr > 1 else None
+        g_mat, los_g = _hop(scene, Link.RIS_RX, cl_g, streams.g, rxang)
         tx_sets.append(cl_h)
         hops.append((h_mat, g_mat))
         los_panels.append({Link.TX_RIS: los_h, Link.RIS_RX: los_g})
@@ -344,11 +365,13 @@ def _draw_panels(panels, clustered: bool, index: int) -> ChannelRealization:
     scene, streams = panels[0]
     cl_d = None
     if clustered:
-        if scene.shares_direct_clusters:
-            cl_d = share_clusters(scene, tx_sets[0], streams.clusters_d)
-        else:
+        if not scene.shares_direct_clusters:
             cl_d = generate_clusters(scene, Link.TX_RX, streams.clusters_d)
-    d_mat, los_d = _hop(scene, Link.TX_RX, cl_d, streams.d, streams.rxang_d)
+        else:  # re-viewing draws only the shadowing of the re-aimed paths
+            rng = streams.clusters_d if scene.shadow_clustered else None
+            cl_d = share_clusters(scene, tx_sets[0], rng)
+    rxang = streams.rxang_d if scene.nr > 1 else None
+    d_mat, los_d = _hop(scene, Link.TX_RX, cl_d, streams.d, rxang)
     return ChannelRealization(tuple(hops), d_mat, tuple(los_panels), los_d, index)
 
 def gen_mimo(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,8 @@ __all__ = [
     "PathLossSample",
     "check_frequency",
     "ci_intercept_db",
+    "CloseIn",
+    "close_in",
     "path_loss",
     "los_probability",
     "draw_los",
@@ -146,7 +149,7 @@ class PathLossSample:
     @property
     def linear(self) -> float:
         """Power attenuation factor, 10^(-loss_db/10)."""
-        lin = ef.pow10(-np.asarray(self.loss_db, dtype=float) / 10.0)
+        lin = ef.pow10(np.asarray(self.loss_db, dtype=float) / -10.0)  # = -x / 10, bit for bit
         return lin if lin.ndim else float(lin)
 
 
@@ -164,6 +167,37 @@ def ci_intercept_db(freq_hz: float) -> float:
     check_frequency(freq_hz)
     return 20.0 * math.log10(4.0 * math.pi * freq_hz / SPEED_OF_LIGHT)
 
+class CloseIn(NamedTuple):
+    """The terms of the close-in law that one carrier and link state fix."""
+
+    intercept_db: float  # free-space loss at 1 m
+    slope_db: float  # 10 n_eff: dB per decade of distance
+    sigma_db: float  # shadowing standard deviation
+
+    def sample(self, distance_m, shadow=None) -> PathLossSample:
+        """Path loss at ``distance_m``; see :func:`path_loss`."""
+        d = np.asarray(distance_m, dtype=float)
+        if (d < 1.0).any():
+            raise ValueError(
+                "distance_m below the 1 m close-in reference; clamp distances "
+                "to >= 1 m in the caller if that geometry is intended"
+            )
+        loss = self.intercept_db + self.slope_db * ef.log10(d)
+        if shadow is not None:
+            loss = loss + self.sigma_db * np.asarray(shadow, dtype=float)
+        if loss.ndim == 0:
+            return PathLossSample(float(loss))
+        return PathLossSample(loss)
+
+def close_in(freq_hz: float, params: PathLossParams, los: bool) -> CloseIn:
+    """The distance-independent terms of :func:`path_loss`."""
+    if los:
+        n, b, sigma = params.exponent_los, params.b_los, params.sigma_los_db
+    else:
+        n, b, sigma = params.exponent_nlos, params.b_nlos, params.sigma_nlos_db
+    n_eff = n * (1.0 + b * (freq_hz - params.anchor_hz) / params.anchor_hz)
+    return CloseIn(ci_intercept_db(freq_hz), 10.0 * n_eff, sigma)
+
 def path_loss(
     freq_hz: float,
     distance_m,
@@ -176,25 +210,11 @@ def path_loss(
     ``shadow`` is an optional standard-normal draw (scalar or broadcastable
     array); it is scaled by the state's sigma here so callers own the
     randomness. Distances below the 1 m reference are rejected; clamp in the
-    caller if a scene legitimately has sub-meter legs.
+    caller if a scene legitimately has sub-meter legs. Callers evaluating
+    one carrier and state many times keep its :func:`close_in` terms and
+    call their ``sample``, which gives the same bits.
     """
-    d = np.asarray(distance_m, dtype=float)
-    if np.any(d < 1.0):
-        raise ValueError(
-            "distance_m below the 1 m close-in reference; clamp distances "
-            "to >= 1 m in the caller if that geometry is intended"
-        )
-    if los:
-        n, b, sigma = params.exponent_los, params.b_los, params.sigma_los_db
-    else:
-        n, b, sigma = params.exponent_nlos, params.b_nlos, params.sigma_nlos_db
-    n_eff = n * (1.0 + b * (freq_hz - params.anchor_hz) / params.anchor_hz)
-    loss = ci_intercept_db(freq_hz) + 10.0 * n_eff * ef.log10(d)
-    if shadow is not None:
-        loss = loss + sigma * np.asarray(shadow, dtype=float)
-    if loss.ndim == 0:
-        return PathLossSample(float(loss))
-    return PathLossSample(loss)
+    return close_in(freq_hz, params, los).sample(distance_m, shadow)
 
 def los_probability(d2d_m: float, kind: EnvironmentKind) -> float:
     """LOS probability at ground distance ``d2d_m`` (TR 38.901 fits)."""

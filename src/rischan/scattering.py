@@ -20,15 +20,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import elementary as ef
 from .arrays import as_complex
 from .errors import GenerationError
-from .geometry import Point3
-from .propagation import path_loss
+from .geometry import Point3, vector_norm
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scene import Scene
@@ -168,43 +167,71 @@ def _endpoints(scene: "Scene", link: Link):
         scene.rx.as_array(), None,
     )
 
+
+class _Placement(NamedTuple):
+    """What a scene and parameter set fix about one link's scatterers."""
+
+    anchors: np.ndarray  # (2, 3): the positions of endpoints A and B
+    surfaces: tuple  # their mounting orientations, None for the mobile Rx
+    lo: np.ndarray  # (3,) lower corner of the placement volume
+    hi: np.ndarray  # (3,) upper corner
+    span: np.ndarray  # (3,) hi - lo
+    density: float  # mean cluster count
+
+
+def _placement(scene: "Scene", link: Link, p: ScatteringParams) -> _Placement:
+    env = scene.environment
+    pos_a, surf_a, pos_b, surf_b = _endpoints(scene, link)
+    lo = np.array([b[0] for b in env.bounds])
+    hi = np.array([b[1] for b in env.bounds])
+    density = p.cluster_density if p.cluster_density is not None else env.cluster_density
+    return _Placement(np.stack([pos_a, pos_b]), (surf_a, surf_b), lo, hi, hi - lo, density)
+
 def _ball(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
     """n points uniform in a ball of the given radius."""
     v = rng.standard_normal((n, 3))
-    norm = np.linalg.norm(v, axis=1, keepdims=True)
+    norm = vector_norm(v, axis=1, keepdims=True)
     norm[norm == 0.0] = 1.0
     r = radius * ef.cbrt(rng.random((n, 1)))
     return v / norm * r
 
-def _admissible(pts, bounds, anchors) -> np.ndarray:
-    """Mask of points inside bounds, in front of surfaces, legs long enough."""
-    ok = np.ones(pts.shape[0], dtype=bool)
-    for axis, (lo, hi) in enumerate(bounds):
-        ok &= (pts[:, axis] >= lo) & (pts[:, axis] <= hi)
-    for pos, surface, min_leg in anchors:
-        d = pts - pos
+def _admissible(pts, lo, hi, anchors, surfaces, min_leg: float) -> np.ndarray:
+    """Mask of the (M, 3) points inside the box [lo, hi], in front of the
+    mounted surfaces and at least ``min_leg`` from every anchor.
+
+    ``anchors`` is a (K, 3) array of endpoint positions and ``surfaces``
+    their K mounting orientations, None for an endpoint mounted on none.
+    With d = point - anchor, a point is in front when the signed coordinate
+    of d along the normal is positive, and far enough when
+    ``|d| >= min_leg``, ``|d|`` being the :func:`vector_norm`. (Comparing
+    ``|d|^2`` with ``min_leg^2`` instead can flip points on the boundary.)
+    """
+    ok = np.logical_and.reduce((pts >= lo) & (pts <= hi), axis=1)
+    d = pts[:, None, :] - anchors
+    for k, surface in enumerate(surfaces):
         if surface is not None:
-            ok &= surface.normal_component(d) > 0.0
-        ok &= np.linalg.norm(d, axis=1) >= min_leg
+            ok &= surface.normal_component(d[:, k]) > 0.0
+    ok &= np.logical_and.reduce(vector_norm(d, axis=2) >= min_leg, axis=1)
     return ok
 
 def _place(rng, n, draw, ok, retry_cap, what):
-    pts = draw(n, np.arange(n))
-    bad = ~ok(pts)
+    """n points from ``draw(count, rows)``, the rows that ``ok`` rejects
+    drawn again (in ascending order) until all pass."""
+    pts = draw(n, slice(None))
+    idx = (~ok(pts)).nonzero()[0]
     rounds = 0
-    while bad.any():
+    while idx.size:
         rounds += 1
         if rounds > retry_cap:
             raise GenerationError(
-                f"placing {what}: {int(bad.sum())}/{n} points still inadmissible "
+                f"placing {what}: {idx.size}/{n} points still inadmissible "
                 f"after {retry_cap} resampling rounds; the scene geometry leaves "
                 "(almost) no volume inside bounds, in front of the mounted "
                 "surfaces, and >= min_leg_m from the endpoints"
             )
-        idx = np.flatnonzero(bad)
         fresh = draw(idx.size, idx)
         pts[idx] = fresh
-        bad[idx] = ~ok(fresh)
+        idx = idx[~ok(fresh)]
     return pts
 
 def generate_clusters(
@@ -212,15 +239,10 @@ def generate_clusters(
 ) -> ClusterSet:
     """Draw one scatterer realization for ``link`` from ``rng``."""
     p = params if params is not None else scene.scattering
-    env = scene.environment
-    density = p.cluster_density if p.cluster_density is not None else env.cluster_density
-    pos_a, surf_a, pos_b, surf_b = _endpoints(scene, link)
-    anchors = [(pos_a, surf_a, p.min_leg_m), (pos_b, surf_b, p.min_leg_m)]
-    bounds = env.bounds
-    lo = np.array([b[0] for b in bounds])
-    span = np.array([b[1] - b[0] for b in bounds])
+    c = scene.constant(("placement", link, p), _placement, scene, link, p)
+    (pos_a, pos_b), (surf_a, surf_b) = c.anchors, c.surfaces
 
-    n_clusters = int(rng.poisson(density))
+    n_clusters = int(rng.poisson(c.density))
     if p.at_least_one:
         n_clusters = max(1, n_clusters)
     if n_clusters == 0:
@@ -242,9 +264,9 @@ def generate_clusters(
     counts = rng.integers(p.min_subrays, p.max_subrays + 1, size=n_clusters)
 
     def draw_centers(n, _idx):
-        return lo + span * rng.random((n, 3))
+        return c.lo + c.span * rng.random((n, 3))
 
-    ok = lambda pts: _admissible(pts, bounds, anchors)
+    ok = lambda pts: _admissible(pts, c.lo, c.hi, c.anchors, c.surfaces, p.min_leg_m)
     centers = _place(rng, n_clusters, draw_centers, ok, p.retry_cap, f"{link.value} cluster centers")
 
     anchor_of_point = np.repeat(centers, counts, axis=0)
@@ -259,15 +281,15 @@ def generate_clusters(
     m = positions.shape[0]
     fading_re = rng.standard_normal(m) / math.sqrt(2.0)  # drawn before the imaginary part
     fading = as_complex(fading_re, rng.standard_normal(m) / math.sqrt(2.0))
-    dist_a = np.linalg.norm(positions - pos_a, axis=1)
-    dist_b = np.linalg.norm(positions - pos_b, axis=1)
+    rel_a, rel_b = positions - pos_a, positions - pos_b
+    dist_a, dist_b = vector_norm(rel_a, axis=1), vector_norm(rel_b, axis=1)
     shadow = rng.standard_normal(m) if scene.shadow_clustered else None
-    att = path_loss(scene.frequency_hz, dist_a + dist_b, env.path_loss, los=False, shadow=shadow)
+    att = scene.close_in(False).sample(dist_a + dist_b, shadow)
 
-    def angset(pos, surf, dist):
+    def angset(rel, surf, dist):
         if surf is None:
             return None
-        unit = (positions - pos) / dist[:, None]
+        unit = rel / dist[:, None]
         return AngleSet(unit, surf.normal_component(unit))
 
     return ClusterSet(
@@ -279,8 +301,8 @@ def generate_clusters(
         dist_a=dist_a,
         dist_b=dist_b,
         attenuation=np.asarray(att.linear, dtype=float),
-        angles_a=angset(pos_a, surf_a, dist_a),
-        angles_b=angset(pos_b, surf_b, dist_b),
+        angles_a=angset(rel_a, surf_a, dist_a),
+        angles_b=angset(rel_b, surf_b, dist_b),
     )
 
 def excess_phase(positions, ris: Point3, rx: Point3, wavelength: float) -> np.ndarray:
@@ -290,10 +312,12 @@ def excess_phase(positions, ris: Point3, rx: Point3, wavelength: float) -> np.nd
     reduced modulo one wavelength and expressed in radians, in [0, 2 pi).
     """
     pts = np.atleast_2d(np.asarray(positions, dtype=float))
-    d_rx = np.linalg.norm(pts - rx.as_array(), axis=1)
-    d_ris = np.linalg.norm(pts - ris.as_array(), axis=1)
-    phase = 2.0 * math.pi * np.mod((d_rx - d_ris) / wavelength, 1.0)
+    d_rx = vector_norm(pts - rx.as_array(), axis=1)
+    phase = _excess_phase(d_rx, vector_norm(pts - ris.as_array(), axis=1), wavelength)
     return phase if np.asarray(positions).ndim > 1 else float(phase[0])
+
+def _excess_phase(d_rx, d_ris, wavelength: float) -> np.ndarray:
+    return 2.0 * math.pi * np.mod((d_rx - d_ris) / wavelength, 1.0)
 
 def share_clusters(
     scene: "Scene", tx_ris: ClusterSet, rng: np.random.Generator | None = None
@@ -311,8 +335,8 @@ def share_clusters(
         raise ValueError("cluster sharing models an indoor layout; outdoor scenes draw an independent set")
     if tx_ris.link is not Link.TX_RIS:
         raise ValueError(f"expected a Tx-RIS cluster set, got {tx_ris.link}")
-    rx = scene.rx.as_array()
-    dist_b = np.linalg.norm(tx_ris.positions - rx, axis=1)
+    dist_b = vector_norm(tx_ris.positions - scene.rx.as_array(), axis=1)
+    d_ris = vector_norm(tx_ris.positions - scene.ris.as_array(), axis=1)
     m = tx_ris.n_subrays
     if scene.shadow_clustered:
         if rng is None:
@@ -320,14 +344,7 @@ def share_clusters(
         shadow = rng.standard_normal(m)
     else:
         shadow = None
-    att = path_loss(
-        scene.frequency_hz,
-        tx_ris.dist_a + dist_b,
-        scene.environment.path_loss,
-        los=False,
-        shadow=shadow,
-    )
-    extra = excess_phase(tx_ris.positions, scene.ris, scene.rx, scene.wavelength)
+    att = scene.close_in(False).sample(tx_ris.dist_a + dist_b, shadow)
     return ClusterSet(
         link=Link.TX_RX,
         counts=tx_ris.counts,
@@ -339,5 +356,5 @@ def share_clusters(
         attenuation=np.asarray(att.linear, dtype=float),
         angles_a=tx_ris.angles_a,
         angles_b=None,
-        extra_phase=np.atleast_1d(np.asarray(extra, dtype=float)),
+        extra_phase=_excess_phase(dist_b, d_ris, scene.wavelength),
     )

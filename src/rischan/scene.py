@@ -14,7 +14,7 @@ from functools import cached_property
 from .arrays import ArrayGeometry, ElementPattern
 from .errors import ConfigError
 from .geometry import Plane, Point3, distance
-from .propagation import SPEED_OF_LIGHT, Environment, check_frequency
+from .propagation import SPEED_OF_LIGHT, CloseIn, Environment, check_frequency, close_in
 from .scattering import Link, ScatteringParams
 
 __all__ = ["LOS_MODES", "Scene"]
@@ -77,6 +77,22 @@ class Scene:
         """Constants derived from this scene alone (the LOS geometry of each
         link, say), computed on first use and kept with the scene object."""
         return {}
+
+    def constant(self, key, fn, *args):
+        """``fn(*args)``, computed on the first call for ``key`` and kept in
+        :attr:`memo`; ``key`` names what the value depends on besides the
+        scene."""
+        try:
+            return self.memo[key]
+        except KeyError:
+            value = self.memo[key] = fn(*args)
+            return value
+
+    def close_in(self, los: bool) -> CloseIn:
+        """The close-in law of this carrier and environment for one link
+        state (see :func:`rischan.propagation.close_in`)."""
+        params = self.environment.path_loss
+        return self.constant(("close-in", los), close_in, self.frequency_hz, params, los)
 
     @property
     def wavelength(self) -> float:

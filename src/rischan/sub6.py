@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,12 +35,14 @@ from . import elementary as ef
 from .arrays import ArrayGeometry, as_complex, element_gain_cos, response_sum
 # unused here, but bench/tracer.py wraps these names of this module
 from .arrays import element_gain, steering_matrix  # noqa: F401
-from .geometry import Plane, Point3, angles_from, direction_unit, distance, distance_2d
+from .geometry import (
+    DirectionAngles, Plane, Point3, angles_from, direction_unit, distance, distance_2d, vector_norm,
+)
 from .mmwave import ChannelRealization
-from .propagation import los_probability, path_loss
+from .propagation import los_probability
 from .scattering import Link
 from .scene import Scene
-from .streams import substream
+from .streams import NamedStreams, substream
 
 __all__ = [
     "Sub6Params",
@@ -53,6 +56,7 @@ __all__ = [
     "gen_g_near",
     "gen_hsiso_sub6",
     "realize_sub6",
+    "element_edge",
     "nearfield_element_capture",
     "fraunhofer_distance",
 ]
@@ -136,32 +140,36 @@ def _hop_endpoints(scene: Scene, link: Link):
         return scene.ris, scene.rx, scene.ris_geometry
     return scene.tx, scene.rx, None
 
-def _hop_los_and_loss(scene: Scene, link: Link, anchor: Point3, other: Point3, rng):
+
+class _HopConstants(NamedTuple):
+    """What a scene fixes about one hop."""
+
+    geometry: ArrayGeometry | None  # the surface's array, None for the direct hop
+    mode: str  # the link's visibility policy, one of LOS_MODES
+    p: float  # visibility probability of the "auto" mode
+    distance: float  # between the two ends, meters
+    base: DirectionAngles | None  # direction of the far end seen from the surface
+
+
+def _hop_constants(scene: Scene, link: Link) -> _HopConstants:
+    anchor, other, geometry = _hop_endpoints(scene, link)
+    certain = link is Link.RIS_RX and scene.environment.indoor
+    p = 1.0 if certain else los_probability(distance_2d(anchor, other), scene.environment.kind)
+    base = None if geometry is None else angles_from(anchor, geometry.orientation, other)
+    return _HopConstants(geometry, scene.los_mode(link), p, distance(anchor, other), base)
+
+def _hop_los_and_loss(scene: Scene, link: Link, hop: _HopConstants, rng):
     """Visibility state and per-link loss; fixed draw count per scene."""
     u = rng.uniform()
     shadow = rng.standard_normal() if scene.shadow_los else None
-    mode = scene.los_mode(link)
-    if mode == "on":
-        on = True
-    elif mode == "off":
-        on = False
-    else:
-        certain = link is Link.RIS_RX and scene.environment.indoor
-        p = 1.0 if certain else los_probability(distance_2d(anchor, other), scene.environment.kind)
-        on = u < p
-    loss = path_loss(
-        scene.frequency_hz,
-        distance(anchor, other),
-        scene.environment.path_loss,
-        los=on,
-        shadow=shadow,
-    ).linear
-    return on, loss
+    on = hop.mode == "on" or (hop.mode == "auto" and u < hop.p)
+    return on, scene.close_in(on).sample(hop.distance, shadow).linear
 
 def _sub6_hop(scene: Scene, link: Link, profile: ClusterPowerProfile, rng, params: Sub6Params):
     """Shared far-field hop assembly; returns (value, los_state)."""
-    anchor, other, geometry = _hop_endpoints(scene, link)
-    on, loss = _hop_los_and_loss(scene, link, anchor, other, rng)
+    hop = scene.constant(("sub6 hop", link), _hop_constants, scene, link)
+    geometry = hop.geometry
+    on, loss = _hop_los_and_loss(scene, link, hop, rng)
     c, s = profile.n_clusters, params.n_rays
     m = c * s
     ray_power = np.repeat(profile.powers, s) / s
@@ -172,7 +180,7 @@ def _sub6_hop(scene: Scene, link: Link, profile: ClusterPowerProfile, rng, param
         c, s = ef.cis(phases)
         return complex(np.sum(amp * c), np.sum(amp * s)), on
 
-    base = angles_from(anchor, geometry.orientation, other)
+    base = hop.base
     d2r = math.pi / 180.0
     caz = base.azimuth + d2r * params.cluster_az_spread_deg * rng.standard_normal(c)
     cel = base.elevation + d2r * params.cluster_el_spread_deg * rng.standard_normal(c)
@@ -215,6 +223,18 @@ def _inplane_axes(plane: Plane) -> tuple[int, int, int]:
         return 0, 2, 1
     return 1, 2, 0
 
+def element_edge(geometry: ArrayGeometry, wavelength: float, edge_m: float | None = None) -> float:
+    """Side of each element's square aperture: ``edge_m``, or the element
+    spacing when None. Raises ValueError unless 0 < edge <= spacing (larger
+    apertures would overlap)."""
+    s = geometry.spacing_m(wavelength)
+    edge = s if edge_m is None else float(edge_m)
+    if not edge > 0.0:
+        raise ValueError(f"edge_m must be > 0, got {edge!r}")
+    if edge > s + 1e-12:
+        raise ValueError(f"edge_m={edge!r} exceeds the element spacing {s!r}; apertures overlap")
+    return edge
+
 def nearfield_element_capture(
     geometry: ArrayGeometry,
     wavelength: float,
@@ -238,12 +258,7 @@ def nearfield_element_capture(
     fraction edge^2 / (4 pi y^2). A receiver on or behind the mounting
     plane captures nothing (zeros).
     """
-    s = geometry.spacing_m(wavelength)
-    edge = s if edge_m is None else float(edge_m)
-    if edge <= 0.0:
-        raise ValueError(f"edge_m must be > 0, got {edge!r}")
-    if edge > s + 1e-12:
-        raise ValueError(f"edge_m={edge!r} exceeds the element spacing {s!r}; apertures overlap")
+    edge = element_edge(geometry, wavelength, edge_m)
     centers = geometry.element_centers(wavelength, center.as_array())
     ih, iv, nax = _inplane_axes(geometry.orientation.plane)
     rxa = rx.as_array()
@@ -274,7 +289,7 @@ def fraunhofer_distance(
 ) -> float:
     """Far-field boundary 2 D^2 / lambda of the panel (D its diagonal)."""
     s = geometry.spacing_m(wavelength)
-    edge = s if edge_m is None else float(edge_m)
+    edge = element_edge(geometry, wavelength, edge_m)
     ext_h = (geometry.n_h - 1) * s + edge
     ext_v = (geometry.n_v - 1) * s + edge
     diag = math.hypot(ext_h, ext_v)
@@ -291,7 +306,7 @@ def gen_g_near(scene: Scene, edge_m: float | None = None) -> np.ndarray:
         scene.ris_geometry, scene.wavelength, scene.ris, scene.rx, edge_m
     )
     centers = scene.ris_geometry.element_centers(scene.wavelength, scene.ris.as_array())
-    dist = np.linalg.norm(centers - scene.rx.as_array(), axis=1)
+    dist = vector_norm(centers - scene.rx.as_array(), axis=1)
     gamma = 2.0 * math.pi * np.mod(dist / scene.wavelength, 1.0)
     amp = np.sqrt(capture)
     c, s = ef.cis(-gamma)
@@ -326,27 +341,20 @@ def gen_g_sub6(
     return gen_g_sub6_far(scene, profile, rng, params)
 
 
-@dataclass
-class Sub6Streams:
-    """Named substreams of one sub-6 GHz realization (one per purpose)."""
+class Sub6Streams(NamedStreams):
+    """Named substreams of one sub-6 GHz realization (one per purpose), each
+    derived the first time the draw reads it."""
 
-    powers_h: np.random.Generator
-    powers_g: np.random.Generator
-    powers_d: np.random.Generator
-    h: np.random.Generator
-    g: np.random.Generator
-    d: np.random.Generator
+    PANEL_PATHS = {
+        "powers_h": ("sub6", "powers", "h"),
+        "powers_g": ("sub6", "powers", "g"),
+        "h": ("sub6", "link", "h"),
+        "g": ("sub6", "link", "g"),
+    }
+    COMMON_PATHS = {"powers_d": ("sub6", "powers", "d"), "d": ("sub6", "link", "d")}
 
-    @classmethod
-    def derive(cls, master_seed: int, index: int, panel: int = 0) -> "Sub6Streams":
-        return cls(
-            powers_h=substream(master_seed, "sub6", "powers", "h", panel, index),
-            powers_g=substream(master_seed, "sub6", "powers", "g", panel, index),
-            powers_d=substream(master_seed, "sub6", "powers", "d", index),
-            h=substream(master_seed, "sub6", "link", "h", panel, index),
-            g=substream(master_seed, "sub6", "link", "g", panel, index),
-            d=substream(master_seed, "sub6", "link", "d", index),
-        )
+    def _derive(self, master_seed: int, *path) -> np.random.Generator:
+        return substream(master_seed, *path)  # this module's binding, read per call
 
 
 def realize_sub6(
@@ -361,8 +369,9 @@ def realize_sub6(
 
     Single-antenna terminals only (the band's model is vector/scalar); each
     hop draws its own power profile and fading from named substreams. In
-    near-field mode the surface -> Rx hop is deterministic and its streams
-    are left untouched.
+    near-field mode the surface -> Rx hop is deterministic, a constant of
+    the scene computed once per scene object, and its streams are left
+    untouched (never derived).
     """
     if scene.nt != 1 or scene.nr != 1:
         raise ValueError("sub-6 GHz generation covers single-antenna terminals (Nt = Nr = 1)")
@@ -374,7 +383,7 @@ def realize_sub6(
     h, los_h = _sub6_hop(scene, Link.TX_RIS, prof_h, streams.h, p)
 
     if mode == "near":
-        g = gen_g_near(scene, edge_m)
+        g = scene.constant(("near g", edge_m), gen_g_near, scene, edge_m).copy()
         los_g = True
     else:
         prof_g = gen_cluster_powers(streams.powers_g, p)

@@ -37,6 +37,18 @@ def make_outdoor_scene(**overrides) -> Scene:
     return Scene(**defaults)
 
 
+def count_substreams(monkeypatch, module) -> list:
+    """The paths of every substream ``module`` derives from now on."""
+    calls, original = [], module.substream
+
+    def counted(master_seed, *path):
+        calls.append(path)
+        return original(master_seed, *path)
+
+    monkeypatch.setattr(module, "substream", counted)
+    return calls
+
+
 @pytest.fixture
 def indoor_scene() -> Scene:
     return make_indoor_scene()

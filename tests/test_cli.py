@@ -138,12 +138,17 @@ class TestExitCodes:
                 {"coverage": {"x": [0.0, 1e6], "y": [0.0, 1e6], "step": 1e-3, "z": 1.0}},
                 "coverage: 1000000002000000001 grid cells, over the limit of 1000000",
             ),
+            ({"tx_power_dbm": 1e300}, "tx_power_dbm"),
+            ({"noise_dbm": -1e300}, "tx_power_dbm"),
+            ({**SUB6, "sub6": {"element_edge_m": 0.0}}, "sub6.element_edge_m"),
+            ({**SUB6, "sub6": {"element_edge_m": 1.0}}, "sub6.element_edge_m"),
         ],
         ids=[
             "spread_nan", "spread_str", "delay_nan", "ray_az_inf", "exponent_nan",
             "exponent_str", "exponent_bool", "anchor_zero", "bounds_flat", "bounds_reversed",
             "density_negative", "scattering_density_negative", "pattern_q_negative",
             "tx_spacing_zero", "retry_cap_over", "coverage_grid_over",
+            "tx_power_overflow", "noise_overflow", "edge_zero", "edge_over_spacing",
         ],
     )
     def test_bad_section_field(self, tmp_path, capsys, over, key):

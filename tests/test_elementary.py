@@ -43,3 +43,19 @@ def test_special_values_match_numpy():
     assert ef.exp([1000.0]).tolist() == [math.inf]
     assert ef.pow10([400.0]).tolist() == [math.inf]
     assert ef.power([0.0], -1.0).tolist() == [math.inf]
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        ef.cos, ef.exp, ef.log, ef.log10, ef.pow10, ef.cbrt, ef.arccos, ef.arctan,
+        lambda x: ef.power(x, 0.57),
+    ],
+)
+def test_zero_d_input_matches_one_element_array(fn):
+    """The 0-d fast path gives the bits of the array path, special values included."""
+    for v in (0.3, -2.5, 0.0, -0.0, 400.0, -400.0, 1e308, math.inf, -math.inf, math.nan):
+        got, want = fn(v), fn(np.array([v]))
+        assert got.shape == () and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert fn(np.float64(v)).tobytes() == want.tobytes()

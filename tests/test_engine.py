@@ -168,6 +168,19 @@ class TestLoadConfigValidation:
         with pytest.raises(ConfigError, match=message):
             load_config(base_cfg(**over))
 
+    def test_snr_and_element_edge_limits(self):
+        """rho = 10^((tx - noise)/10) must be a finite float (the rate raised
+        OverflowError at run time), and the sub-6 aperture edge must lie in
+        (0, spacing], 0.0428 m at 3.5 GHz."""
+        for tx, noise in [(1e300, -100.0), (30.0, -1e300), (1e308, -1e308), (3100.0, 0.0)]:
+            with pytest.raises(ConfigError, match="tx_power_dbm: .*beyond the float range"):
+                load_config(base_cfg(tx_power_dbm=tx, noise_dbm=noise))
+        load_config(base_cfg(tx_power_dbm=3000.0, noise_dbm=0.0))  # 10^300 is fine
+        for edge in (0.0, -0.01, 0.05):
+            with pytest.raises(ConfigError, match="sub6.element_edge_m: edge_m"):
+                load_config(base_cfg(**SUB6, sub6={"element_edge_m": edge}))
+        assert load_config(base_cfg(**SUB6, sub6={"element_edge_m": 0.04})).sub6_edge_m == 0.04
+
     def test_null_terminal_array_is_default(self):
         scene = load_config(base_cfg(tx_array=None, scattering={"retry_cap": 10_000})).scene
         assert scene.nt == 1 and scene.scattering.retry_cap == 10_000

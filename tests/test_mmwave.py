@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rischan import mmwave
 from rischan.arrays import ArrayGeometry
 from rischan.control import RisPhaseConfig
 from rischan.errors import ConfigError
-from rischan.geometry import Point3, distance, distance_2d
+from rischan.geometry import Plane, Point3, SurfaceOrientation, distance, distance_2d
 from rischan.mmwave import (
     ChannelRealization,
     RealizationStreams,
@@ -19,11 +20,12 @@ from rischan.mmwave import (
     gen_mimo,
     realize,
 )
-from rischan.propagation import los_probability, path_loss
+from rischan.multiris import MultiRisScene, RisPanel, realize_multi
+from rischan.propagation import Environment, los_probability, path_loss
 from rischan.scattering import Link, generate_clusters, share_clusters
 from rischan.streams import substream
 
-from conftest import make_indoor_scene, make_outdoor_scene
+from conftest import count_substreams, make_indoor_scene, make_outdoor_scene
 
 
 class TestSceneValidation:
@@ -195,6 +197,52 @@ def test_gen_mimo_from_named_streams(indoor_scene):
     np.testing.assert_array_equal(real.H, again.H)
     np.testing.assert_array_equal(real.G, again.G)
     np.testing.assert_array_equal(real.D, again.D)
+
+
+class TestLazyStreams:
+    """A draw derives the streams it consumes and no others; the draws do not
+    depend on which other streams exist."""
+
+    ALL = [*RealizationStreams.PANEL_PATHS, *RealizationStreams.COMMON_PATHS]
+
+    def test_indoor_siso_derives_five(self, monkeypatch, indoor_scene):
+        calls = count_substreams(monkeypatch, mmwave)
+        real = realize(indoor_scene, 11, index=4)
+        assert sorted(calls) == sorted([
+            ("clusters", "txris", 0, 4), ("link", "h", 0, 4), ("link", "g", 0, 4),
+            ("clusters", "txrx", 4), ("link", "d", 4),
+        ])
+        forced = RealizationStreams.derive(11, 4)
+        for name in self.ALL:
+            getattr(forced, name)
+        assert len(calls) == 5 + 8
+        full = gen_mimo(make_indoor_scene(), forced, index=4)  # fresh scene: nothing kept
+        for a, b in ((real.H, full.H), (real.G, full.G), (real.D, full.D)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_unshadowed_sharing_skips_the_direct_cluster_stream(self, monkeypatch):
+        calls = count_substreams(monkeypatch, mmwave)
+        realize(make_indoor_scene(shadow_clustered=False), 2)
+        assert len(calls) == 4 and ("clusters", "txrx", 0) not in calls
+
+    def test_two_panel_mimo_derives_thirteen(self, monkeypatch):
+        out = SurfaceOrientation(Plane.XZ, facing=1)
+        scene = MultiRisScene(
+            environment=Environment.street_canyon(),
+            frequency_hz=28e9,
+            tx=Point3(0.0, 40.0, 10.0),
+            rx=Point3(60.0, 30.0, 1.5),
+            panels=(
+                RisPanel(Point3(80.0, 0.0, 12.0), ArrayGeometry(2, 2, orientation=out)),
+                RisPanel(Point3(40.0, 0.0, 12.0), ArrayGeometry(2, 2, orientation=out)),
+            ),
+            tx_geometry=ArrayGeometry(2, 1),
+            rx_geometry=ArrayGeometry(2, 1),
+        )
+        calls = count_substreams(monkeypatch, mmwave)
+        realize_multi(scene, 3, 1)
+        assert len(calls) == 2 * 5 + 3
+        assert ("rxang", "g", 1, 1) in calls and ("rxang", "d", 1) in calls
 
 
 class TestCompose:

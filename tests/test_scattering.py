@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rischan.errors import GenerationError
 from rischan.geometry import Point3
@@ -10,6 +12,9 @@ from rischan.scattering import (
     ClusterSet,
     Link,
     ScatteringParams,
+    _admissible,
+    _endpoints,
+    _placement,
     excess_phase,
     generate_clusters,
     share_clusters,
@@ -196,3 +201,46 @@ def test_cluster_set_is_frozen(indoor_scene):
     with pytest.raises(AttributeError):
         cs.link = Link.TX_RX
     assert isinstance(cs, ClusterSet)
+
+
+def _reference_admissible(pts, bounds, anchors):
+    """The per-axis formulation of the placement test: bounds one axis at a
+    time, ``normal_component`` and ``np.linalg.norm`` per anchor."""
+    ok = np.ones(pts.shape[0], dtype=bool)
+    for axis, (lo, hi) in enumerate(bounds):
+        ok &= (pts[:, axis] >= lo) & (pts[:, axis] <= hi)
+    for pos, surface, min_leg in anchors:
+        d = pts - pos
+        if surface is not None:
+            ok &= surface.normal_component(d) > 0.0
+        ok &= np.linalg.norm(d, axis=1) >= min_leg
+    return ok
+
+
+# Coordinates of the indoor scene's bounds and endpoints, NaN, signed zeros
+_EDGES = [0.0, -0.0, 75.0, 50.0, 3.5, 25.0, 40.0, 38.0, 48.0, 2.0, 1.0, math.nan]
+_COORD = st.one_of(st.floats(-5.0, 80.0), st.sampled_from(_EDGES))
+_SPHERE = np.random.default_rng(0).standard_normal((200, 3))
+_SPHERE /= np.linalg.norm(_SPHERE, axis=1, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pts=st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=1, max_size=12),
+    min_leg=st.sampled_from([0.0, 1.0, 2.0, 2.5]),
+    which=st.sampled_from([Link.TX_RIS, Link.RIS_RX, Link.TX_RX]),
+)
+def test_admissible_matches_reference(pts, min_leg, which):
+    scene = make_indoor_scene()
+    params = ScatteringParams(min_leg_m=min_leg)
+    c = _placement(scene, which, params)
+    pos_a, surf_a, pos_b, surf_b = _endpoints(scene, which)
+    # points exactly min_leg from each endpoint along every axis, and points
+    # on the sphere of that radius, where |d| rounds either side of min_leg
+    directions = (*np.eye(3), *-np.eye(3), *_SPHERE)
+    on_leg = [pos + min_leg * u for pos in (pos_a, pos_b) for u in directions]
+    block = np.vstack([np.array(pts, dtype=float).reshape(-1, 3), *on_leg])
+    anchors = [(pos_a, surf_a, min_leg), (pos_b, surf_b, min_leg)]
+    got = _admissible(block, c.lo, c.hi, c.anchors, c.surfaces, min_leg)
+    want = _reference_admissible(block, scene.environment.bounds, anchors)
+    np.testing.assert_array_equal(got, want)

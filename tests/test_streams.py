@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rischan.streams import cell_seed, substream, substream_key
+from rischan.streams import NamedStreams, cell_seed, substream, substream_key
 
 
 def test_key_matches_hash_oracle():
@@ -69,3 +69,54 @@ def test_streams_statistically_disjoint(n):
     a = substream(11, "corr", n).standard_normal(4096)
     b = substream(11, "corr", n + 10).standard_normal(4096)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.08
+
+
+def test_substream_reproduces_philox_of_its_key():
+    """The generator is the keyed Philox counter stream itself: same draws as
+    ``Generator(Philox(key=substream_key(...)))`` for every distribution the
+    generators use, over 200 keys."""
+    for i in range(200):
+        path = ("clusters", "txris", i % 3, i)
+        got = substream(i * 7919, *path)
+        want = np.random.Generator(np.random.Philox(key=substream_key(i * 7919, *path)))
+        np.testing.assert_array_equal(got.standard_normal(5), want.standard_normal(5))
+        np.testing.assert_array_equal(got.uniform(-1.0, 2.0, 3), want.uniform(-1.0, 2.0, 3))
+        np.testing.assert_array_equal(got.random((2, 3)), want.random((2, 3)))
+        np.testing.assert_array_equal(got.integers(1, 31, size=7), want.integers(1, 31, size=7))
+        np.testing.assert_array_equal(got.poisson(1.8, size=4), want.poisson(1.8, size=4))
+        np.testing.assert_array_equal(got.exponential(size=3), want.exponential(size=3))
+        assert got.standard_normal() == want.standard_normal()
+
+
+def test_substream_calls_are_independent_objects():
+    a = substream(3, "link", "g", 0, 9)
+    b = substream(3, "link", "g", 0, 9)
+    assert a is not b and a.bit_generator is not b.bit_generator
+    first = b.random(4)
+    a.random(100)  # drawing from one leaves the other where it was
+    np.testing.assert_array_equal(substream(3, "link", "g", 0, 9).random(8)[4:], b.random(4))
+    np.testing.assert_array_equal(first, substream(3, "link", "g", 0, 9).random(4))
+
+
+class _Named(NamedStreams):
+    PANEL_PATHS = {"x": ("tag", "x")}
+    COMMON_PATHS = {"y": ("tag", "y")}
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.derived = []
+
+    def _derive(self, master_seed, *path):
+        self.derived.append(path)
+        return substream(master_seed, *path)
+
+
+def test_named_streams_derive_on_first_use_only():
+    s = _Named.derive(4, 6, panel=2)
+    assert s.derived == []
+    x = s.x
+    assert s.x is x and s.derived == [("tag", "x", 2, 6)]
+    assert s.y.random() == substream(4, "tag", "y", 6).random()
+    assert s.derived == [("tag", "x", 2, 6), ("tag", "y", 6)]
+    with pytest.raises(AttributeError):
+        s.z

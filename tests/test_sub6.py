@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rischan import elementary as ef
+from rischan import elementary as ef, sub6
 from rischan.arrays import ArrayGeometry, as_complex, element_gain_cos, response_sum
 from rischan.geometry import (
     Plane,
@@ -37,7 +37,7 @@ from rischan.sub6 import (
     realize_sub6,
 )
 
-from conftest import make_indoor_scene
+from conftest import count_substreams, make_indoor_scene
 
 
 def make_sub6_scene(**overrides):
@@ -465,6 +465,20 @@ class TestRealizeSub6:
         real = realize_sub6(scene, 5)
         np.testing.assert_array_equal(real.G[0, :], gen_g_near(scene))
         assert real.los[Link.RIS_RX] is True
+
+    def test_near_derives_four_streams(self, monkeypatch):
+        calls = count_substreams(monkeypatch, sub6)
+        realize_sub6(make_near_scene(), 21, index=3, g_mode="near")
+        assert len(calls) == 4 and ("sub6", "link", "g", 0, 3) not in calls
+        realize_sub6(make_near_scene(), 21, index=3, g_mode="far")
+        assert len(calls) == 4 + 6
+
+    def test_near_response_is_kept_per_scene_and_copied(self):
+        scene = make_near_scene()
+        a = realize_sub6(scene, 21, index=0, g_mode="near")
+        b = realize_sub6(scene, 21, index=1, g_mode="near")
+        np.testing.assert_array_equal(a.G[0, :], gen_g_near(scene))
+        assert a.G.tobytes() == b.G.tobytes() and not np.shares_memory(a.G, b.G)
 
     def test_near_leaves_g_streams_untouched(self):
         """H and D draws are identical whether the g hop is near or far."""
