@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -42,7 +43,7 @@ from .multiris import MultiRisScene, RisPanel, compose_multi, realize_multi
 from .propagation import Environment, EnvironmentKind
 from .scattering import ScatteringParams
 from .scene import LOS_MODES, Scene
-from .simio import file_digest, write_metadata, write_tensor, write_tensor_csv
+from .simio import MAX_DIM, file_digest, write_metadata, write_tensor, write_tensor_csv
 from .streams import cell_seed, substream
 from .sub6 import Sub6Params, element_edge, realize_sub6
 
@@ -232,6 +233,8 @@ def _shape_for(n: int | None, shape, key: str) -> tuple[int, int]:
         n_v = _integer(shape[1], f"{key}[1]", lo=1)
         if n is not None and n_h * n_v != n:
             raise ConfigError(f"{key}: {n_h}x{n_v} has {n_h * n_v} elements but n={n}")
+        if n_h * n_v > MAX_DIM:
+            raise ConfigError(f"{key}: {n_h}x{n_v} has {n_h * n_v} elements, over {MAX_DIM}")
         return n_h, n_v
     if n is None:
         raise ConfigError(f"{key}: give n or an explicit shape")
@@ -291,10 +294,17 @@ def _params(base, section, key: str):
             values[name] = None if value is None and current is None else _number(value, field_key)
     return _build(key, replace, base, **values)
 
-def _terminal_array(data: dict, key: str, spacing: float) -> ArrayGeometry:
+def _terminal_array(data: dict, key: str, count_key: str, spacing: float) -> ArrayGeometry:
+    """A terminal's array: ``count_key`` antennas in a row on a yz wall, or
+    the ``key`` spec (one antenna when both are missing)."""
+    if data.get(count_key) is not None:
+        if key in data:
+            raise ConfigError(f"{count_key}: give either {count_key} or {key}, not both")
+        n = _integer(data[count_key], count_key, lo=1, hi=MAX_DIM)
+        return ArrayGeometry(n, 1, spacing, SurfaceOrientation(Plane.YZ))
     spec = {} if data.get(key) is None else data[key]
     spec = _section(spec, key, ("shape", "n", "wall", "facing", "spacing_wavelengths"))
-    n = _integer(spec["n"], f"{key}.n", lo=1) if "n" in spec else None
+    n = _integer(spec["n"], f"{key}.n", lo=1, hi=MAX_DIM) if "n" in spec else None
     shape = spec.get("shape")
     n_h, n_v = _shape_for(n, shape, f"{key}.shape") if (n or shape) else (1, 1)
     wall = _wall(spec["wall"], f"{key}.wall") if "wall" in spec else Plane.YZ
@@ -347,7 +357,7 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
 
     freq_hz = _number(_req(data, "frequency_ghz"), "frequency_ghz") * 1e9
     seed = _integer(data.get("seed", 1), "seed", lo=0)
-    realizations = _integer(data.get("realizations", 1000), "realizations", lo=1)
+    realizations = _integer(data.get("realizations", 1000), "realizations", lo=1, hi=MAX_DIM)
     tx = _point(_req(data, "tx"), "tx")
     rx = _point(_req(data, "rx"), "rx")
 
@@ -359,7 +369,8 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
     n_panels = len(positions)
 
     n_list = _per_surface(
-        data, "n", None, n_panels, lambda v, k: None if v is None else _integer(v, k, lo=1)
+        data, "n", None, n_panels,
+        lambda v, k: None if v is None else _integer(v, k, lo=1, hi=MAX_DIM),
     )
     walls = _per_surface(data, "ris_wall", "xz", n_panels, _wall)
     facings = _per_surface(data, "ris_facing", 1, n_panels, _facing)
@@ -377,18 +388,8 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
         orientation = SurfaceOrientation(walls[k], facings[k])
         ris_geoms.append(_build("ris", ArrayGeometry, n_h, n_v, spacing, orientation))
 
-    nt = data.get("nt")
-    nr = data.get("nr")
-    tx_geom = _terminal_array(data, "tx_array", spacing)
-    rx_geom = _terminal_array(data, "rx_array", spacing)
-    if nt is not None:
-        if "tx_array" in data:
-            raise ConfigError("nt: give either nt or tx_array, not both")
-        tx_geom = ArrayGeometry(_integer(nt, "nt", lo=1), 1, spacing, SurfaceOrientation(Plane.YZ))
-    if nr is not None:
-        if "rx_array" in data:
-            raise ConfigError("nr: give either nr or rx_array, not both")
-        rx_geom = ArrayGeometry(_integer(nr, "nr", lo=1), 1, spacing, SurfaceOrientation(Plane.YZ))
+    tx_geom = _terminal_array(data, "tx_array", "nt", spacing)
+    rx_geom = _terminal_array(data, "rx_array", "nr", spacing)
 
     links = ("tx_ris", "ris_rx", "tx_rx")
     los = _section(data.get("los", {}), "los", links)
@@ -583,6 +584,17 @@ def _part(path: Path) -> Path:
     """Where ``path`` is written until it is complete."""
     return path.with_name(path.name + ".part")
 
+@contextmanager
+def _removed_on_error(parts):
+    """Remove the ``.part`` files ``parts`` if the block raises, so a failed
+    run leaves no partial file behind."""
+    try:
+        yield
+    except BaseException:
+        for part in parts:
+            part.unlink(missing_ok=True)
+        raise
+
 def _publish(out: Path, files: dict[str, Path], metadata: dict) -> Path:
     """Give the complete ``.part`` files of ``files`` their final names, then
     write ``metadata.json`` the same way, last. The old sidecar goes first, so
@@ -591,7 +603,8 @@ def _publish(out: Path, files: dict[str, Path], metadata: dict) -> Path:
     meta_path.unlink(missing_ok=True)
     for path in files.values():
         os.replace(_part(path), path)
-    write_metadata(_part(meta_path), metadata)
+    with _removed_on_error([_part(meta_path)]):
+        write_metadata(_part(meta_path), metadata)
     os.replace(_part(meta_path), meta_path)
     return meta_path
 
@@ -641,15 +654,11 @@ def run(config: RunConfig) -> RunResult:
     per_draw = 16 * sum(rows * cols for rows, cols in dims.values())
     step = max(1, _CHUNK_BYTES // per_draw)
     rates = np.empty(config.realizations)
-    try:
+    with _removed_on_error(parts.values()):
         for start in range(0, config.realizations, step):
             stop = min(start + step, config.realizations)
             rates[start:stop] = _run_chunk(config, range(start, stop), parts)
         digests = {key: file_digest(part) for key, part in parts.items()}
-    except BaseException:
-        for part in parts.values():
-            part.unlink(missing_ok=True)
-        raise
     for key, entry in file_meta.items():
         entry["sha256"] = digests[key]
     metadata = _metadata(
@@ -699,12 +708,13 @@ def coverage_run(config: RunConfig) -> tuple[CoverageGrid, RunResult]:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     path = out / "coverage.csv"
-    with open(_part(path), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y,mean_rate_bits_hz\n")
-        for ix in range(xs.size):
-            for iy in range(ys.size):
-                fh.write(f"{xs[ix]:.12g},{ys[iy]:.12g},{grid[ix, iy]:.12g}\n")
-    digest = file_digest(_part(path))
+    with _removed_on_error([_part(path)]):
+        with open(_part(path), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("x,y,mean_rate_bits_hz\n")
+            for ix in range(xs.size):
+                for iy in range(ys.size):
+                    fh.write(f"{xs[ix]:.12g},{ys[iy]:.12g},{grid[ix, iy]:.12g}\n")
+        digest = file_digest(_part(path))
     metadata = _metadata(
         config,
         grid={"nx": int(xs.size), "ny": int(ys.size), "z": area.z, "step": area.step},

@@ -55,8 +55,8 @@ from . import elementary as ef
 from .arrays import ArrayGeometry, axis_factors, element_gain_cos, response_sum
 # unused here, but bench/tracer.py wraps these names of this module
 from .arrays import element_gain, steering_matrix, steering_vector  # noqa: F401
-from .geometry import direction_unit, distance, distance_2d
-from .propagation import PathLossSample, los_probability
+from .geometry import direction_unit
+from .propagation import PathLossSample
 from .scattering import ClusterSet, Link, generate_clusters, share_clusters
 from .scene import Scene
 from .streams import NamedStreams, substream
@@ -138,45 +138,31 @@ class ChannelRealization:
         return frozenset(link for link, mat in mats if not np.any(mat))
 
 
-# Endpoints (A, B) of each link's path. A hop matrix has B's array along its
-# rows and A's along its columns; a cluster set's ``angles_a``/``angles_b``
-# are the sub-ray directions seen from A/B.
-_PATHS = {Link.TX_RIS: ("tx", "ris"), Link.RIS_RX: ("ris", "rx"), Link.TX_RX: ("tx", "rx")}
-
-
 class _LosConstants(NamedTuple):
-    """What a scene fixes about one link's LOS ray."""
+    """What a scene fixes about one link's LOS ray besides its ends and rule
+    (:meth:`Scene.link`)."""
 
-    mode: str  # the link's visibility policy, one of LOS_MODES
-    p: float  # visibility probability of the "auto" mode
     loss_db: float  # close-in loss without shadowing
     loss: float  # the same as a linear power factor
-    directions: dict  # fixed end -> (unit (1, 3), cos boresight (1,)) toward the other end
+    directions: tuple  # per end: (unit (1, 3), cos boresight (1,)) toward the other end, or None
 
 
 def _los_constants(scene: Scene, link: Link) -> _LosConstants:
-    """Per-scene LOS geometry of ``link`` (kept by :func:`_los`)."""
-    names = _PATHS[link]
-    pos = {"tx": scene.tx, "ris": scene.ris, "rx": scene.rx}
-    a, b = (pos[n] for n in names)
-    d = distance(a, b)
-    if link is Link.RIS_RX and scene.environment.indoor:
-        p = 1.0  # placement guarantees the surface sees the Rx indoors
-    else:
-        p = los_probability(distance_2d(a, b), scene.environment.kind)
-    loss = scene.close_in(True).sample(d)
-    mounts = {"tx": scene.tx_geometry.orientation, "ris": scene.ris_geometry.orientation}
-    directions = {}
-    for end, other in (names, names[::-1]):
-        if end in mounts:
-            unit = (pos[other].as_array() - pos[end].as_array())[None, :] / d
-            directions[end] = (unit, mounts[end].normal_component(unit))
-    return _LosConstants(scene.los_mode(link), p, loss.loss_db, loss.linear, directions)
+    """Per-scene LOS loss and directions of ``link`` (kept by :func:`_los`)."""
+    ends = scene.link(link)
+    a, b = (point.as_array() for point in ends.points)
+    loss = scene.close_in(True).sample(ends.distance)
+    units = ((b - a)[None, :] / ends.distance, (a - b)[None, :] / ends.distance)
+    directions = tuple(
+        None if mount is None else (unit, mount.normal_component(unit))
+        for mount, unit in zip(ends.mounts, units)
+    )
+    return _LosConstants(loss.loss_db, loss.linear, directions)
 
 def _los(scene: Scene, link: Link) -> _LosConstants:
     return scene.constant(("los", link), _los_constants, scene, link)
 
-def _los_block(scene: Scene, los: _LosConstants, rng):
+def _los_block(scene: Scene, link: Link, los: _LosConstants, rng):
     """Visibility, phase, and loss of one LOS ray; fixed draw count.
 
     Returns (on, phase, loss_linear).
@@ -184,7 +170,7 @@ def _los_block(scene: Scene, los: _LosConstants, rng):
     u = rng.uniform()
     phase = rng.uniform(0.0, 2.0 * math.pi)
     shadow = rng.standard_normal() if scene.shadow_los else None
-    on = los.mode == "on" or (los.mode == "auto" and u < los.p)
+    on = scene.link(link).visible(u)
     if shadow is None:
         return on, phase, los.loss
     loss_db = los.loss_db + scene.environment.path_loss.sigma_los_db * shadow
@@ -251,17 +237,15 @@ def _rays(scene: Scene, link: Link, los: _LosConstants, clusters, rxang, on: boo
     of each ray at the surface (None where there is no surface or
     pattern)."""
     m = clusters.n_subrays if clusters is not None else 0
-    geometries = {
-        "ris": scene.ris_geometry,
-        "tx": scene.tx_geometry if arrays else _SINGLE,
-        "rx": scene.rx_geometry if arrays else _SINGLE,
-    }
+    link_ends = scene.link(link)
     ends, shape, gain = [], [], None
-    for side, name in zip(("angles_b", "angles_a"), _PATHS[link][::-1]):
-        geometry = geometries[name]
+    for k, side in ((1, "angles_b"), (0, "angles_a")):
+        name, geometry = link_ends.names[k], link_ends.arrays[k]
+        if not arrays and name != "ris":
+            geometry = _SINGLE
         shape.append(geometry.size)
         if name == "ris":
-            unit, cos_bore = _ray_directions(clusters, side, los.directions[name], on)
+            unit, cos_bore = _ray_directions(clusters, side, los.directions[k], on)
             if scene.element_pattern is not None:
                 gain = element_gain_cos(scene.element_pattern, cos_bore)
         elif geometry.size == 1:
@@ -269,7 +253,7 @@ def _rays(scene: Scene, link: Link, los: _LosConstants, clusters, rxang, on: boo
         elif name == "rx":
             unit = _rx_directions(rxang, m, on)
         else:
-            unit = _ray_directions(clusters, side, los.directions[name], on)[0]
+            unit = _ray_directions(clusters, side, los.directions[k], on)[0]
         ends.append((geometry, unit))
     return ends, shape, gain
 
@@ -295,7 +279,7 @@ def _hop(
     scene with single-antenna terminals.
     """
     los = _los(scene, link)
-    on, phase, loss = _los_block(scene, los, rng)
+    on, phase, loss = _los_block(scene, link, los, rng)
     if clusters is None and on and rxang is None:  # one ray, both ends fixed
         key = ("los rays", link, arrays)
         ends, shape, gain, factors = scene.constant(key, _los_rays, scene, link, arrays)

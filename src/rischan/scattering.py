@@ -150,24 +150,6 @@ class ClusterSet:
         return 1.0 / math.sqrt(m) if m else 0.0
 
 
-def _endpoints(scene: "Scene", link: Link):
-    """(pos_a, surface_a, pos_b, surface_b); surface None for the mobile Rx."""
-    if link is Link.TX_RIS:
-        return (
-            scene.tx.as_array(), scene.tx_geometry.orientation,
-            scene.ris.as_array(), scene.ris_geometry.orientation,
-        )
-    if link is Link.RIS_RX:
-        return (
-            scene.ris.as_array(), scene.ris_geometry.orientation,
-            scene.rx.as_array(), None,
-        )
-    return (
-        scene.tx.as_array(), scene.tx_geometry.orientation,
-        scene.rx.as_array(), None,
-    )
-
-
 class _Placement(NamedTuple):
     """What a scene and parameter set fix about one link's scatterers."""
 
@@ -181,11 +163,12 @@ class _Placement(NamedTuple):
 
 def _placement(scene: "Scene", link: Link, p: ScatteringParams) -> _Placement:
     env = scene.environment
-    pos_a, surf_a, pos_b, surf_b = _endpoints(scene, link)
+    ends = scene.link(link)
+    anchors = np.stack([point.as_array() for point in ends.points])
     lo = np.array([b[0] for b in env.bounds])
     hi = np.array([b[1] for b in env.bounds])
     density = p.cluster_density if p.cluster_density is not None else env.cluster_density
-    return _Placement(np.stack([pos_a, pos_b]), (surf_a, surf_b), lo, hi, hi - lo, density)
+    return _Placement(anchors, ends.mounts, lo, hi, hi - lo, density)
 
 def _ball(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
     """n points uniform in a ball of the given radius."""
@@ -245,22 +228,6 @@ def generate_clusters(
     n_clusters = int(rng.poisson(c.density))
     if p.at_least_one:
         n_clusters = max(1, n_clusters)
-    if n_clusters == 0:
-        empty3 = np.zeros((0, 3))
-        empty = np.zeros(0)
-        return ClusterSet(
-            link=link,
-            counts=np.zeros(0, dtype=int),
-            centers=empty3,
-            positions=empty3,
-            fading=np.zeros(0, dtype=complex),
-            dist_a=empty,
-            dist_b=empty,
-            attenuation=empty,
-            angles_a=AngleSet(empty3, empty) if surf_a is not None else None,
-            angles_b=AngleSet(empty3, empty) if surf_b is not None else None,
-        )
-
     counts = rng.integers(p.min_subrays, p.max_subrays + 1, size=n_clusters)
 
     def draw_centers(n, _idx):

@@ -10,17 +10,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .arrays import ArrayGeometry, ElementPattern
 from .errors import ConfigError
-from .geometry import Plane, Point3, distance
-from .propagation import SPEED_OF_LIGHT, CloseIn, Environment, check_frequency, close_in
+from .geometry import Plane, Point3, SurfaceOrientation, distance, distance_2d
+from .propagation import (
+    SPEED_OF_LIGHT, CloseIn, Environment, check_frequency, close_in, los_probability,
+)
 from .scattering import Link, ScatteringParams
 
-__all__ = ["LOS_MODES", "Scene"]
+__all__ = ["LOS_MODES", "LinkRecord", "Scene"]
 
 # per-hop visibility policy: distance-dependent Bernoulli, forced on, forced off
 LOS_MODES = ("auto", "on", "off")
+
+# The ends (A, B) of each link. A hop matrix has B's array along its rows and
+# A's along its columns; a cluster set's ``angles_a``/``angles_b`` are the
+# sub-ray directions seen from A/B.
+_ENDS = {Link.TX_RIS: ("tx", "ris"), Link.RIS_RX: ("ris", "rx"), Link.TX_RX: ("tx", "rx")}
+
+
+class LinkRecord(NamedTuple):
+    """What a scene fixes about one link: its ends (A, B) and its LOS rule."""
+
+    names: tuple[str, str]  # "tx", "ris" or "rx"
+    points: tuple[Point3, Point3]
+    arrays: tuple[ArrayGeometry, ArrayGeometry]
+    mounts: tuple[SurfaceOrientation | None, SurfaceOrientation | None]  # None: the mobile Rx
+    distance: float  # between the ends, meters
+    mode: str  # the visibility policy, one of LOS_MODES
+    p: float  # visibility probability of the "auto" mode
+
+    def visible(self, u: float) -> bool:
+        """The LOS state that the visibility uniform ``u`` gives."""
+        return self.mode == "on" or (self.mode == "auto" and u < self.p)
 
 
 @dataclass(frozen=True)
@@ -60,12 +84,11 @@ class Scene:
         ):
             if mode not in LOS_MODES:
                 raise ConfigError(f"{name}={mode!r}: expected one of {LOS_MODES}")
-        pts = {"tx": self.tx, "ris": self.ris, "rx": self.rx}
-        names = list(pts)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                if distance(pts[a], pts[b]) == 0.0:
-                    raise ConfigError(f"positions {a} and {b} coincide at {pts[a]}")
+        for link in Link:
+            ends = self.link(link)
+            if ends.distance == 0.0:
+                a, b = ends.names
+                raise ConfigError(f"positions {a} and {b} coincide at {ends.points[0]}")
         if self.share_direct_clusters and not self.environment.indoor:
             raise ConfigError(
                 "share_direct_clusters=True: sharing models an indoor layout; "
@@ -74,8 +97,8 @@ class Scene:
 
     @cached_property
     def memo(self) -> dict:
-        """Constants derived from this scene alone (the LOS geometry of each
-        link, say), computed on first use and kept with the scene object."""
+        """Constants derived from this scene alone (the record of each link,
+        say), computed on first use and kept with the scene object."""
         return {}
 
     def constant(self, key, fn, *args):
@@ -129,6 +152,21 @@ class Scene:
             Link.RIS_RX: self.los_ris_rx,
             Link.TX_RX: self.los_tx_rx,
         }[link]
+
+    def link(self, link: Link) -> LinkRecord:
+        """The ends and LOS rule of ``link``, the same record on every call."""
+        return self.constant(("link", link), self._link_record, link)
+
+    def _link_record(self, link: Link) -> LinkRecord:
+        names = _ENDS[link]
+        a, b = points = tuple(getattr(self, n) for n in names)
+        arrays = tuple(getattr(self, f"{n}_geometry") for n in names)
+        mounts = tuple(None if n == "rx" else g.orientation for n, g in zip(names, arrays))
+        if link is Link.RIS_RX and self.environment.indoor:
+            p = 1.0  # placement guarantees the surface sees the Rx indoors
+        else:
+            p = los_probability(distance_2d(a, b), self.environment.kind)
+        return LinkRecord(names, points, arrays, mounts, distance(a, b), self.los_mode(link), p)
 
     def with_rx(self, rx: Point3) -> "Scene":
         """Same scene, receiver moved (used by coverage sweeps)."""

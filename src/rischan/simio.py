@@ -35,6 +35,7 @@ import numpy as np
 __all__ = [
     "MAGIC",
     "FORMAT_VERSION",
+    "MAX_DIM",
     "write_tensor",
     "read_tensor",
     "write_tensor_csv",
@@ -45,6 +46,7 @@ __all__ = [
 
 MAGIC = b"RISCH1\x00\x00"
 FORMAT_VERSION = 1
+MAX_DIM = 2**32 - 1  # largest dimension a header holds (uint32)
 
 _HEADER = struct.Struct("<8sI4s")
 _DIMS = struct.Struct("<III")
@@ -64,7 +66,7 @@ def write_tensor(path, tensor, start: int = 0, total: int | None = None) -> None
         raise ValueError(f"tensor must be 3-d (realizations, rows, cols), got shape {arr.shape}")
     count = start + arr.shape[0] if total is None else total
     dims = (count, *arr.shape[1:])
-    if max(dims) >= 2**32:
+    if max(dims) > MAX_DIM:
         raise ValueError(f"tensor dimension too large for the format: {dims}")
     if start == 0:
         with open(path, "wb") as fh:

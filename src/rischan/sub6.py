@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from . import elementary as ef
@@ -36,10 +34,9 @@ from .arrays import ArrayGeometry, as_complex, element_gain_cos, response_sum
 # unused here, but bench/tracer.py wraps these names of this module
 from .arrays import element_gain, steering_matrix  # noqa: F401
 from .geometry import (
-    DirectionAngles, Plane, Point3, angles_from, direction_unit, distance, distance_2d, vector_norm,
+    DirectionAngles, Plane, Point3, angles_from, direction_unit, vector_norm,
 )
 from .mmwave import ChannelRealization
-from .propagation import los_probability
 from .scattering import Link
 from .scene import Scene
 from .streams import NamedStreams, substream
@@ -133,54 +130,31 @@ def _wrap_azimuth(a: np.ndarray) -> np.ndarray:
     w = np.mod(a + math.pi, 2.0 * math.pi) - math.pi
     return np.where(w == -math.pi, math.pi, w)
 
-def _hop_endpoints(scene: Scene, link: Link):
-    if link is Link.TX_RIS:
-        return scene.ris, scene.tx, scene.ris_geometry
-    if link is Link.RIS_RX:
-        return scene.ris, scene.rx, scene.ris_geometry
-    return scene.tx, scene.rx, None
-
-
-class _HopConstants(NamedTuple):
-    """What a scene fixes about one hop."""
-
-    geometry: ArrayGeometry | None  # the surface's array, None for the direct hop
-    mode: str  # the link's visibility policy, one of LOS_MODES
-    p: float  # visibility probability of the "auto" mode
-    distance: float  # between the two ends, meters
-    base: DirectionAngles | None  # direction of the far end seen from the surface
-
-
-def _hop_constants(scene: Scene, link: Link) -> _HopConstants:
-    anchor, other, geometry = _hop_endpoints(scene, link)
-    certain = link is Link.RIS_RX and scene.environment.indoor
-    p = 1.0 if certain else los_probability(distance_2d(anchor, other), scene.environment.kind)
-    base = None if geometry is None else angles_from(anchor, geometry.orientation, other)
-    return _HopConstants(geometry, scene.los_mode(link), p, distance(anchor, other), base)
-
-def _hop_los_and_loss(scene: Scene, link: Link, hop: _HopConstants, rng):
-    """Visibility state and per-link loss; fixed draw count per scene."""
-    u = rng.uniform()
-    shadow = rng.standard_normal() if scene.shadow_los else None
-    on = hop.mode == "on" or (hop.mode == "auto" and u < hop.p)
-    return on, scene.close_in(on).sample(hop.distance, shadow).linear
+def _base_angles(scene: Scene, link: Link) -> DirectionAngles:
+    """Direction of a surface hop's far end seen from the surface."""
+    ends = scene.link(link)
+    k = ends.names.index("ris")
+    return angles_from(ends.points[k], ends.mounts[k], ends.points[1 - k])
 
 def _sub6_hop(scene: Scene, link: Link, profile: ClusterPowerProfile, rng, params: Sub6Params):
     """Shared far-field hop assembly; returns (value, los_state)."""
-    hop = scene.constant(("sub6 hop", link), _hop_constants, scene, link)
-    geometry = hop.geometry
-    on, loss = _hop_los_and_loss(scene, link, hop, rng)
+    ends = scene.link(link)
+    u = rng.uniform()
+    shadow = rng.standard_normal() if scene.shadow_los else None
+    on = ends.visible(u)
+    loss = scene.close_in(on).sample(ends.distance, shadow).linear
     c, s = profile.n_clusters, params.n_rays
     m = c * s
     ray_power = np.repeat(profile.powers, s) / s
 
-    if geometry is None:
+    if link is Link.TX_RX:  # no surface, no angles
         phases = rng.uniform(0.0, 2.0 * math.pi, size=m)
         amp = np.sqrt(ray_power * loss)
         c, s = ef.cis(phases)
         return complex(np.sum(amp * c), np.sum(amp * s)), on
 
-    base = hop.base
+    base = scene.constant(("sub6 base", link), _base_angles, scene, link)
+    geometry = scene.ris_geometry
     d2r = math.pi / 180.0
     caz = base.azimuth + d2r * params.cluster_az_spread_deg * rng.standard_normal(c)
     cel = base.elevation + d2r * params.cluster_el_spread_deg * rng.standard_normal(c)
@@ -319,7 +293,7 @@ def _select_g_mode(scene: Scene, mode: str, edge_m: float | None) -> str:
         raise ValueError(f"g_mode={mode!r}: expected auto, near, or far")
     if mode == "auto":
         r_f = fraunhofer_distance(scene.ris_geometry, scene.wavelength, edge_m)
-        mode = "near" if distance(scene.ris, scene.rx) < r_f else "far"
+        mode = "near" if scene.link(Link.RIS_RX).distance < r_f else "far"
     return mode
 
 def gen_g_sub6(

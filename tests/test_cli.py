@@ -157,6 +157,12 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["realizations", "n", "nt", "nr"])
+    def test_dimension_over_uint32(self, tmp_path, capsys, key):
+        cfg = write_cfg(tmp_path, **{key: 2**32})
+        assert main(["validate", "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: must be <= {2**32 - 1}")
+
     def test_override_on_non_mapping_control(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, control=[["strategy", "off"]])
         assert main(["rate", "-c", str(cfg), "--strategy", "random"]) == 2

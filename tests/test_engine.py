@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +19,7 @@ from rischan.engine import CoverageArea, coverage_run, load_config, run
 from rischan.errors import ConfigError, GenerationError
 from rischan.multiris import MultiRisScene
 from rischan.scene import Scene
-from rischan.simio import file_digest, read_metadata, read_tensor
+from rischan.simio import MAX_DIM, file_digest, read_metadata, read_tensor
 
 
 SUB6 = {"band": "sub6", "frequency_ghz": 3.5}
@@ -180,6 +184,28 @@ class TestLoadConfigValidation:
             with pytest.raises(ConfigError, match="sub6.element_edge_m: edge_m"):
                 load_config(base_cfg(**SUB6, sub6={"element_edge_m": edge}))
         assert load_config(base_cfg(**SUB6, sub6={"element_edge_m": 0.04})).sub6_edge_m == 0.04
+
+    @pytest.mark.parametrize(
+        "over, key",
+        [
+            ({"realizations": MAX_DIM + 1}, "realizations"),
+            ({"n": 2**32}, "n"),
+            ({"ris": [[40.0, 50.0, 2.0], [30.0, 50.0, 2.0]], "n": [16, 2**32]}, "n[1]"),
+            ({"n": None, "ris_shape": [2**16, 2**16]}, "ris_shape"),
+            ({"nt": MAX_DIM + 1}, "nt"),
+            ({"nr": 2**40}, "nr"),
+            ({"tx_array": {"n": 2**32}}, "tx_array.n"),
+            ({"rx_array": {"shape": [2**20, 2**12]}}, "rx_array.shape"),
+        ],
+    )
+    def test_dimension_limit(self, over, key):
+        """Every tensor dimension must fit the uint32 of a RISCH1 header."""
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: .*{MAX_DIM}"):
+            load_config(base_cfg(**over))
+
+    def test_dimension_limit_is_inclusive(self):
+        assert load_config(base_cfg(realizations=MAX_DIM)).realizations == MAX_DIM
+        assert load_config(base_cfg(nt=MAX_DIM)).scene.nt == MAX_DIM
 
     def test_null_terminal_array_is_default(self):
         scene = load_config(base_cfg(tx_array=None, scattering={"retry_cap": 10_000})).scene
@@ -593,6 +619,43 @@ class TestStreamingRun:
         with pytest.raises(GenerationError, match="injected"):
             run(replace(cfg, seed=8))
         assert dir_bytes(cfg.out_dir) == before
+
+
+@pytest.mark.parametrize("entry", ["run", "coverage_run"])
+@pytest.mark.parametrize("stage", ["file_digest", "write_metadata"])
+def test_failure_leaves_no_part_file(tmp_path, monkeypatch, entry, stage):
+    """A failure while the outputs are hashed, or while the sidecar is
+    written (here after its first byte), removes the ``.part`` files in both
+    entry points."""
+    cov = {"x": [36.0, 38.0], "y": [46.0, 46.0], "step": 2.0, "z": 1.0}
+    cfg = run_cfg(tmp_path, n=4, realizations=2, coverage=cov, csv=True)
+
+    def failing(path, *args):
+        Path(path).write_text("{")
+        raise OSError("injected failure")
+
+    monkeypatch.setattr(engine, stage, failing)
+    with pytest.raises(OSError, match="injected"):
+        getattr(engine, entry)(cfg)
+    names = [p.name for p in cfg.out_dir.iterdir()]
+    assert not any(name.endswith(".part") for name in names)
+    assert "metadata.json" not in names
+    if stage == "file_digest":
+        assert names == []
+
+
+def test_import_stays_light():
+    """``import rischan`` leaves out what only a draw or a threaded run needs,
+    which keeps the set-up time of a run short."""
+    code = (
+        "import sys, rischan; "
+        "print([m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestCoverageRun:

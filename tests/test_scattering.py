@@ -13,7 +13,6 @@ from rischan.scattering import (
     Link,
     ScatteringParams,
     _admissible,
-    _endpoints,
     _placement,
     excess_phase,
     generate_clusters,
@@ -52,6 +51,16 @@ def test_at_least_one_cluster(indoor_scene):
     assert empty.n_clusters == 0
     assert empty.n_subrays == 0
     assert empty.normalization == 0.0
+    assert empty.counts.shape == (0,) and empty.counts.dtype.kind == "i"
+    for arr in (empty.centers, empty.positions):
+        assert arr.shape == (0, 3) and arr.dtype == np.float64
+    assert empty.fading.shape == (0,) and empty.fading.dtype == np.complex128
+    for arr in (empty.dist_a, empty.dist_b, empty.attenuation):
+        assert arr.shape == (0,) and arr.dtype == np.float64
+    for angles in (empty.angles_a, empty.angles_b):  # both ends are mounted
+        assert angles.unit.shape == (0, 3) and angles.cos_boresight.shape == (0,)
+    direct = generate_clusters(scene, Link.TX_RX, substream(2, "c"), params=off)
+    assert direct.angles_a.unit.shape == (0, 3) and direct.angles_b is None
 
 
 def test_counts_and_bounds(indoor_scene):
@@ -234,7 +243,8 @@ def test_admissible_matches_reference(pts, min_leg, which):
     scene = make_indoor_scene()
     params = ScatteringParams(min_leg_m=min_leg)
     c = _placement(scene, which, params)
-    pos_a, surf_a, pos_b, surf_b = _endpoints(scene, which)
+    ends = scene.link(which)
+    (pos_a, pos_b), (surf_a, surf_b) = (p.as_array() for p in ends.points), ends.mounts
     # points exactly min_leg from each endpoint along every axis, and points
     # on the sphere of that radius, where |d| rounds either side of min_leg
     directions = (*np.eye(3), *-np.eye(3), *_SPHERE)

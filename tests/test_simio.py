@@ -11,6 +11,7 @@ from rischan import simio
 from rischan.simio import (
     FORMAT_VERSION,
     MAGIC,
+    MAX_DIM,
     file_digest,
     read_metadata,
     read_tensor,
@@ -65,6 +66,13 @@ class TestTensorRoundtrip:
     def test_rejects_non_3d(self, tmp_path):
         with pytest.raises(ValueError, match="3-d"):
             write_tensor(tmp_path / "t.risch", np.zeros((2, 2)))
+
+    def test_dimension_limit(self, tmp_path):
+        path = tmp_path / "t.risch"
+        write_tensor(path, np.zeros((1, 1, 1)), total=MAX_DIM)
+        assert struct.unpack_from("<I", path.read_bytes(), 16) == (MAX_DIM,)
+        with pytest.raises(ValueError, match="too large for the format"):
+            write_tensor(path, np.zeros((1, 1, 1)), total=MAX_DIM + 1)
 
     def test_real_input_upcast(self, tmp_path):
         path = tmp_path / "t.risch"
