@@ -10,10 +10,10 @@ import numpy as np
 from rischan import (
     ArrayGeometry,
     Environment,
-    MultiRisScene,
     Plane,
     Point3,
     RisPanel,
+    Scene,
     SurfaceOrientation,
     achievable_rate,
     compose_multi,
@@ -22,15 +22,14 @@ from rischan import (
 )
 
 wall = SurfaceOrientation(Plane.XZ, facing=-1)
-scene = MultiRisScene(
+scene = Scene(
     environment=Environment.indoor_office(),
     frequency_hz=28e9,
     tx=Point3(0.0, 25.0, 2.0),
     rx=Point3(55.0, 38.0, 1.0),
-    panels=(
-        RisPanel(Point3(40.0, 50.0, 2.0), ArrayGeometry(16, 16, orientation=wall)),
-        RisPanel(Point3(60.0, 40.0, 2.5), ArrayGeometry(16, 16, orientation=wall)),
-    ),
+    ris=Point3(40.0, 50.0, 2.0),  # surface 1
+    ris_geometry=ArrayGeometry(16, 16, orientation=wall),
+    extra_panels=(RisPanel(Point3(60.0, 40.0, 2.5), ArrayGeometry(16, 16, orientation=wall)),),
     los_tx_ris="on",   # surfaces installed with a clear view of the Tx
     los_tx_rx="off",   # direct ray blocked, scattering remains
 )

@@ -56,13 +56,7 @@ from .mmwave import (
     gen_mimo,
     realize,
 )
-from .multiris import (
-    MultiRisRealization,
-    MultiRisScene,
-    RisPanel,
-    compose_multi,
-    realize_multi,
-)
+from .multiris import compose_multi, realize_multi
 from .propagation import (
     SPEED_OF_LIGHT,
     Environment,
@@ -81,7 +75,7 @@ from .scattering import (
     generate_clusters,
     share_clusters,
 )
-from .scene import Scene
+from .scene import RisPanel, Scene
 from .simio import read_metadata, read_tensor, write_metadata, write_tensor, write_tensor_csv
 from .streams import cell_seed, substream
 from .sub6 import (

@@ -108,14 +108,10 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "validate":
-            panels = config.scene.panel_scenes
-            desc = panels[0].describe()
-            if len(panels) > 1:
-                desc += f" (+{len(panels) - 1} surface(s))"
             print("configuration ok")
             print(f"  band={config.band} seed={config.seed} realizations={config.realizations}")
             print(f"  strategy={config.strategy} quant_bits={config.quant_bits}")
-            print(f"  {desc}")
+            print(f"  {config.scene.describe()}")
             return 0
         if args.command == "coverage":
             grid, result = coverage_run(config)

@@ -39,10 +39,10 @@ from .errors import ConfigError
 from .geometry import Plane, Point3, SurfaceOrientation
 # realize and compose_end_to_end: unused here, but bench/tracer.py wraps these names
 from .mmwave import compose_end_to_end, realize  # noqa: F401
-from .multiris import MultiRisScene, RisPanel, compose_multi, realize_multi
+from .multiris import compose_multi, realize_multi
 from .propagation import Environment, EnvironmentKind
 from .scattering import ScatteringParams
-from .scene import LOS_MODES, Scene
+from .scene import LOS_MODES, RisPanel, Scene
 from .simio import MAX_DIM, file_digest, write_metadata, write_tensor, write_tensor_csv
 from .streams import cell_seed, substream
 from .sub6 import Sub6Params, element_edge, realize_sub6
@@ -123,7 +123,7 @@ class RunConfig:
 
     raw: dict
     band: str
-    scene: Scene | MultiRisScene
+    scene: Scene
     seed: int
     realizations: int
     clustered: bool
@@ -434,36 +434,27 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
     if share is not None:
         share = _boolean(share, "share_direct_clusters")
 
-    common = dict(
+    if n_panels > 1 and band != "mmwave":
+        raise ConfigError("ris: multi-surface runs support the mmwave band only")
+    scene = Scene(
         environment=env,
         frequency_hz=freq_hz,
         tx=tx,
+        ris=positions[0],
         rx=rx,
+        ris_geometry=ris_geoms[0],
         tx_geometry=tx_geom,
         rx_geometry=rx_geom,
         element_pattern=pattern,
         scattering=scattering,
+        share_direct_clusters=share,
         los_tx_ris=los_modes["tx_ris"],
         los_ris_rx=los_modes["ris_rx"],
         los_tx_rx=los_modes["tx_rx"],
         shadow_clustered=shadow_clustered,
         shadow_los=shadow_los,
+        extra_panels=tuple(RisPanel(p, g) for p, g in zip(positions[1:], ris_geoms[1:])),
     )
-    if n_panels > 1:
-        if band != "mmwave":
-            raise ConfigError("ris: multi-surface runs support the mmwave band only")
-        if share:
-            raise ConfigError(
-                "share_direct_clusters: not applicable with several surfaces; "
-                "the direct link always uses an independent cluster set there"
-            )
-        scene: Scene | MultiRisScene = MultiRisScene(
-            panels=tuple(RisPanel(p, g) for p, g in zip(positions, ris_geoms)), **common
-        )
-    else:
-        scene = Scene(
-            ris=positions[0], ris_geometry=ris_geoms[0], share_direct_clusters=share, **common
-        )
 
     if band == "sub6" and (tx_geom.size != 1 or rx_geom.size != 1):
         raise ConfigError("band=sub6 covers single-antenna terminals; set nt=nr=1")
@@ -479,6 +470,10 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
     noise_dbm = _number(data.get("noise_dbm", -100.0), "noise_dbm")
     _build("tx_power_dbm", snr_ratio, tx_power_dbm, noise_dbm)
 
+    out_dir = data.get("out_dir", "out")
+    if not isinstance(out_dir, str) or "\0" in out_dir:
+        raise ConfigError(f"out_dir: expected a path string without NUL, got {out_dir!r}")
+
     return RunConfig(
         raw=data,
         band=band,
@@ -491,7 +486,7 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
         tx_power_dbm=tx_power_dbm,
         noise_dbm=noise_dbm,
         workers=_integer(data.get("workers", 1), "workers", lo=1),
-        out_dir=Path(data.get("out_dir", "out")),
+        out_dir=Path(out_dir),
         write_channels=_boolean(data.get("write_channels", True), "write_channels"),
         write_rates=_boolean(data.get("write_rates", True), "write_rates"),
         csv=_boolean(data.get("csv", False), "csv"),
@@ -596,15 +591,18 @@ def _removed_on_error(parts):
         raise
 
 def _publish(out: Path, files: dict[str, Path], metadata: dict) -> Path:
-    """Give the complete ``.part`` files of ``files`` their final names, then
-    write ``metadata.json`` the same way, last. The old sidecar goes first, so
-    none is left over a mix of old and new files."""
+    """Write ``metadata.json`` under its ``.part`` name, then give the
+    complete ``.part`` files of ``files`` their final names and the sidecar
+    its name, last. If the sidecar cannot be written, every ``.part`` file
+    is removed and the old outputs stay as they were; the old sidecar goes
+    before the first rename, so none is left over a mix of old and new
+    files."""
     meta_path = out / "metadata.json"
+    with _removed_on_error([_part(meta_path), *map(_part, files.values())]):
+        write_metadata(_part(meta_path), metadata)
     meta_path.unlink(missing_ok=True)
     for path in files.values():
         os.replace(_part(path), path)
-    with _removed_on_error([_part(meta_path)]):
-        write_metadata(_part(meta_path), metadata)
     os.replace(_part(meta_path), meta_path)
     return meta_path
 
@@ -631,9 +629,13 @@ def run(config: RunConfig) -> RunResult:
 
     Realizations are drawn and appended to the files chunk by chunk, so
     memory does not grow with ``config.realizations``: the run holds one
-    chunk and the rates. Files are written under ``.part`` names and renamed
-    once complete, ``metadata.json`` last; a run that raises removes its
-    ``.part`` files and leaves the directory as it found it.
+    chunk and the rates. Files are written under ``.part`` names, the new
+    ``metadata.json`` included, and renamed once all are complete, the
+    sidecar last. A run that raises before the renames (in generation, a
+    digest or the sidecar write) removes its ``.part`` files and leaves every
+    old file as it was; ``out_dir`` itself is created if missing. The old
+    sidecar is deleted before the first rename, so if a rename itself fails,
+    the directory holds no ``metadata.json``.
     """
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)

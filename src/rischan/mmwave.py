@@ -369,6 +369,8 @@ def gen_mimo(
     vector/scalar code path, so e.g. ``H[:, 0]`` equals :func:`gen_h` run on
     the same streams.
     """
+    if scene.extra_panels:
+        raise ValueError("gen_mimo draws one surface; use realize_multi for extra_panels")
     return _draw_panels([(scene, streams)], clustered, index)
 
 def realize(

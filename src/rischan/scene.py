@@ -1,9 +1,11 @@
-"""Scene description for a single-surface link: who stands where, facing how.
+"""Scene description: who stands where, facing how, with one or more surfaces.
 
 A scene pins down everything deterministic about a simulation: environment,
 carrier, terminal and surface positions, array layouts, element pattern, and
 the per-hop line-of-sight policy. Randomness enters only through the
-generators passed to the channel routines.
+generators passed to the channel routines. A scene with several surfaces is
+a :class:`Scene` with ``extra_panels``; the channel routines see it as one
+single-surface view per surface (:attr:`Scene.panel_scenes`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .propagation import (
 )
 from .scattering import Link, ScatteringParams
 
-__all__ = ["LOS_MODES", "LinkRecord", "Scene"]
+__all__ = ["LOS_MODES", "LinkRecord", "RisPanel", "Scene"]
 
 # per-hop visibility policy: distance-dependent Bernoulli, forced on, forced off
 LOS_MODES = ("auto", "on", "off")
@@ -48,6 +50,14 @@ class LinkRecord(NamedTuple):
 
 
 @dataclass(frozen=True)
+class RisPanel:
+    """One reflecting surface: where it is and how it is built."""
+
+    position: Point3
+    geometry: ArrayGeometry
+
+
+@dataclass(frozen=True)
 class Scene:
     """One Tx / RIS / Rx layout plus all model switches.
 
@@ -55,7 +65,9 @@ class Scene:
     transmitter's mounting (fixing its departure angles) is
     ``tx_geometry.orientation``, broadside +x by default. The receiver is
     mobile and has no fixed orientation. ``element_pattern=None`` makes the
-    surface elements isotropic with unit gain.
+    surface elements isotropic with unit gain. ``extra_panels`` are the
+    surfaces after the first (``ris``/``ris_geometry``); surface-to-surface
+    re-reflections are not modeled.
     """
 
     environment: Environment
@@ -74,8 +86,17 @@ class Scene:
     los_tx_rx: str = "auto"
     shadow_clustered: bool = True
     shadow_los: bool = False
+    extra_panels: tuple[RisPanel, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.extra_panels:
+            if self.share_direct_clusters:
+                raise ConfigError(
+                    "share_direct_clusters: not applicable with several surfaces; "
+                    "the direct link always uses an independent cluster set there"
+                )
+            self.panel_scenes  # each view runs the checks below for its surface
+            return
         check_frequency(self.frequency_hz)
         for name, mode in (
             ("los_tx_ris", self.los_tx_ris),
@@ -123,7 +144,7 @@ class Scene:
 
     @property
     def n(self) -> int:
-        """Number of surface elements."""
+        """Number of elements of the first surface."""
         return self.ris_geometry.size
 
     @property
@@ -134,10 +155,23 @@ class Scene:
     def nr(self) -> int:
         return self.rx_geometry.size
 
-    @property
+    @cached_property
     def panel_scenes(self) -> tuple["Scene", ...]:
-        """The per-surface views: this scene is its own one panel."""
-        return (self,)
+        """One single-surface view per surface, the same objects on every
+        call (so per-scene constants are kept). A one-surface scene is its
+        own view. With several surfaces each view draws an independent
+        direct-link cluster set: re-viewing a shared set is anchored to one
+        surface."""
+        if not self.extra_panels:
+            return (self,)
+        panels = (RisPanel(self.ris, self.ris_geometry), *self.extra_panels)
+        return tuple(
+            replace(
+                self, ris=p.position, ris_geometry=p.geometry,
+                extra_panels=(), share_direct_clusters=False,
+            )
+            for p in panels
+        )
 
     @property
     def shares_direct_clusters(self) -> bool:
@@ -180,4 +214,5 @@ class Scene:
             f"{self.environment.kind.value} @ {self.frequency_hz / 1e9:g} GHz, "
             f"N={self.n} ({g.n_h}x{g.n_v} on {side}, facing {g.orientation.facing:+d}), "
             f"Nt={self.nt}, Nr={self.nr}, tx={self.tx}, ris={self.ris}, rx={self.rx}"
+            + (f" (+{len(self.extra_panels)} surface(s))" if self.extra_panels else "")
         )

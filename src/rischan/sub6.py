@@ -349,6 +349,8 @@ def realize_sub6(
     """
     if scene.nt != 1 or scene.nr != 1:
         raise ValueError("sub-6 GHz generation covers single-antenna terminals (Nt = Nr = 1)")
+    if scene.extra_panels:
+        raise ValueError("sub-6 GHz generation covers one surface; the scene has extra_panels")
     mode = _select_g_mode(scene, g_mode, edge_m)
     p = params or Sub6Params()
     streams = Sub6Streams.derive(master_seed, index)

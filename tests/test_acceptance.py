@@ -27,7 +27,7 @@ from rischan.control import achievable_rate, phases_cophase
 from rischan.engine import load_config, run
 from rischan.geometry import Plane, Point3, SurfaceOrientation
 from rischan.mmwave import RealizationStreams, compose_end_to_end, gen_g, gen_h, gen_hsiso, realize
-from rischan.multiris import MultiRisScene, RisPanel, compose_multi, realize_multi
+from rischan.multiris import RisPanel, compose_multi, realize_multi
 from rischan.propagation import (
     SPEED_OF_LIGHT,
     Environment,
@@ -37,6 +37,7 @@ from rischan.propagation import (
     path_loss,
 )
 from rischan.scattering import Link, generate_clusters, share_clusters
+from rischan.scene import Scene
 from rischan.streams import substream
 from rischan.sub6 import fraunhofer_distance, nearfield_element_capture
 
@@ -227,16 +228,15 @@ def test_los_statistics():
     assert ok
 
 
-def _setup_two_surfaces(rx: Point3, los_tx_ris: str = "auto") -> MultiRisScene:
-    return MultiRisScene(
+def _setup_two_surfaces(rx: Point3, los_tx_ris: str = "auto") -> Scene:
+    return Scene(
         environment=Environment.indoor_office(),
         frequency_hz=28e9,
         tx=Point3(0.0, 25.0, 2.0),
         rx=rx,
-        panels=(
-            RisPanel(Point3(40.0, 50.0, 2.0), ArrayGeometry(16, 16, orientation=XZ_IN)),
-            RisPanel(Point3(60.0, 40.0, 2.5), ArrayGeometry(16, 16, orientation=XZ_IN)),
-        ),
+        ris=Point3(40.0, 50.0, 2.0),
+        ris_geometry=ArrayGeometry(16, 16, orientation=XZ_IN),
+        extra_panels=(RisPanel(Point3(60.0, 40.0, 2.5), ArrayGeometry(16, 16, orientation=XZ_IN)),),
         los_tx_ris=los_tx_ris,
         los_tx_rx="off",  # blocked direct link
     )

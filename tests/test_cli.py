@@ -163,6 +163,12 @@ class TestExitCodes:
         assert main(["validate", "-c", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}: must be <= {2**32 - 1}")
 
+    @pytest.mark.parametrize("value", [5, None, True, "x\u0000y"], ids=["int", "null", "bool", "nul"])
+    def test_bad_out_dir(self, tmp_path, capsys, value):
+        cfg = write_cfg(tmp_path, out_dir=value)
+        assert main(["validate", "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: out_dir: ")
+
     def test_override_on_non_mapping_control(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, control=[["strategy", "off"]])
         assert main(["rate", "-c", str(cfg), "--strategy", "random"]) == 2

@@ -12,7 +12,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from rischan.cli import PARAMS_ENV, main
-from rischan.engine import RunConfig, load_config
+from rischan.engine import _KNOWN_KEYS, RunConfig, load_config
 from rischan.errors import ConfigError
 from rischan.propagation import PathLossParams
 from rischan.scattering import ScatteringParams
@@ -27,7 +27,7 @@ BASE = {
     "n": 4,
     "ris_facing": -1,
     "realizations": 2,
-    "tx_array": {"n": 2},
+    "tx_array": {"n": 2, "shape": [2, 1]},
     "params": {"InH_IndoorOffice": {"exponent_los": 1.8}},
     "coverage": {"x": [36.0, 40.0], "y": [46.0, 48.0], "step": 2.0, "z": 1.0},
 }
@@ -48,8 +48,7 @@ FIELDS = (
         for env in ("InH_IndoorOffice", "UMi_StreetCanyon")
         for name in PathLossParams.__dataclass_fields__
     ]
-    + [(key,) for key in [*SECTIONS, "params", "bounds", "cluster_density", "pattern_q"]]
-    + [("spacing_wavelengths",)]
+    + [(key,) for key in sorted(_KNOWN_KEYS)]
 )
 
 # Integers stay small: count fields have no upper bound yet.
@@ -72,6 +71,12 @@ def with_value(path, value) -> dict:
         node = node.setdefault(key, {})
     node[path[-1]] = value
     return cfg
+
+
+def test_base_is_valid():
+    """Each example changes one field of BASE, so BASE itself must load:
+    otherwise every example fails at the same field and tests nothing."""
+    assert isinstance(load_config(BASE), RunConfig)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

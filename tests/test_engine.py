@@ -17,7 +17,6 @@ from rischan import engine
 from rischan.arrays import ElementPattern
 from rischan.engine import CoverageArea, coverage_run, load_config, run
 from rischan.errors import ConfigError, GenerationError
-from rischan.multiris import MultiRisScene
 from rischan.scene import Scene
 from rischan.simio import MAX_DIM, file_digest, read_metadata, read_tensor
 
@@ -327,13 +326,15 @@ class TestLoadConfigMulti:
 
     def test_two_panels(self):
         scene = load_config(self.multi_cfg()).scene
-        assert isinstance(scene, MultiRisScene)
-        assert scene.n_panels == 2
-        assert all(p.geometry.size == 16 for p in scene.panels)
+        assert isinstance(scene, Scene)
+        assert len(scene.panel_scenes) == 2
+        assert scene.ris == scene.panel_scenes[0].ris
+        assert scene.extra_panels[0].position == scene.panel_scenes[1].ris
+        assert all(view.n == 16 for view in scene.panel_scenes)
 
     def test_per_panel_n(self):
         scene = load_config(self.multi_cfg(n=[16, 64])).scene
-        assert [p.geometry.size for p in scene.panels] == [16, 64]
+        assert [view.n for view in scene.panel_scenes] == [16, 64]
         with pytest.raises(ConfigError, match="n:"):
             load_config(self.multi_cfg(n=[16, 64, 4]))
 
@@ -345,7 +346,8 @@ class TestLoadConfigMulti:
 
     def test_per_panel_shape_and_entry_keys(self):
         scene = load_config(self.multi_cfg(ris_shape=[[4, 4], [8, 2]])).scene
-        assert [(p.geometry.n_h, p.geometry.n_v) for p in scene.panels] == [(4, 4), (8, 2)]
+        shapes = [(v.ris_geometry.n_h, v.ris_geometry.n_v) for v in scene.panel_scenes]
+        assert shapes == [(4, 4), (8, 2)]
         with pytest.raises(ConfigError, match=r"n\[1\]"):
             load_config(self.multi_cfg(n=[16, 0]))
         with pytest.raises(ConfigError, match=r"ris_wall\[0\]"):
@@ -626,7 +628,7 @@ class TestStreamingRun:
 def test_failure_leaves_no_part_file(tmp_path, monkeypatch, entry, stage):
     """A failure while the outputs are hashed, or while the sidecar is
     written (here after its first byte), removes the ``.part`` files in both
-    entry points."""
+    entry points; over the outputs of a completed run it changes no byte."""
     cov = {"x": [36.0, 38.0], "y": [46.0, 46.0], "step": 2.0, "z": 1.0}
     cfg = run_cfg(tmp_path, n=4, realizations=2, coverage=cov, csv=True)
 
@@ -642,6 +644,13 @@ def test_failure_leaves_no_part_file(tmp_path, monkeypatch, entry, stage):
     assert "metadata.json" not in names
     if stage == "file_digest":
         assert names == []
+    monkeypatch.undo()
+    getattr(engine, entry)(cfg)
+    before = dir_bytes(cfg.out_dir)
+    monkeypatch.setattr(engine, stage, failing)
+    with pytest.raises(OSError, match="injected"):
+        getattr(engine, entry)(replace(cfg, seed=8))
+    assert dir_bytes(cfg.out_dir) == before
 
 
 def test_import_stays_light():
@@ -695,16 +704,20 @@ class TestCoverageRun:
         assert r1.digests == r2.digests
 
     def test_publish_never_pairs_new_csv_with_old_sidecar(self, tmp_path, monkeypatch):
+        """A sidecar that cannot be written leaves the old csv and sidecar
+        byte for byte, and no ``.part`` file."""
         cfg = self.cov_cfg(tmp_path)
         coverage_run(cfg)
+        before = dir_bytes(cfg.out_dir)
 
         def failing(path, metadata):
+            Path(path).write_text("{")
             raise OSError("injected failure")
 
         monkeypatch.setattr(engine, "write_metadata", failing)
         with pytest.raises(OSError, match="injected"):
             coverage_run(replace(cfg, seed=8))
-        assert not (cfg.out_dir / "metadata.json").exists()
+        assert dir_bytes(cfg.out_dir) == before
         monkeypatch.undo()
         _, result = coverage_run(cfg)
         assert sorted(p.name for p in cfg.out_dir.iterdir()) == ["coverage.csv", "metadata.json"]

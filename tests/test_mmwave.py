@@ -20,8 +20,8 @@ from rischan.mmwave import (
     gen_mimo,
     realize,
 )
-from rischan.multiris import MultiRisScene, RisPanel, realize_multi
-from rischan.propagation import Environment, los_probability, path_loss
+from rischan.multiris import RisPanel, realize_multi
+from rischan.propagation import los_probability, path_loss
 from rischan.scattering import Link, generate_clusters, share_clusters
 from rischan.streams import substream
 
@@ -227,15 +227,11 @@ class TestLazyStreams:
 
     def test_two_panel_mimo_derives_thirteen(self, monkeypatch):
         out = SurfaceOrientation(Plane.XZ, facing=1)
-        scene = MultiRisScene(
-            environment=Environment.street_canyon(),
-            frequency_hz=28e9,
+        scene = make_outdoor_scene(
             tx=Point3(0.0, 40.0, 10.0),
             rx=Point3(60.0, 30.0, 1.5),
-            panels=(
-                RisPanel(Point3(80.0, 0.0, 12.0), ArrayGeometry(2, 2, orientation=out)),
-                RisPanel(Point3(40.0, 0.0, 12.0), ArrayGeometry(2, 2, orientation=out)),
-            ),
+            ris_geometry=ArrayGeometry(2, 2, orientation=out),
+            extra_panels=(RisPanel(Point3(40.0, 0.0, 12.0), ArrayGeometry(2, 2, orientation=out)),),
             tx_geometry=ArrayGeometry(2, 1),
             rx_geometry=ArrayGeometry(2, 1),
         )

@@ -9,16 +9,12 @@ from rischan.arrays import ArrayGeometry
 from rischan.control import RisPhaseConfig, phases_cophase
 from rischan.errors import ConfigError
 from rischan.geometry import Plane, Point3, SurfaceOrientation
-from rischan.mmwave import realize
-from rischan.multiris import (
-    MultiRisRealization,
-    MultiRisScene,
-    RisPanel,
-    compose_multi,
-    realize_multi,
-)
+from rischan.mmwave import ChannelRealization, realize
+from rischan.multiris import RisPanel, compose_multi, realize_multi
 from rischan.propagation import Environment
 from rischan.scattering import Link
+from rischan.scene import Scene
+from rischan.sub6 import realize_sub6
 
 from conftest import make_indoor_scene
 
@@ -26,52 +22,78 @@ XZ_IN = SurfaceOrientation(Plane.XZ, facing=-1)
 XZ_OUT = SurfaceOrientation(Plane.XZ, facing=1)
 
 
-def make_multi(n_panels=2, **overrides):
-    panels = (
-        RisPanel(Point3(40.0, 50.0, 2.0), ArrayGeometry(4, 4, orientation=XZ_IN)),
-        RisPanel(Point3(60.0, 40.0, 2.5), ArrayGeometry(4, 4, orientation=XZ_IN)),
-    )[:n_panels]
+PANELS = (
+    RisPanel(Point3(40.0, 50.0, 2.0), ArrayGeometry(4, 4, orientation=XZ_IN)),
+    RisPanel(Point3(60.0, 40.0, 2.5), ArrayGeometry(4, 4, orientation=XZ_IN)),
+)
+
+
+def make_multi(n_panels=2, panels=None, **overrides):
+    """Indoor scene over the first ``n_panels`` of PANELS (or ``panels``),
+    with an unshared direct link whatever the surface count."""
+    first, *extra = PANELS[:n_panels] if panels is None else panels
     defaults = dict(
         environment=Environment.indoor_office(),
         frequency_hz=28e9,
         tx=Point3(0.0, 25.0, 2.0),
         rx=Point3(55.0, 35.0, 1.0),
-        panels=panels,
+        ris=first.position,
+        ris_geometry=first.geometry,
+        extra_panels=tuple(extra),
+        share_direct_clusters=False,
     )
     defaults.update(overrides)
-    return MultiRisScene(**defaults)
+    return Scene(**defaults)
 
 
 class TestSceneValidation:
-    def test_needs_panels(self):
-        with pytest.raises(ConfigError, match="at least one"):
-            make_multi(panels=())
-
     def test_per_panel_validation_runs(self):
-        # a panel on top of the transmitter is caught at construction
+        # a panel on top of the transmitter, first or extra, is caught at construction
         bad = RisPanel(Point3(0.0, 25.0, 2.0), ArrayGeometry(4, 4, orientation=XZ_IN))
-        with pytest.raises(ConfigError, match="coincide"):
-            make_multi(panels=(bad,))
+        for panels in ((PANELS[0], bad), (bad, PANELS[1])):
+            with pytest.raises(ConfigError, match="coincide"):
+                make_multi(panels=panels)
 
     def test_bad_los_mode(self):
         with pytest.raises(ConfigError, match="los_tx_ris"):
             make_multi(los_tx_ris="sometimes")
 
-    def test_n_panels(self):
-        assert make_multi(1).n_panels == 1
-        assert make_multi(2).n_panels == 2
+    def test_sharing_rejected_with_extra_panels(self):
+        with pytest.raises(ConfigError, match="share_direct_clusters: not applicable"):
+            make_multi(share_direct_clusters=True)
+        assert make_multi(1, share_direct_clusters=True).shares_direct_clusters
 
-    def test_scene_for_view(self):
-        m = make_multi()
-        s1 = m.scene_for(1)
-        assert s1.ris == m.panels[1].position
-        assert s1.tx == m.tx and s1.rx == m.rx
-        # single-surface views never re-view a shared cluster set
-        assert s1.shares_direct_clusters is False
+    def test_panel_count(self):
+        assert len(make_multi(1).panel_scenes) == 1
+        assert len(make_multi(2).panel_scenes) == 2
+
+    def test_views(self):
+        m = make_multi(share_direct_clusters=None)
+        views = m.panel_scenes
+        assert views is m.panel_scenes
+        assert all(a is b for a, b in zip(views, m.panel_scenes))
+        for view, panel in zip(views, PANELS):
+            assert (view.ris, view.ris_geometry) == (panel.position, panel.geometry)
+            assert view.tx == m.tx and view.rx == m.rx and view.extra_panels == ()
+            # single-surface views never re-view a shared cluster set
+            assert view.shares_direct_clusters is False
+            assert view.panel_scenes == (view,)
+
+    def test_single_surface_generators_reject_extra_panels(self):
+        with pytest.raises(ValueError, match="realize_multi"):
+            realize(make_multi(), 1)
+        with pytest.raises(ValueError, match="extra_panels"):
+            realize_sub6(make_multi(frequency_hz=3.5e9), 1)
+
+    def test_one_surface_is_its_own_view(self, indoor_scene):
+        assert indoor_scene.panel_scenes == (indoor_scene,)
+        assert indoor_scene.panel_scenes[0] is indoor_scene
 
     def test_with_rx(self):
         m = make_multi().with_rx(Point3(50.0, 30.0, 1.5))
         assert m.rx == Point3(50.0, 30.0, 1.5)
+        assert m.extra_panels == PANELS[1:]
+        assert [v.rx for v in m.panel_scenes] == [m.rx] * 2
 
 
 class TestRealizeMulti:
@@ -111,12 +133,13 @@ class TestRealizeMulti:
         "make_scene",
         [
             lambda: make_multi(1),
-            lambda: MultiRisScene(
+            lambda: Scene(
                 environment=Environment.street_canyon(),
                 frequency_hz=28e9,
                 tx=Point3(0.0, 40.0, 10.0),
                 rx=Point3(60.0, 30.0, 1.5),
-                panels=(RisPanel(Point3(80.0, 0.0, 12.0), ArrayGeometry(4, 4, orientation=XZ_OUT)),),
+                ris=Point3(80.0, 0.0, 12.0),
+                ris_geometry=ArrayGeometry(4, 4, orientation=XZ_OUT),
                 tx_geometry=ArrayGeometry(2),
                 rx_geometry=ArrayGeometry(2),
             ),
@@ -152,7 +175,7 @@ class TestComposeMulti:
             for _ in range(n_panels)
         )
         d_mat = rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
-        return MultiRisRealization(
+        return ChannelRealization(
             hops=hops,
             D=d_mat,
             los_panels=tuple({Link.TX_RIS: True, Link.RIS_RX: True} for _ in range(n_panels)),
@@ -202,7 +225,7 @@ class TestComposeMulti:
     def test_incompatible_hops_detected(self, rng):
         real = self.fixed_realization(rng)
         h0, _ = real.hops[0]
-        bad = MultiRisRealization(
+        bad = ChannelRealization(
             hops=((h0, rng.standard_normal((1, 3)) + 0j),),
             D=real.D,
             los_panels=(real.los_panels[0],),
