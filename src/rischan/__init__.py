@@ -50,10 +50,6 @@ from .mmwave import (
     ChannelRealization,
     RealizationStreams,
     compose_end_to_end,
-    gen_g,
-    gen_h,
-    gen_hsiso,
-    gen_mimo,
     realize,
 )
 from .multiris import compose_multi, realize_multi
@@ -84,10 +80,6 @@ from .sub6 import (
     fraunhofer_distance,
     gen_cluster_powers,
     gen_g_near,
-    gen_g_sub6,
-    gen_g_sub6_far,
-    gen_h_sub6,
-    gen_hsiso_sub6,
     nearfield_element_capture,
     powers_from_delays,
     realize_sub6,

@@ -70,6 +70,10 @@ _CHUNK_BYTES = 1 << 20
 # Largest coverage grid, in cells, that ``load_config`` accepts.
 _MAX_GRID_CELLS = 10**6
 
+# Most worker threads ``load_config`` accepts: a fixed number, so a config's
+# validity does not depend on the machine it is loaded on.
+_MAX_WORKERS = 64
+
 _KNOWN_KEYS = {
     "band", "environment", "frequency_ghz", "seed", "realizations",
     "tx", "rx", "ris", "n", "ris_wall", "ris_facing", "ris_shape",
@@ -471,8 +475,8 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
     _build("tx_power_dbm", snr_ratio, tx_power_dbm, noise_dbm)
 
     out_dir = data.get("out_dir", "out")
-    if not isinstance(out_dir, str) or "\0" in out_dir:
-        raise ConfigError(f"out_dir: expected a path string without NUL, got {out_dir!r}")
+    if not isinstance(out_dir, str) or not out_dir or "\0" in out_dir:
+        raise ConfigError(f"out_dir: expected a non-empty path string without NUL, got {out_dir!r}")
 
     return RunConfig(
         raw=data,
@@ -485,7 +489,7 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
         quant_bits=quant_bits,
         tx_power_dbm=tx_power_dbm,
         noise_dbm=noise_dbm,
-        workers=_integer(data.get("workers", 1), "workers", lo=1),
+        workers=_integer(data.get("workers", 1), "workers", lo=1, hi=_MAX_WORKERS),
         out_dir=Path(out_dir),
         write_channels=_boolean(data.get("write_channels", True), "write_channels"),
         write_rates=_boolean(data.get("write_rates", True), "write_rates"),

@@ -19,8 +19,8 @@ a line-of-sight ray:
 
 A realization is one :class:`ChannelRealization`: an (H_k, G_k) pair per
 surface plus D, a single surface being the one-panel case. One draw loop
-over a ``(scene, streams)`` pair per panel serves :func:`gen_mimo`,
-:func:`realize` and :func:`rischan.multiris.realize_multi`, and
+over a ``(scene, streams)`` pair per panel serves :func:`realize` (also
+bound as :func:`rischan.multiris.realize_multi`) for any panel count, and
 :func:`compose` forms ``C = D + sum_k G_k diag(exp(j phi_k)) H_k``.
 
 Multi-antenna terminals turn each ray's rank-one contribution into an outer
@@ -52,28 +52,22 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import elementary as ef
-from .arrays import ArrayGeometry, axis_factors, element_gain_cos, response_sum
+from .arrays import axis_factors, element_gain_cos, response_sum
 # unused here, but bench/tracer.py wraps these names of this module
 from .arrays import element_gain, steering_matrix, steering_vector  # noqa: F401
 from .geometry import direction_unit
 from .propagation import PathLossSample
-from .scattering import ClusterSet, Link, generate_clusters, share_clusters
+from .scattering import Link, generate_clusters, share_clusters
 from .scene import Scene
 from .streams import NamedStreams, substream
 
 __all__ = [
     "RealizationStreams",
     "ChannelRealization",
-    "gen_h",
-    "gen_g",
-    "gen_hsiso",
-    "gen_mimo",
     "realize",
     "compose",
     "compose_end_to_end",
 ]
-
-_SINGLE = ArrayGeometry(1)
 
 
 class RealizationStreams(NamedStreams):
@@ -230,7 +224,7 @@ def _ray_amplitudes(clusters, gain, on: bool, phase: float, loss: float):
         re[m], im[m] = amp[m] * math.cos(phase), amp[m] * math.sin(phase)
     return re, im
 
-def _rays(scene: Scene, link: Link, los: _LosConstants, clusters, rxang, on: bool, arrays: bool):
+def _rays(scene: Scene, link: Link, los: _LosConstants, clusters, rxang, on: bool):
     """(ends, shape, gain) of a hop's rays, the sub-rays of ``clusters`` and
     then the LOS ray when it is visible: the (geometry, unit directions)
     of each array end, the hop matrix shape, and the element-pattern gain
@@ -241,8 +235,6 @@ def _rays(scene: Scene, link: Link, los: _LosConstants, clusters, rxang, on: boo
     ends, shape, gain = [], [], None
     for k, side in ((1, "angles_b"), (0, "angles_a")):
         name, geometry = link_ends.names[k], link_ends.arrays[k]
-        if not arrays and name != "ris":
-            geometry = _SINGLE
         shape.append(geometry.size)
         if name == "ris":
             unit, cos_bore = _ray_directions(clusters, side, los.directions[k], on)
@@ -257,71 +249,32 @@ def _rays(scene: Scene, link: Link, los: _LosConstants, clusters, rxang, on: boo
         ends.append((geometry, unit))
     return ends, shape, gain
 
-def _los_rays(scene: Scene, link: Link, arrays: bool):
+def _los_rays(scene: Scene, link: Link):
     """:func:`_rays` of a visible LOS ray alone, then the axis factors of
     its ends: constants of the scene when no end is the mobile Rx's array."""
-    ends, shape, gain = _rays(scene, link, _los(scene, link), None, None, True, arrays)
+    ends, shape, gain = _rays(scene, link, _los(scene, link), None, None, True)
     return ends, shape, gain, axis_factors(ends, scene.wavelength)
 
-def _hop(
-    scene: Scene, link: Link, clusters, rng, rxang=None, arrays: bool = True
-) -> tuple[np.ndarray, bool]:
+def _hop(scene: Scene, link: Link, clusters, rng, rxang=None) -> tuple[np.ndarray, bool]:
     """One hop as a (B array) x (A array) matrix, for path (A, B) of ``link``.
 
     Every hop is a sum over rays (the sub-rays of ``clusters``, then the
     LOS ray when visible) of the ray amplitude times the outer product of
     the two ends' array responses. ``rxang`` is the stream of the mobile
     Rx's arrival angles, drawn only for a multi-antenna Rx and None
-    otherwise. With ``arrays=False`` both terminals count as single
-    antennas: the vector/scalar channels of :func:`gen_h`, :func:`gen_g`
-    and :func:`gen_hsiso`. A single-antenna end contributes the factor 1,
-    so those are exactly the (N, 1), (1, N) and (1, 1) matrices of the same
-    scene with single-antenna terminals.
+    otherwise. A single-antenna end contributes the factor 1, so with
+    single-antenna terminals the hops are the (N, 1), (1, N) and (1, 1)
+    vector/scalar channels.
     """
     los = _los(scene, link)
     on, phase, loss = _los_block(scene, link, los, rng)
     if clusters is None and on and rxang is None:  # one ray, both ends fixed
-        key = ("los rays", link, arrays)
-        ends, shape, gain, factors = scene.constant(key, _los_rays, scene, link, arrays)
+        ends, shape, gain, factors = scene.constant(("los rays", link), _los_rays, scene, link)
     else:
-        ends, shape, gain = _rays(scene, link, los, clusters, rxang, on, arrays)
+        ends, shape, gain = _rays(scene, link, los, clusters, rxang, on)
         factors = None
     coeff = _ray_amplitudes(clusters, gain, on, phase, loss)
     return response_sum(coeff, ends, scene.wavelength, factors).reshape(shape), on
-
-def gen_h(scene: Scene, clusters: ClusterSet | None, rng) -> np.ndarray:
-    """Tx -> surface channel vector, shape (N,).
-
-    ``clusters`` is a Tx-surface :class:`ClusterSet` or None for a pure-LOS
-    draw. Consumes the LOS block draws from ``rng`` (see module docstring).
-    """
-    if clusters is not None and clusters.link is not Link.TX_RIS:
-        raise ValueError(f"expected a {Link.TX_RIS} cluster set, got {clusters.link}")
-    return _hop(scene, Link.TX_RIS, clusters, rng, arrays=False)[0][:, 0]
-
-def gen_g(scene: Scene, clusters: ClusterSet | None, rng) -> np.ndarray:
-    """Surface -> Rx channel vector, shape (N,).
-
-    Indoors this hop is pure LOS and ``clusters`` must be None; outdoors
-    pass a surface-Rx :class:`ClusterSet` (or None for a pure-LOS draw).
-    """
-    if clusters is not None:
-        if scene.environment.indoor:
-            raise ValueError("indoor surface->Rx hop is pure LOS; pass clusters=None")
-        if clusters.link is not Link.RIS_RX:
-            raise ValueError(f"expected a {Link.RIS_RX} cluster set, got {clusters.link}")
-    return _hop(scene, Link.RIS_RX, clusters, rng, arrays=False)[0][0, :]
-
-def gen_hsiso(scene: Scene, clusters: ClusterSet | None, rng) -> complex:
-    """Direct Tx -> Rx scalar channel (no surface involvement).
-
-    ``clusters`` is a direct-link set: the re-viewed Tx-side set indoors
-    (see :func:`rischan.scattering.share_clusters`), an independent one
-    outdoors, or None for a pure-LOS draw. No element pattern is applied.
-    """
-    if clusters is not None and clusters.link is not Link.TX_RX:
-        raise ValueError(f"expected a {Link.TX_RX} cluster set, got {clusters.link}")
-    return complex(_hop(scene, Link.TX_RX, clusters, rng, arrays=False)[0][0, 0])
 
 def _draw_panels(panels, clustered: bool, index: int) -> ChannelRealization:
     """One realization from a ``(scene, streams)`` pair per surface.
@@ -358,27 +311,22 @@ def _draw_panels(panels, clustered: bool, index: int) -> ChannelRealization:
     d_mat, los_d = _hop(scene, Link.TX_RX, cl_d, streams.d, rxang)
     return ChannelRealization(tuple(hops), d_mat, tuple(los_panels), los_d, index)
 
-def gen_mimo(
-    scene: Scene, streams: RealizationStreams, clustered: bool = True, index: int = 0
-) -> ChannelRealization:
-    """One full channel realization (H, G, D) from named substreams.
-
-    With ``clustered=False`` all cluster generation is skipped and every hop
-    is its LOS component alone (useful for geometry-only studies). When the
-    terminals are single-antenna, each matrix is produced by the exact
-    vector/scalar code path, so e.g. ``H[:, 0]`` equals :func:`gen_h` run on
-    the same streams.
-    """
-    if scene.extra_panels:
-        raise ValueError("gen_mimo draws one surface; use realize_multi for extra_panels")
-    return _draw_panels([(scene, streams)], clustered, index)
-
 def realize(
-    scene: Scene, master_seed: int, index: int = 0, panel: int = 0, clustered: bool = True
+    scene: Scene, master_seed: int, index: int = 0, clustered: bool = True
 ) -> ChannelRealization:
-    """Generate realization ``index`` of a scene from a master seed."""
-    streams = RealizationStreams.derive(master_seed, index, panel)
-    return gen_mimo(scene, streams, clustered=clustered, index=index)
+    """Generate realization ``index`` of a scene with one or more surfaces.
+
+    Panel k consumes the panel-k streams; the direct link consumes the
+    panel-independent streams, so its draw is the same whatever subset of
+    panels exists. With ``clustered=False`` all cluster generation is
+    skipped and every hop is its LOS component alone (useful for
+    geometry-only studies).
+    """
+    panels = [
+        (view, RealizationStreams.derive(master_seed, index, panel=k))
+        for k, view in enumerate(scene.panel_scenes)
+    ]
+    return _draw_panels(panels, clustered, index)
 
 def compose(realization: ChannelRealization, phase_list: Sequence) -> np.ndarray:
     """Effective Rx x Tx channel ``D + sum_k G_k diag(exp(j phi_k)) H_k``.

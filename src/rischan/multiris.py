@@ -13,31 +13,18 @@ re-reflections are not modeled. Every surface draws its own independent
 cluster realizations (tagged by panel index), while the direct link is drawn
 once from panel-independent streams, so adding or removing a surface never
 changes D or the other surfaces' draws.
+
+This module holds no code of its own: :func:`realize_multi` and
+:func:`compose_multi` are other names for :func:`rischan.mmwave.realize` and
+:func:`rischan.mmwave.compose`, which serve any panel count.
 """
 
 from __future__ import annotations
 
-from .mmwave import ChannelRealization, RealizationStreams, _draw_panels
 from .mmwave import compose as compose_multi
+from .mmwave import realize as realize_multi
 # unused here, but bench/tracer.py wraps this name of this module
 from .scattering import generate_clusters  # noqa: F401
-from .scene import RisPanel, Scene
+from .scene import RisPanel
 
 __all__ = ["RisPanel", "realize_multi", "compose_multi"]
-
-
-def realize_multi(
-    scene: Scene, master_seed: int, index: int = 0, clustered: bool = True
-) -> ChannelRealization:
-    """Generate realization ``index`` of a scene with one or more surfaces.
-
-    Panel k consumes the panel-k streams; the direct link consumes the
-    panel-independent streams, so its draw is the same whatever subset of
-    panels exists. A one-surface scene gives the draw of
-    :func:`rischan.mmwave.realize`.
-    """
-    panels = [
-        (view, RealizationStreams.derive(master_seed, index, panel=k))
-        for k, view in enumerate(scene.panel_scenes)
-    ]
-    return _draw_panels(panels, clustered, index)

@@ -175,7 +175,10 @@ class Scene:
 
     @property
     def shares_direct_clusters(self) -> bool:
-        """Effective sharing switch (defaults to the environment's layout)."""
+        """Effective sharing switch: the environment's layout by default, and
+        False with extra panels (each view draws its own direct set)."""
+        if self.extra_panels:
+            return False
         if self.share_direct_clusters is None:
             return self.environment.indoor
         return self.share_direct_clusters

@@ -47,11 +47,7 @@ __all__ = [
     "ClusterPowerProfile",
     "powers_from_delays",
     "gen_cluster_powers",
-    "gen_h_sub6",
-    "gen_g_sub6",
-    "gen_g_sub6_far",
     "gen_g_near",
-    "gen_hsiso_sub6",
     "realize_sub6",
     "element_edge",
     "nearfield_element_capture",
@@ -137,7 +133,8 @@ def _base_angles(scene: Scene, link: Link) -> DirectionAngles:
     return angles_from(ends.points[k], ends.mounts[k], ends.points[1 - k])
 
 def _sub6_hop(scene: Scene, link: Link, profile: ClusterPowerProfile, rng, params: Sub6Params):
-    """Shared far-field hop assembly; returns (value, los_state)."""
+    """One far-field hop: the (N,) surface vector of a surface hop, or the
+    complex scalar of the direct Tx -> Rx hop; returns (value, los_state)."""
     ends = scene.link(link)
     u = rng.uniform()
     shadow = rng.standard_normal() if scene.shadow_los else None
@@ -171,24 +168,6 @@ def _sub6_hop(scene: Scene, link: Link, profile: ClusterPowerProfile, rng, param
     amp = np.sqrt(ray_power * gain * loss)
     c, s = ef.cis(phases)
     return response_sum((amp * c, amp * s), [(geometry, unit)], scene.wavelength), on
-
-def gen_h_sub6(
-    scene: Scene, profile: ClusterPowerProfile, rng, params: Sub6Params | None = None
-) -> np.ndarray:
-    """Tx -> surface sub-6 GHz channel vector, shape (N,)."""
-    return _sub6_hop(scene, Link.TX_RIS, profile, rng, params or Sub6Params())[0]
-
-def gen_g_sub6_far(
-    scene: Scene, profile: ClusterPowerProfile, rng, params: Sub6Params | None = None
-) -> np.ndarray:
-    """Surface -> Rx sub-6 GHz channel vector, far-field form, shape (N,)."""
-    return _sub6_hop(scene, Link.RIS_RX, profile, rng, params or Sub6Params())[0]
-
-def gen_hsiso_sub6(
-    scene: Scene, profile: ClusterPowerProfile, rng, params: Sub6Params | None = None
-) -> complex:
-    """Direct Tx -> Rx sub-6 GHz scalar (no surface, no pattern)."""
-    return _sub6_hop(scene, Link.TX_RX, profile, rng, params or Sub6Params())[0]
 
 
 def _inplane_axes(plane: Plane) -> tuple[int, int, int]:
@@ -288,31 +267,14 @@ def gen_g_near(scene: Scene, edge_m: float | None = None) -> np.ndarray:
 
 def _select_g_mode(scene: Scene, mode: str, edge_m: float | None) -> str:
     """The surface -> Rx form, "near" or "far", that ``mode`` selects for
-    ``scene``; see :func:`gen_g_sub6` for the "auto" rule."""
+    ``scene``: "auto" picks the near-field response whenever the receiver is
+    closer than the panel's Fraunhofer distance."""
     if mode not in ("auto", "near", "far"):
         raise ValueError(f"g_mode={mode!r}: expected auto, near, or far")
     if mode == "auto":
         r_f = fraunhofer_distance(scene.ris_geometry, scene.wavelength, edge_m)
         mode = "near" if scene.link(Link.RIS_RX).distance < r_f else "far"
     return mode
-
-def gen_g_sub6(
-    scene: Scene,
-    profile: ClusterPowerProfile,
-    rng,
-    params: Sub6Params | None = None,
-    mode: str = "auto",
-    edge_m: float | None = None,
-) -> np.ndarray:
-    """Surface -> Rx hop with near/far selection.
-
-    ``mode`` is "far", "near", or "auto" (near-field response whenever the
-    receiver is closer than the panel's Fraunhofer distance). The near form
-    is deterministic and consumes no draws.
-    """
-    if _select_g_mode(scene, mode, edge_m) == "near":
-        return gen_g_near(scene, edge_m)
-    return gen_g_sub6_far(scene, profile, rng, params)
 
 
 class Sub6Streams(NamedStreams):

@@ -163,11 +163,21 @@ class TestExitCodes:
         assert main(["validate", "-c", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}: must be <= {2**32 - 1}")
 
-    @pytest.mark.parametrize("value", [5, None, True, "x\u0000y"], ids=["int", "null", "bool", "nul"])
+    @pytest.mark.parametrize(
+        "value", [5, None, True, "x\u0000y", ""], ids=["int", "null", "bool", "nul", "empty"]
+    )
     def test_bad_out_dir(self, tmp_path, capsys, value):
         cfg = write_cfg(tmp_path, out_dir=value)
         assert main(["validate", "-c", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("config error: out_dir: ")
+
+    @pytest.mark.parametrize(
+        "flag, value, key", [("--out-dir", "", "out_dir"), ("--workers", "65", "workers")]
+    )
+    def test_bad_override(self, tmp_path, capsys, flag, value, key):
+        cfg = write_cfg(tmp_path)
+        assert main(["validate", "-c", str(cfg), flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
     def test_override_on_non_mapping_control(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, control=[["strategy", "off"]])

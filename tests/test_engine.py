@@ -109,6 +109,17 @@ class TestLoadConfigValidation:
         with pytest.raises(ConfigError, match="unknown keys.*typo"):
             load_config(base_cfg(typo=1))
 
+    def test_empty_out_dir(self):
+        with pytest.raises(ConfigError, match="out_dir: expected a non-empty path"):
+            load_config(base_cfg(out_dir=""))
+        assert load_config(base_cfg(out_dir=".")).out_dir == Path(".")
+
+    def test_workers_capped(self):
+        # validity is checked without starting a run at either value
+        assert load_config(base_cfg(workers=64)).workers == 64
+        with pytest.raises(ConfigError, match="workers: must be <= 64, got 65"):
+            load_config(base_cfg(workers=65))
+
     @pytest.mark.parametrize("key", ["environment", "frequency_ghz", "tx", "rx", "ris"])
     def test_required(self, key):
         cfg = base_cfg()

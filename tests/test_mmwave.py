@@ -14,10 +14,6 @@ from rischan.mmwave import (
     RealizationStreams,
     compose,
     compose_end_to_end,
-    gen_g,
-    gen_h,
-    gen_hsiso,
-    gen_mimo,
     realize,
 )
 from rischan.multiris import RisPanel, realize_multi
@@ -101,15 +97,16 @@ class TestRealize:
         assert not np.array_equal(a.H, b.H)
 
     def test_panel_changes_surface_draws_not_direct(self, indoor_scene):
-        a = realize(indoor_scene, master_seed=99, index=0, panel=0)
-        b = realize(indoor_scene, master_seed=99, index=0, panel=1)
+        def draw(scene, panel):
+            streams = RealizationStreams.derive(99, 0, panel=panel)
+            return mmwave._draw_panels([(scene, streams)], True, 0)
+
+        a, b = draw(indoor_scene, 0), draw(indoor_scene, 1)
         assert not np.array_equal(a.H, b.H)
         # direct link streams carry no panel tag, but the shared indoor
         # cluster set re-views the (panel-tagged) Tx-side scatterers
         scene = make_indoor_scene(share_direct_clusters=False)
-        a2 = realize(scene, master_seed=99, index=0, panel=0)
-        b2 = realize(scene, master_seed=99, index=0, panel=1)
-        np.testing.assert_array_equal(a2.D, b2.D)
+        np.testing.assert_array_equal(draw(scene, 0).D, draw(scene, 1).D)
 
     def test_indoor_g_hop_is_pure_los(self, indoor_scene):
         real = realize(indoor_scene, master_seed=3)
@@ -145,8 +142,8 @@ def test_los_block_consumes_fixed_draws():
     off = make_indoor_scene(los_tx_ris="off")
     rng_on = substream(1, "fixed")
     rng_off = substream(1, "fixed")
-    gen_h(on, None, rng_on)
-    gen_h(off, None, rng_off)
+    mmwave._hop(on, Link.TX_RIS, None, rng_on)
+    mmwave._hop(off, Link.TX_RIS, None, rng_off)
     assert rng_on.uniform() == rng_off.uniform()
 
 
@@ -155,32 +152,10 @@ def test_shadow_los_adds_one_draw():
     shadowed = make_indoor_scene(shadow_los=True)
     r1 = substream(2, "fixed")
     r2 = substream(2, "fixed")
-    gen_h(plain, None, r1)
-    gen_h(shadowed, None, r2)
+    mmwave._hop(plain, Link.TX_RIS, None, r1)
+    mmwave._hop(shadowed, Link.TX_RIS, None, r2)
     # the shadowed variant consumed one extra normal; streams have diverged
     assert r1.uniform() != r2.uniform()
-
-
-class TestGenValidation:
-    def test_gen_h_wrong_link(self, indoor_scene, rng):
-        direct = generate_clusters(indoor_scene, Link.TX_RX, substream(1, "x"))
-        with pytest.raises(ValueError, match="TX_RIS"):
-            gen_h(indoor_scene, direct, rng)
-
-    def test_gen_g_indoor_clusters_rejected(self, indoor_scene, rng):
-        cs = generate_clusters(indoor_scene, Link.RIS_RX, substream(1, "x"))
-        with pytest.raises(ValueError, match="pure LOS"):
-            gen_g(indoor_scene, cs, rng)
-
-    def test_gen_g_outdoor_wrong_link(self, outdoor_scene, rng):
-        cs = generate_clusters(outdoor_scene, Link.TX_RIS, substream(1, "x"))
-        with pytest.raises(ValueError, match="RIS_RX"):
-            gen_g(outdoor_scene, cs, rng)
-
-    def test_gen_hsiso_wrong_link(self, indoor_scene, rng):
-        cs = generate_clusters(indoor_scene, Link.TX_RIS, substream(1, "x"))
-        with pytest.raises(ValueError, match="TX_RX"):
-            gen_hsiso(indoor_scene, cs, rng)
 
 
 def test_outdoor_g_has_clusters(outdoor_scene):
@@ -191,8 +166,9 @@ def test_outdoor_g_has_clusters(outdoor_scene):
 
 
 def test_gen_mimo_from_named_streams(indoor_scene):
+    """A draw from pre-derived named streams is the seeded draw."""
     streams = RealizationStreams.derive(7, 0)
-    real = gen_mimo(indoor_scene, streams, clustered=True, index=0)
+    real = mmwave._draw_panels([(indoor_scene, streams)], True, 0)
     again = realize(indoor_scene, master_seed=7, index=0)
     np.testing.assert_array_equal(real.H, again.H)
     np.testing.assert_array_equal(real.G, again.G)
@@ -216,7 +192,8 @@ class TestLazyStreams:
         for name in self.ALL:
             getattr(forced, name)
         assert len(calls) == 5 + 8
-        full = gen_mimo(make_indoor_scene(), forced, index=4)  # fresh scene: nothing kept
+        # a fresh scene, so nothing is kept from the draw above
+        full = mmwave._draw_panels([(make_indoor_scene(), forced)], True, 4)
         for a, b in ((real.H, full.H), (real.G, full.G), (real.D, full.D)):
             assert a.tobytes() == b.tobytes()
 
@@ -296,23 +273,6 @@ class TestCompose:
             compose_end_to_end(bad_d, np.zeros(16))
 
 
-def test_siso_reduction_matches_vector_paths(indoor_scene):
-    """The (N,1)/(1,N)/(1,1) matrices are the vector/scalar draws, bitwise."""
-    seed, index = 21, 3
-    real = realize(indoor_scene, seed, index)
-
-    streams = RealizationStreams.derive(seed, index)
-    cl_h = generate_clusters(indoor_scene, Link.TX_RIS, streams.clusters_h)
-    h = gen_h(indoor_scene, cl_h, streams.h)
-    g = gen_g(indoor_scene, None, streams.g)  # indoor: pure LOS hop
-    cl_d = share_clusters(indoor_scene, cl_h, streams.clusters_d)
-    d = gen_hsiso(indoor_scene, cl_d, streams.d)
-
-    np.testing.assert_array_equal(real.H[:, 0], h)
-    np.testing.assert_array_equal(real.G[0, :], g)
-    assert real.D[0, 0] == d
-
-
 def test_rx_angle_streams_keep_siso_draws_stable():
     """Growing the Rx array must not disturb the surface-side draws."""
     siso = make_outdoor_scene()
@@ -328,7 +288,7 @@ def test_direct_scalar_oracle(indoor_scene):
     streams = RealizationStreams.derive(seed, 0)
     cl_h = generate_clusters(indoor_scene, Link.TX_RIS, streams.clusters_h)
     cl_d = share_clusters(indoor_scene, cl_h, streams.clusters_d)
-    d = gen_hsiso(indoor_scene, cl_d, streams.d)
+    d = mmwave._hop(indoor_scene, Link.TX_RX, cl_d, streams.d)[0][0, 0]
 
     coeff = cl_d.fading * np.sqrt(cl_d.attenuation) * np.exp(1j * cl_d.extra_phase)
     expected = coeff.sum() / math.sqrt(cl_d.n_subrays)

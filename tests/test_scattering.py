@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rischan import scattering
 from rischan.errors import GenerationError
 from rischan.geometry import Point3
 from rischan.propagation import Environment, path_loss
@@ -129,6 +130,55 @@ def test_fading_moments():
         mags.append(np.abs(cs.fading) ** 2)
     power = np.concatenate(mags)
     assert power.mean() == pytest.approx(1.0, abs=0.05)  # unit-variance complex fading
+
+
+def _within_3_sigma(values, mean: float, var: float) -> bool:
+    return abs(np.mean(values) - mean) <= 3.0 * math.sqrt(var / len(values))
+
+
+def test_count_statistics(monkeypatch, indoor_scene):
+    """Over 3000 sets the cluster count is Poisson(density) with 0 lifted to
+    1, and the sub-ray count per cluster is uniform on [min_subrays,
+    max_subrays], each within 3 sigma. Most sets redraw rejected points, so
+    a placement that biased either count would show here."""
+    redraws = [0]
+    admissible = scattering._admissible
+
+    def counted(*args):
+        mask = admissible(*args)
+        redraws[0] += int(not mask.all())
+        return mask
+
+    monkeypatch.setattr(scattering, "_admissible", counted)
+    p = indoor_scene.scattering
+    lam = indoor_scene.environment.cluster_density
+    assert p.at_least_one and p.cluster_density is None
+    n_sets, redrawn, clusters, subrays = 3000, 0, [], []
+    for i in range(n_sets):
+        redraws[0] = 0
+        cs = generate_clusters(indoor_scene, Link.TX_RIS, substream(13, "stats", i))
+        redrawn += redraws[0] > 0
+        assert cs.centers.shape[0] == cs.counts.size and cs.positions.shape[0] == cs.n_subrays
+        clusters.append(cs.n_clusters)
+        subrays.extend(cs.counts)
+    assert redrawn > n_sets // 2
+
+    # max(1, N) for N ~ Poisson(lam): P(1) = e^-lam (1 + lam)
+    clusters = np.array(clusters)
+    p0 = math.exp(-lam)
+    mean = lam + p0
+    assert _within_3_sigma(clusters, mean, lam + lam * lam + p0 - mean * mean)
+    p1 = p0 * (1.0 + lam)
+    assert _within_3_sigma(clusters == 1, p1, p1 * (1.0 - p1))
+
+    support = np.arange(p.min_subrays, p.max_subrays + 1)
+    mean, var = support.mean(), support.var()
+    subrays = np.array(subrays)
+    assert subrays.min() == p.min_subrays and subrays.max() == p.max_subrays
+    assert _within_3_sigma(subrays, mean, var)
+    # the spread too: (x - mean)^2 has mean var and variance E(x - mean)^4 - var^2
+    dev2 = (subrays - mean) ** 2
+    assert _within_3_sigma(dev2, var, np.mean((support - mean) ** 4) - var * var)
 
 
 def test_impossible_geometry_raises():

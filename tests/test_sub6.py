@@ -28,10 +28,6 @@ from rischan.sub6 import (
     fraunhofer_distance,
     gen_cluster_powers,
     gen_g_near,
-    gen_g_sub6,
-    gen_g_sub6_far,
-    gen_h_sub6,
-    gen_hsiso_sub6,
     nearfield_element_capture,
     powers_from_delays,
     realize_sub6,
@@ -154,6 +150,11 @@ def _wrap_azimuth(a):
     return np.where(w == -math.pi, math.pi, w)
 
 
+def _hop(scene, link, prof, rng, params=None):
+    """The value of one far-field hop drawn from ``rng``."""
+    return sub6._sub6_hop(scene, link, prof, rng, params or Sub6Params())[0]
+
+
 def _fixed_profile(c=4):
     delays = np.linspace(0.0, 300e-9, c)
     return ClusterPowerProfile(delays_s=delays, powers=powers_from_delays(delays, 3.0, 66e-9))
@@ -163,11 +164,11 @@ class TestFarFieldHops:
     def test_h_shape_and_determinism(self):
         scene = make_sub6_scene()
         prof = _fixed_profile()
-        h1 = gen_h_sub6(scene, prof, np.random.default_rng(7))
-        h2 = gen_h_sub6(scene, prof, np.random.default_rng(7))
+        h1 = _hop(scene, Link.TX_RIS, prof, np.random.default_rng(7))
+        h2 = _hop(scene, Link.TX_RIS, prof, np.random.default_rng(7))
         assert h1.shape == (16,)
         np.testing.assert_array_equal(h1, h2)
-        h3 = gen_h_sub6(scene, prof, np.random.default_rng(8))
+        h3 = _hop(scene, Link.TX_RIS, prof, np.random.default_rng(8))
         assert not np.array_equal(h1, h3)
 
     def test_h_full_draw_oracle(self):
@@ -175,7 +176,7 @@ class TestFarFieldHops:
         scene = make_sub6_scene(los_tx_ris="on")
         p = Sub6Params(n_clusters=3, n_rays=5)
         prof = _fixed_profile(3)
-        got = gen_h_sub6(scene, prof, np.random.default_rng(42), p)
+        got = _hop(scene, Link.TX_RIS, prof, np.random.default_rng(42), p)
 
         twin = np.random.default_rng(42)
         twin.uniform()  # visibility draw, outcome forced by the "on" mode
@@ -209,7 +210,7 @@ class TestFarFieldHops:
         scene = make_sub6_scene()
         p = Sub6Params(n_clusters=4, n_rays=3)
         prof = _fixed_profile(4)
-        got = gen_hsiso_sub6(scene, prof, np.random.default_rng(11), p)
+        got = _hop(scene, Link.TX_RX, prof, np.random.default_rng(11), p)
         assert isinstance(got, complex)
 
         twin = np.random.default_rng(11)
@@ -234,8 +235,8 @@ class TestFarFieldHops:
         shadowed = make_sub6_scene(shadow_los=True)
         prof = _fixed_profile()
         r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
-        gen_hsiso_sub6(base, prof, r1)
-        gen_hsiso_sub6(shadowed, prof, r2)
+        _hop(base, Link.TX_RX, prof, r1)
+        _hop(shadowed, Link.TX_RX, prof, r2)
         assert r1.uniform() != r2.uniform()
 
     def test_hop_mean_power_tracks_loss(self):
@@ -250,14 +251,14 @@ class TestFarFieldHops:
             los=True,
         ).linear
         vals = [
-            gen_hsiso_sub6(scene, prof, np.random.default_rng(1000 + i)) for i in range(4000)
+            _hop(scene, Link.TX_RX, prof, np.random.default_rng(1000 + i)) for i in range(4000)
         ]
         mean_pow = np.mean(np.abs(vals) ** 2)
         assert mean_pow == pytest.approx(loss, rel=0.1)
 
     def test_g_far_shape(self):
         scene = make_sub6_scene()
-        g = gen_g_sub6_far(scene, _fixed_profile(), np.random.default_rng(2))
+        g = _hop(scene, Link.RIS_RX, _fixed_profile(), np.random.default_rng(2))
         assert g.shape == (16,)
         assert np.all(np.isfinite(g))
 
@@ -371,32 +372,28 @@ class TestGenGNear:
 
 
 class TestGenGModeSelection:
-    def test_bad_mode(self):
-        scene = make_sub6_scene()
-        with pytest.raises(ValueError, match="mode"):
-            gen_g_sub6(scene, _fixed_profile(), np.random.default_rng(0), mode="sideways")
-
     def test_auto_picks_near(self):
         scene = make_near_scene()
-        auto = gen_g_sub6(scene, _fixed_profile(), np.random.default_rng(0), mode="auto")
-        np.testing.assert_array_equal(auto, gen_g_near(scene))
+        auto = realize_sub6(scene, 0, g_mode="auto")
+        np.testing.assert_array_equal(auto.G[0, :], gen_g_near(scene))
 
     def test_auto_picks_far(self):
         scene = make_sub6_scene()
         assert distance(scene.ris, scene.rx) > fraunhofer_distance(
             scene.ris_geometry, scene.wavelength
         )
-        prof = _fixed_profile()
-        auto = gen_g_sub6(scene, prof, np.random.default_rng(0), mode="auto")
-        far = gen_g_sub6_far(scene, prof, np.random.default_rng(0))
-        np.testing.assert_array_equal(auto, far)
+        auto = realize_sub6(scene, 0, g_mode="auto")
+        far = realize_sub6(scene, 0, g_mode="far")
+        np.testing.assert_array_equal(auto.G, far.G)
 
     def test_near_consumes_no_draws(self):
+        """The near form leaves every other hop's draw where it was."""
         scene = make_near_scene()
-        r = np.random.default_rng(9)
-        before = r.bit_generator.state
-        gen_g_sub6(scene, _fixed_profile(), r, mode="near")
-        assert r.bit_generator.state == before
+        near = realize_sub6(scene, 9, g_mode="near")
+        far = realize_sub6(scene, 9, g_mode="far")
+        np.testing.assert_array_equal(near.H, far.H)
+        np.testing.assert_array_equal(near.D, far.D)
+        assert not np.array_equal(near.G, far.G)
 
 
 class TestSub6Streams:
@@ -454,11 +451,11 @@ class TestRealizeSub6:
         real = realize_sub6(scene, 17, index=2, params=p, g_mode="far")
         streams = Sub6Streams.derive(17, 2)
         prof_h = gen_cluster_powers(streams.powers_h, p)
-        np.testing.assert_array_equal(real.H[:, 0], gen_h_sub6(scene, prof_h, streams.h, p))
+        np.testing.assert_array_equal(real.H[:, 0], _hop(scene, Link.TX_RIS, prof_h, streams.h, p))
         prof_g = gen_cluster_powers(streams.powers_g, p)
-        np.testing.assert_array_equal(real.G[0, :], gen_g_sub6_far(scene, prof_g, streams.g, p))
+        np.testing.assert_array_equal(real.G[0, :], _hop(scene, Link.RIS_RX, prof_g, streams.g, p))
         prof_d = gen_cluster_powers(streams.powers_d, p)
-        assert real.D[0, 0] == gen_hsiso_sub6(scene, prof_d, streams.d, p)
+        assert real.D[0, 0] == _hop(scene, Link.TX_RX, prof_d, streams.d, p)
 
     def test_auto_near_uses_deterministic_g(self):
         scene = make_near_scene()
