@@ -8,10 +8,13 @@ vertical column is contiguous and a uniform linear array is the ``n_v = 1``
 row along the horizontal axis.
 
 On this grid an array response is the Kronecker product of one response
-per axis, which the channel generators exploit: :func:`response_sum`, the
-hop kernel, sums rank-one ray contributions over the per-axis factors
-without forming the full N x M steering matrix, with the arithmetic rules
-of :mod:`rischan.elementary` (no BLAS, C-library elementary functions).
+per axis, which the channel generators exploit: :func:`power_factors`
+forms the per-axis factors of any number of axes and ray sets in one pass,
+and :func:`rank_one_sum` sums one hop's rank-one ray contributions over
+its factors without forming the full N x M steering matrix
+(:func:`response_sum` is the two for one ray set), with the arithmetic
+rules of :mod:`rischan.elementary` (no BLAS, C-library elementary
+functions).
 """
 
 from __future__ import annotations
@@ -31,7 +34,10 @@ __all__ = [
     "element_gain_cos",
     "steering_vector",
     "steering_matrix",
+    "array_axes",
+    "power_factors",
     "axis_factors",
+    "rank_one_sum",
     "response_sum",
     "as_complex",
     "reflection_matrix",
@@ -144,33 +150,52 @@ def _powers(wr, wi, n: int) -> tuple[np.ndarray, np.ndarray]:
         k = j
     return out[0], out[1]
 
+def array_axes(geometry: ArrayGeometry, unit, wavelength: float) -> list:
+    """(n, kd, u_axis) of each axis of ``geometry`` with more than one
+    element, h then v: its element count, its phase step per unit of
+    direction component, kd = (2 pi / lambda) s, and the components u_axis
+    of the (M, 3) ray directions ``unit`` along the axis (the in-plane
+    horizontal axis or z). Along the axis element i responds w^i with
+    w = exp(j kd u_axis)."""
+    kd = 2.0 * math.pi / wavelength * geometry.spacing_m(wavelength)
+    horizontal = 0 if geometry.orientation.plane is Plane.XZ else 1
+    return [(n, kd, unit[:, axis]) for n, axis in ((geometry.n_h, horizontal), (geometry.n_v, 2)) if n > 1]
+
+def power_factors(axes) -> list:
+    """(re, im) of w^i for i < n, shape (n, M_k), for every (n, kd, u_axis)
+    of ``axes`` (:func:`array_axes`, from any arrays and ray sets).
+
+    The C library is called once for all the steps kd u_axis together, and
+    one :func:`_powers` ladder, as tall as the tallest axis, serves every
+    axis: its rows do not depend on its height, so each axis takes its
+    first n rows of its own columns.
+    """
+    if not axes:
+        return []
+    rows, kd, columns = zip(*axes)
+    lengths = [column.size for column in columns]
+    steps = np.concatenate(columns) * (kd[0] if kd.count(kd[0]) == len(kd) else np.repeat(kd, lengths))
+    re, im = _powers(*ef.cis(steps), max(rows))
+    out, start = [], 0
+    for n, m in zip(rows, lengths):
+        out.append((re[:n, start:start + m], im[:n, start:start + m]))
+        start += m
+    return out
+
 def axis_factors(ends, wavelength: float):
     """(re, im) responses of the array axes of every end, h then v per end.
 
     ``ends`` lists (geometry, unit), ``unit`` holding the (M, 3) direction
     vectors of the rays at that end. On the uniform grid the response
-    factors as a(u) = a_h(u) (x) a_v(u), and along one axis element i has
-    the response w^i with w = exp(j (2 pi / lambda) s u_axis), u_axis being
-    the component of u along the in-plane horizontal axis or along z. So
-    the C library is called for one w per axis and direction, for all ends
-    together, and the powers of w come from :func:`_powers`. Axes of one
-    element (a factor of ones) are left out.
+    factors as a(u) = a_h(u) (x) a_v(u), one factor per axis
+    (:func:`array_axes`), so the C library is called for one w per axis
+    and direction, for all ends together, and the powers of w come from
+    :func:`power_factors`. Axes of one element (a factor of ones) are left
+    out.
     """
-    rows, steps = [], []
-    for geometry, unit in ends:
-        kd = 2.0 * math.pi / wavelength * geometry.spacing_m(wavelength)
-        horizontal = 0 if geometry.orientation.plane is Plane.XZ else 1
-        for n, axis in ((geometry.n_h, horizontal), (geometry.n_v, 2)):
-            if n > 1:
-                rows.append(n)
-                steps.append(kd * unit[:, axis])
-    if not steps:
-        return []
-    m = ends[0][1].shape[0]
-    re, im = _powers(*ef.cis(np.concatenate(steps)), max(rows))
-    return [(re[:n, k * m:(k + 1) * m], im[:n, k * m:(k + 1) * m]) for k, n in enumerate(rows)]
+    return power_factors([axis for geometry, unit in ends for axis in array_axes(geometry, unit, wavelength)])
 
-def _rank_one_sum(coeff, factors) -> tuple[np.ndarray, np.ndarray]:
+def rank_one_sum(coeff, factors) -> tuple[np.ndarray, np.ndarray]:
     """Sum over m of coeff_m f_1[:, m] (x) f_2[:, m] (x) ... (x) f_K[:, m].
 
     ``coeff`` is the (re, im) pair of an (M,) complex vector and each
@@ -194,22 +219,18 @@ def _rank_one_sum(coeff, factors) -> tuple[np.ndarray, np.ndarray]:
 
     return dot(lr, fr) - dot(li, fi), dot(lr, fi) + dot(li, fr)
 
-def response_sum(coeff, ends, wavelength: float, factors=None) -> np.ndarray:
+def response_sum(coeff, ends, wavelength: float) -> np.ndarray:
     """Sum over rays m of coeff_m a_1(u_1m) (x) a_2(u_2m) (x) ..., complex.
 
-    The hop kernel of every generator. ``coeff`` is the (re, im) pair of
-    the (M,) ray amplitudes; ``ends`` lists one (geometry, unit) per array
-    end, ``unit`` holding the (M, 3) ray directions there. Returns shape
-    (size_1, size_2, ...). Array axes of one element contribute the factor
-    1 and are left out, so a single-antenna end costs nothing and gives the
-    very bits of a hop without that end. The C library is called once for
-    the whole hop (see :func:`axis_factors`), or not at all when the caller
-    passes ``factors``, the :func:`axis_factors` of ``ends`` that it keeps
-    for a ray set the scene fixes.
+    ``coeff`` is the (re, im) pair of the (M,) ray amplitudes; ``ends``
+    lists one (geometry, unit) per array end, ``unit`` holding the (M, 3)
+    ray directions there. Returns shape (size_1, size_2, ...). Array axes
+    of one element contribute the factor 1 and are left out, so a
+    single-antenna end costs nothing and gives the very bits of a sum
+    without that end. The C library is called once for the whole sum (see
+    :func:`axis_factors`).
     """
-    if factors is None:
-        factors = axis_factors(ends, wavelength)
-    re, im = _rank_one_sum(coeff, factors)
+    re, im = rank_one_sum(coeff, axis_factors(ends, wavelength))
     return as_complex(re, im).reshape([geometry.size for geometry, _ in ends])
 
 def as_complex(re, im) -> np.ndarray:

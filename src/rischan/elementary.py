@@ -106,9 +106,12 @@ def pow10(x) -> np.ndarray:
     return _apply(_pow10, x)
 
 
-def power(x, p: float) -> np.ndarray:
-    """x ** p for a scalar exponent."""
-    return _apply(math.pow, x, p)
+def power(x, p) -> np.ndarray:
+    """x ** p, for a scalar exponent or one exponent per element of x."""
+    if not np.ndim(p):
+        return _apply(math.pow, x, p)
+    a = np.asarray(x, dtype=float)
+    return _run(math.pow, a.shape, a.ravel().tolist(), np.broadcast_to(p, a.shape).ravel().tolist())
 
 
 def cbrt(x) -> np.ndarray:

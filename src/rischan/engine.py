@@ -40,12 +40,12 @@ from .geometry import Plane, Point3, SurfaceOrientation
 # realize and compose_end_to_end: unused here, but bench/tracer.py wraps these names
 from .mmwave import compose_end_to_end, realize  # noqa: F401
 from .multiris import compose_multi, realize_multi
-from .propagation import Environment, EnvironmentKind
-from .scattering import ScatteringParams
+from .propagation import CLOSE_IN_REF_M, Environment, EnvironmentKind
+from .scattering import Link, ScatteringParams
 from .scene import LOS_MODES, RisPanel, Scene
 from .simio import MAX_DIM, file_digest, write_metadata, write_tensor, write_tensor_csv
 from .streams import cell_seed, substream
-from .sub6 import Sub6Params, element_edge, realize_sub6
+from .sub6 import Sub6Params, element_edge, realize_sub6, select_g_mode
 
 __all__ = [
     "BANDS",
@@ -464,6 +464,7 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
         raise ConfigError("band=sub6 covers single-antenna terminals; set nt=nr=1")
     if band == "sub6":
         _build("sub6.element_edge_m", element_edge, ris_geoms[0], scene.wavelength, sub6_edge)
+    _check_close_in(band, scene, sub6_g_mode, sub6_edge)
     if strategy == "cophase" and (tx_geom.size != 1 or rx_geom.size != 1):
         raise ConfigError(
             "control.strategy=cophase applies to single-antenna terminals; "
@@ -500,6 +501,24 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
         coverage=coverage,
     )
 
+
+def _check_close_in(band: str, scene: Scene, g_mode: str, edge_m: float | None) -> None:
+    """Raise ConfigError unless every link that ``band`` evaluates with the
+    close-in law spans at least its reference distance: all three links of
+    every surface at mmWave; in sub-6 the Tx -> surface and Tx -> Rx links,
+    and the surface -> Rx link when the far-field form is selected."""
+    links = list(Link)
+    if band == "sub6" and select_g_mode(scene, g_mode, edge_m) == "near":
+        links.remove(Link.RIS_RX)
+    for k, view in enumerate(scene.panel_scenes):
+        for link in links:
+            ends = view.link(link)
+            if ends.distance < CLOSE_IN_REF_M:
+                a, b = (f"ris[{k}]" if name == "ris" and scene.extra_panels else name for name in ends.names)
+                raise ConfigError(
+                    f"{a} and {b} are {ends.distance:.6g} m apart, below the {CLOSE_IN_REF_M:g} m "
+                    "reference distance of the close-in path-loss law"
+                )
 
 def _phase_config(config: RunConfig, h_mat, g_mat, seed_val: int, index: int, panel: int):
     if config.strategy == "off":
@@ -685,9 +704,11 @@ def coverage_run(config: RunConfig) -> tuple[CoverageGrid, RunResult]:
 
     Each cell gets its own hash-derived seed namespace, so the map is
     independent of cell evaluation order and worker count. Cells whose
-    position collides with a terminal come out NaN. Writes
-    ``coverage.csv`` (x, y, mean_rate_bits_hz) plus ``metadata.json``, under
-    ``.part`` names until both are complete, as ``run`` does.
+    position collides with a terminal, or leaves a link the band evaluates
+    with the close-in law shorter than its 1 m reference distance, come out
+    NaN. Writes ``coverage.csv`` (x, y, mean_rate_bits_hz) plus
+    ``metadata.json``, under ``.part`` names until both are complete, as
+    ``run`` does.
     """
     if config.coverage is None:
         raise ConfigError("coverage: section is required for a coverage run")
@@ -700,8 +721,9 @@ def coverage_run(config: RunConfig) -> tuple[CoverageGrid, RunResult]:
         pos = Point3(float(xs[ix]), float(ys[iy]), area.z)
         try:
             scene = config.scene.with_rx(pos)
+            _check_close_in(config.band, scene, config.sub6_g_mode, config.sub6_edge_m)
         except ConfigError:
-            return math.nan  # cell sits on a terminal
+            return math.nan  # cell sits on a terminal, or closer than the close-in law holds
         seed_val = cell_seed(config.seed, ix, iy)
         total = 0.0
         for i in range(config.realizations):

@@ -42,6 +42,8 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299_792_458.0
 
+# the close-in reference distance: the law holds from here on, in meters
+CLOSE_IN_REF_M = 1.0
 # validity window of the close-in fits (0.5 - 100 GHz)
 FREQ_RANGE_HZ = (0.5e9, 100e9)
 
@@ -177,7 +179,7 @@ class CloseIn(NamedTuple):
     def sample(self, distance_m, shadow=None) -> PathLossSample:
         """Path loss at ``distance_m``; see :func:`path_loss`."""
         d = np.asarray(distance_m, dtype=float)
-        if (d < 1.0).any():
+        if (d < CLOSE_IN_REF_M).any():
             raise ValueError(
                 "distance_m below the 1 m close-in reference; clamp distances "
                 "to >= 1 m in the caller if that geometry is intended"

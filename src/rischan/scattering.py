@@ -17,7 +17,7 @@ are themselves deterministic for a given scene and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
@@ -28,6 +28,7 @@ from . import elementary as ef
 from .arrays import as_complex
 from .errors import GenerationError
 from .geometry import Point3, vector_norm
+from .propagation import CloseIn
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scene import Scene
@@ -37,6 +38,10 @@ __all__ = [
     "ScatteringParams",
     "AngleSet",
     "ClusterSet",
+    "ClusterDraw",
+    "draw_clusters",
+    "share_draw",
+    "derive_sets",
     "generate_clusters",
     "share_clusters",
     "excess_phase",
@@ -217,13 +222,36 @@ def _place(rng, n, draw, ok, retry_cap, what):
         idx = idx[~ok(fresh)]
     return pts
 
-def generate_clusters(
+class ClusterDraw(NamedTuple):
+    """The variates of one cluster set, as :func:`draw_clusters` reads them
+    from the set's stream: accepted placement, fading and shadowing normals,
+    before any quantity derived from them (:func:`derive_sets`).
+
+    A set with ``reaimed`` set is a Tx-side set re-viewed from the Rx
+    (:func:`share_clusters`): its placement and fading are the Tx-side
+    set's, its shadowing normals its own.
+    """
+
+    link: Link
+    counts: np.ndarray  # (C,) sub-rays per cluster
+    centers: np.ndarray  # (C, 3)
+    positions: np.ndarray  # (M, 3)
+    fading: np.ndarray  # (M,) complex, unit variance
+    shadow: np.ndarray | None  # (M,) shadowing normals, or None unshadowed
+    reaimed: bool = False
+
+    @property
+    def n_subrays(self) -> int:
+        return int(self.positions.shape[0])
+
+
+def draw_clusters(
     scene: "Scene", link: Link, rng: np.random.Generator, params: ScatteringParams | None = None
-) -> ClusterSet:
-    """Draw one scatterer realization for ``link`` from ``rng``."""
+) -> ClusterDraw:
+    """Stage 1 of :func:`generate_clusters`: every draw of one set from
+    ``rng``, the rejection sampling included (it decides how many)."""
     p = params if params is not None else scene.scattering
     c = scene.constant(("placement", link, p), _placement, scene, link, p)
-    (pos_a, pos_b), (surf_a, surf_b) = c.anchors, c.surfaces
 
     n_clusters = int(rng.poisson(c.density))
     if p.at_least_one:
@@ -248,29 +276,96 @@ def generate_clusters(
     m = positions.shape[0]
     fading_re = rng.standard_normal(m) / math.sqrt(2.0)  # drawn before the imaginary part
     fading = as_complex(fading_re, rng.standard_normal(m) / math.sqrt(2.0))
-    rel_a, rel_b = positions - pos_a, positions - pos_b
-    dist_a, dist_b = vector_norm(rel_a, axis=1), vector_norm(rel_b, axis=1)
     shadow = rng.standard_normal(m) if scene.shadow_clustered else None
-    att = scene.close_in(False).sample(dist_a + dist_b, shadow)
+    return ClusterDraw(link, counts, centers, positions, fading, shadow)
 
-    def angset(rel, surf, dist):
-        if surf is None:
-            return None
-        unit = rel / dist[:, None]
-        return AngleSet(unit, surf.normal_component(unit))
-
-    return ClusterSet(
-        link=link,
-        counts=counts,
-        centers=centers,
-        positions=positions,
-        fading=fading,
-        dist_a=dist_a,
-        dist_b=dist_b,
-        attenuation=np.asarray(att.linear, dtype=float),
-        angles_a=angset(rel_a, surf_a, dist_a),
-        angles_b=angset(rel_b, surf_b, dist_b),
+def share_draw(scene: "Scene", tx_ris, rng: np.random.Generator | None = None) -> ClusterDraw:
+    """Stage 1 of :func:`share_clusters`: the Tx-side set ``tx_ris`` (a
+    :class:`ClusterDraw` or :class:`ClusterSet`) re-viewed from the Rx, with
+    the shadowing normals of the re-aimed paths drawn from ``rng`` when the
+    scene enables clustered shadowing."""
+    if not scene.environment.indoor:
+        raise ValueError("cluster sharing models an indoor layout; outdoor scenes draw an independent set")
+    if tx_ris.link is not Link.TX_RIS:
+        raise ValueError(f"expected a Tx-RIS cluster set, got {tx_ris.link}")
+    shadow = None
+    if scene.shadow_clustered:
+        if rng is None:
+            raise ValueError("rng required: scene draws shadowing on the re-aimed paths")
+        shadow = rng.standard_normal(tx_ris.n_subrays)
+    return ClusterDraw(
+        Link.TX_RX, tx_ris.counts, tx_ris.centers, tx_ris.positions, tx_ris.fading, shadow, True
     )
+
+def _legs(scene: "Scene", link: Link, reaimed: bool):
+    """The anchors of a set's legs as a (3, 3) array, ends A and B and then
+    the surface (the end a re-aimed set's final leg replaces), with the
+    mounts of A and B."""
+    if reaimed:
+        points, mounts = (scene.tx, scene.rx), (scene.tx_geometry.orientation, None)
+    else:
+        ends = scene.link(link)
+        points, mounts = ends.points, ends.mounts
+    return np.stack([p.as_array() for p in (*points, scene.ris)]), mounts
+
+def per_ray(values, sizes):
+    """One value per ray from one value per group of ``sizes`` rays: the
+    value itself when all groups share it (the arithmetic is the same,
+    element by element)."""
+    if values.count(values[0]) == len(values):
+        return values[0]
+    return np.repeat(np.array(values), sizes, axis=0)
+
+def derive_sets(items) -> list[ClusterSet]:
+    """Stage 2 of cluster generation for any number of sets: the
+    :class:`ClusterSet` of each ``(scene, ClusterDraw)`` pair of ``items``.
+
+    Reads no stream. The sets' rays are concatenated and the derived
+    quantities are one pass over all of them: the leg vectors and their
+    :func:`vector_norm` distances, the two-leg close-in attenuation (one
+    ``log10``, one ``pow10``), the unit directions, and the excess phases
+    of re-aimed sets. Each element is computed as a one-set derivation
+    computes it, so the bits do not depend on which other sets share the
+    pass.
+    """
+    if not items:
+        return []
+    sizes = [d.n_subrays for _, d in items]
+    legs = [scene.constant(("legs", d.link, d.reaimed), _legs, scene, d.link, d.reaimed) for scene, d in items]
+    anchors = np.repeat(np.array([anchors for anchors, _ in legs]), sizes, axis=0)
+    rel = np.concatenate([d.positions for _, d in items])[:, None, :] - anchors
+    dist = vector_norm(rel, axis=2)  # (M, 3): to A, to B, to the surface
+    unit = rel[:, :2] / dist[:, :2, None]
+    laws = [scene.close_in(False) for scene, _ in items]
+    close_in = CloseIn(*[per_ray(field, sizes) for field in zip(*laws)])
+    shadow = None
+    if any(d.shadow is not None for _, d in items):  # an unshadowed set adds sigma * 0, leaving its loss as it is
+        shadow = np.concatenate([np.zeros(d.n_subrays) if d.shadow is None else d.shadow for _, d in items])
+    att = close_in.sample(dist[:, 0] + dist[:, 1], shadow).linear
+    extra = None
+    if any(d.reaimed for _, d in items):
+        extra = _excess_phase(dist[:, 1], dist[:, 2], per_ray([scene.wavelength for scene, _ in items], sizes))
+
+    out, start = [], 0
+    for (_, d), (_, (mount_a, mount_b)), m in zip(items, legs, sizes):
+        stop = start + m
+        unit_a, unit_b = unit[start:stop, 0], unit[start:stop, 1]
+        out.append(ClusterSet(
+            link=d.link, counts=d.counts, centers=d.centers, positions=d.positions, fading=d.fading,
+            dist_a=dist[start:stop, 0], dist_b=dist[start:stop, 1], attenuation=att[start:stop],
+            angles_a=None if mount_a is None else AngleSet(unit_a, mount_a.normal_component(unit_a)),
+            angles_b=None if mount_b is None else AngleSet(unit_b, mount_b.normal_component(unit_b)),
+            extra_phase=extra[start:stop] if d.reaimed else None,
+        ))
+        start = stop
+    return out
+
+def generate_clusters(
+    scene: "Scene", link: Link, rng: np.random.Generator, params: ScatteringParams | None = None
+) -> ClusterSet:
+    """Draw one scatterer realization for ``link`` from ``rng``: the
+    :func:`draw_clusters` stage, then :func:`derive_sets` on that one set."""
+    return derive_sets([(scene, draw_clusters(scene, link, rng, params))])[0]
 
 def excess_phase(positions, ris: Point3, rx: Point3, wavelength: float) -> np.ndarray:
     """Phase of re-aiming a scatterer's final leg from the RIS to the Rx.
@@ -292,36 +387,13 @@ def share_clusters(
     """Re-view the Tx-RIS scatterers from the receiver for the direct link.
 
     Indoor scenes model the direct Tx-Rx channel through the same physical
-    scatterers: positions, per-cluster counts, and complex fading are the
-    very same arrays (aliased, bitwise identical), while the final leg is
-    re-aimed at the Rx, which changes travel distances, attenuation, and
-    adds the per-path :func:`excess_phase`. ``rng`` supplies the shadowing
-    draws of the re-aimed paths when the scene enables clustered shadowing.
+    scatterers: positions, per-cluster counts, complex fading and the Tx
+    legs are the very same arrays (aliased, bitwise identical), while the
+    final leg is re-aimed at the Rx, which changes travel distances,
+    attenuation, and adds the per-path :func:`excess_phase`. ``rng``
+    supplies the shadowing draws of the re-aimed paths when the scene
+    enables clustered shadowing (:func:`share_draw`, then
+    :func:`derive_sets` on that one set).
     """
-    if not scene.environment.indoor:
-        raise ValueError("cluster sharing models an indoor layout; outdoor scenes draw an independent set")
-    if tx_ris.link is not Link.TX_RIS:
-        raise ValueError(f"expected a Tx-RIS cluster set, got {tx_ris.link}")
-    dist_b = vector_norm(tx_ris.positions - scene.rx.as_array(), axis=1)
-    d_ris = vector_norm(tx_ris.positions - scene.ris.as_array(), axis=1)
-    m = tx_ris.n_subrays
-    if scene.shadow_clustered:
-        if rng is None:
-            raise ValueError("rng required: scene draws shadowing on the re-aimed paths")
-        shadow = rng.standard_normal(m)
-    else:
-        shadow = None
-    att = scene.close_in(False).sample(tx_ris.dist_a + dist_b, shadow)
-    return ClusterSet(
-        link=Link.TX_RX,
-        counts=tx_ris.counts,
-        centers=tx_ris.centers,
-        positions=tx_ris.positions,
-        fading=tx_ris.fading,
-        dist_a=tx_ris.dist_a,
-        dist_b=dist_b,
-        attenuation=np.asarray(att.linear, dtype=float),
-        angles_a=tx_ris.angles_a,
-        angles_b=None,
-        extra_phase=_excess_phase(dist_b, d_ris, scene.wavelength),
-    )
+    shared = derive_sets([(scene, share_draw(scene, tx_ris, rng))])[0]
+    return replace(shared, dist_a=tx_ris.dist_a, angles_a=tx_ris.angles_a)

@@ -48,6 +48,7 @@ __all__ = [
     "powers_from_delays",
     "gen_cluster_powers",
     "gen_g_near",
+    "select_g_mode",
     "realize_sub6",
     "element_edge",
     "nearfield_element_capture",
@@ -265,7 +266,7 @@ def gen_g_near(scene: Scene, edge_m: float | None = None) -> np.ndarray:
     c, s = ef.cis(-gamma)
     return as_complex(amp * c, amp * s)
 
-def _select_g_mode(scene: Scene, mode: str, edge_m: float | None) -> str:
+def select_g_mode(scene: Scene, mode: str, edge_m: float | None) -> str:
     """The surface -> Rx form, "near" or "far", that ``mode`` selects for
     ``scene``: "auto" picks the near-field response whenever the receiver is
     closer than the panel's Fraunhofer distance."""
@@ -313,7 +314,7 @@ def realize_sub6(
         raise ValueError("sub-6 GHz generation covers single-antenna terminals (Nt = Nr = 1)")
     if scene.extra_panels:
         raise ValueError("sub-6 GHz generation covers one surface; the scene has extra_panels")
-    mode = _select_g_mode(scene, g_mode, edge_m)
+    mode = select_g_mode(scene, g_mode, edge_m)
     p = params or Sub6Params()
     streams = Sub6Streams.derive(master_seed, index)
 

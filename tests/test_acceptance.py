@@ -26,7 +26,8 @@ from rischan.arrays import ArrayGeometry, ElementPattern, element_gain
 from rischan.control import achievable_rate, phases_cophase
 from rischan.engine import load_config, run
 from rischan.geometry import Plane, Point3, SurfaceOrientation
-from rischan.mmwave import _hop, compose_end_to_end, realize
+from rischan import mmwave
+from rischan.mmwave import compose_end_to_end, realize
 from rischan.multiris import RisPanel, compose_multi, realize_multi
 from rischan.propagation import (
     SPEED_OF_LIGHT,
@@ -36,7 +37,7 @@ from rischan.propagation import (
     los_probability,
     path_loss,
 )
-from rischan.scattering import Link, generate_clusters
+from rischan.scattering import Link, derive_sets, draw_clusters
 from rischan.scene import Scene
 from rischan.streams import substream
 from rischan.sub6 import fraunhofer_distance, nearfield_element_capture
@@ -79,21 +80,103 @@ def test_rate_gain_per_n_doubling():
     assert ok
 
 
-def test_fading_normalization():
+def test_fading_normalization(monkeypatch):
     """With unit attenuations and unit element gains and no visibility ray,
     the clustered hop has mean power N: E[||h||^2]/N within 2% over 1e5
     realizations."""
     scene = make_indoor_scene(element_pattern=None, los_tx_ris="off", shadow_clustered=False)
-    reals = 100_000
+
+    def unit_attenuation(items):  # between set derivation and hop assembly
+        return [replace(cs, attenuation=np.ones_like(cs.attenuation)) for cs in derive_sets(items)]
+
+    monkeypatch.setattr(mmwave, "derive_sets", unit_attenuation)
+    reals, chunk = 100_000, 2_000
     total = 0.0
-    for i in range(reals):
-        clusters = generate_clusters(scene, Link.TX_RIS, substream(505, "norm", "cl", i))
-        clusters = replace(clusters, attenuation=np.ones_like(clusters.attenuation))
-        h = _hop(scene, Link.TX_RIS, clusters, substream(505, "norm", "h", i))[0]
-        total += float(np.sum(np.abs(h) ** 2))
+    for start in range(0, reals, chunk):
+        hops = [
+            mmwave._link_draw(
+                scene, Link.TX_RIS, substream(505, "norm", "h", i),
+                draw_clusters(scene, Link.TX_RIS, substream(505, "norm", "cl", i)),
+            )
+            for i in range(start, start + chunk)
+        ]
+        for h, _ in mmwave.hop_matrices(hops):
+            total += float(np.sum(np.abs(h) ** 2))
     ratio = total / reals / scene.n
     ok = 0.98 <= ratio <= 1.02
     report("fading normalization", ok, f"E[||h||^2]/N = {ratio:.4f} over 1e5 draws (target 1 +/- 0.02)")
+    assert ok
+
+
+def _log_slope(xs, ys) -> float:
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+
+
+def test_far_field_beamforming_law():
+    """Cophased LOS-only composed power with the direct link off follows the
+    far-field law of Tang et al. (IEEE TWC 2021): N^2 d1^-n d2^-n, here with
+    the free-space exponent n = 2 set through a ``params`` table. Log-log
+    slopes over N, over d1 (Tx moved along a fixed direction from the
+    surface) and over d2 (Rx likewise) within 1e-6."""
+    base = {
+        "environment": "InH_IndoorOffice", "frequency_ghz": 28.0,
+        "tx": [0.0, 25.0, 2.0], "rx": [38.0, 48.0, 1.0], "ris": [40.0, 50.0, 2.0],
+        "n": 64, "ris_facing": -1, "clustered": False,
+        "los": {"tx_ris": "on", "ris_rx": "on", "tx_rx": "off"},
+        "params": {"InH_IndoorOffice": {"exponent_los": 2.0}},
+    }
+
+    def power(**over):
+        scene = load_config(dict(base, **over)).scene
+        real = realize(scene, 9, 0, clustered=False)
+        cfg = phases_cophase(real.H[:, 0], real.G[0, :])
+        return float(np.abs(compose_end_to_end(real, cfg)[0, 0]) ** 2)
+
+    ris = np.array(base["ris"])
+    sizes = (16, 64, 256)
+    n_slope = _log_slope(sizes, [power(n=n) for n in sizes])
+    scales = (0.5, 1.0, 2.0, 4.0)
+    slopes = []
+    for end in ("tx", "rx"):
+        offset = np.array(base[end]) - ris
+        dists = [s * float(np.linalg.norm(offset)) for s in scales]
+        slopes.append(_log_slope(dists, [power(**{end: list(ris + s * offset)}) for s in scales]))
+    ok = abs(n_slope - 2.0) <= 1e-6 and all(abs(x + 2.0) <= 1e-6 for x in slopes)
+    report(
+        "far-field beamforming law",
+        ok,
+        f"slopes: N {n_slope:.9f} (target 2), d1 {slopes[0]:.9f}, d2 {slopes[1]:.9f} (target -2)",
+    )
+    assert ok
+
+
+def test_near_field_capture_bound():
+    """Summed over a square panel at 3.5 GHz and y = 0.5 m, the exact
+    per-element capture (Bjornson & Sanguinetti, IEEE OJ-COMS 2020) rises
+    monotonically with the panel size and stays below the infinite-surface
+    limit 1/3, departing further from N times the one-element far-field
+    value as the panel grows."""
+    wavelength = SPEED_OF_LIGHT / 3.5e9
+    front = SurfaceOrientation(Plane.XZ, facing=1)
+    center, rx = Point3(0.0, 0.0, 0.0), Point3(0.0, 0.5, 0.0)
+    edge = ArrayGeometry(1, 1, orientation=front).spacing_m(wavelength)
+    far_one = edge**2 / (4.0 * math.pi * 0.5**2)
+    sums, ratios = [], []
+    for side in (16, 64, 256, 512):
+        panel = ArrayGeometry(side, side, orientation=front)
+        sums.append(float(nearfield_element_capture(panel, wavelength, center, rx).sum()))
+        ratios.append(sums[-1] / (panel.size * far_one))
+    ok = (
+        all(a < b for a, b in zip(sums, sums[1:]))
+        and sums[-1] < 1.0 / 3.0
+        and all(a > b for a, b in zip(ratios, ratios[1:]))
+    )
+    report(
+        "near-field capture bound",
+        ok,
+        "sums " + ", ".join(f"{x:.4f}" for x in sums)
+        + " (monotone, < 1/3); over N x far-field: " + ", ".join(f"{x:.3g}" for x in ratios),
+    )
     assert ok
 
 
@@ -371,7 +454,32 @@ SUB6_NEAR_FIELD_CONFIG = {
     "ris_facing": -1,
     "control": {"strategy": "cophase"},
 }
+# SHA-256 of the tensor files of the two configurations above, pinned like
+# ``GOLDEN_DIGESTS``: the multi-panel MIMO draw path and the sub-6 near-field
+# path are as bound to their bytes as the single-surface SISO one.
+MIMO_TWO_PANEL_DIGESTS = {
+    "H0": "8202bd481ed4ffa7fc9372c066ff04add6364be720fde4f9d0c5c9f14af3903c",
+    "G0": "fc0df5a81caadc1699e6bca38460e1bd6d4c86622068f383764edc95b054bf32",
+    "H1": "5079657fa318907d5823c2a1807f5d229e8ec0055b85c1af3ad84a0475f40424",
+    "G1": "bb472320d8b22a540bd02cbc7451ca0196eae263c194471c118ff37b875c2e26",
+    "D": "dd1a8d494b019f43111fdfadafd12b21e5f6b9e8fc4687e9ca8c4726a4d5b83b",
+}
+SUB6_NEAR_FIELD_DIGESTS = {
+    "H": "371d09d8662b9e8bfba958da2a01becda45870929a9bb5c7f098869cd66826d1",
+    "G": "488d337fe6b5ce0e906aebf245f95992cbb9abfd3586fcf232cdba686e0b5c48",
+    "D": "e92593502ffc6607b64217d2224ba2d301b64c2ca59075519d3167b3d46aa1ab",
+}
 OPENBLAS_CORES = ("Haswell", "Sandybridge", "Prescott")
+
+
+def test_pinned_digests_of_mimo_and_near_field_runs():
+    """The two-panel 4x4 MIMO and near-field sub-6 runs write their pinned
+    tensor digests."""
+    got = [platform_probe.tensor_digests(c) for c in (MIMO_TWO_PANEL_CONFIG, SUB6_NEAR_FIELD_CONFIG)]
+    ok = got == [MIMO_TWO_PANEL_DIGESTS, SUB6_NEAR_FIELD_DIGESTS]
+    report("pinned MIMO and near-field digests", ok, f"match: {ok}; platform: {platform_probe.describe()}")
+    assert got[0] == MIMO_TWO_PANEL_DIGESTS
+    assert got[1] == SUB6_NEAR_FIELD_DIGESTS
 
 
 @pytest.mark.skipif(
@@ -386,8 +494,8 @@ def test_digests_across_blas_kernels_and_simd_levels():
     """The tensor bytes depend on the seed and the configuration only: the
     golden, two-panel MIMO and near-field sub-6 runs write the same digests
     under three OpenBLAS kernel sets times three numpy SIMD dispatch levels
-    (all targets, all but the lowest disabled, all disabled), and the golden
-    run writes ``GOLDEN_DIGESTS``."""
+    (all targets, all but the lowest disabled, all disabled), and each run
+    writes its pinned digests."""
     configs = [GOLDEN_CONFIG, MIMO_TWO_PANEL_CONFIG, SUB6_NEAR_FIELD_CONFIG]
     targets = platform_probe.simd_dispatch_targets()
     levels = ("", " ".join(targets[1:]), " ".join(targets))
@@ -411,7 +519,8 @@ def test_digests_across_blas_kernels_and_simd_levels():
     simd = {tuple(r["simd"]) for r in reports.values()}
     first = next(iter(reports.values()))["digests"]
     differing = [key for key, r in reports.items() if r["digests"] != first]
-    ok = len(cores) >= 2 and len(simd) >= 2 and not differing and first[0] == GOLDEN_DIGESTS
+    pinned = [GOLDEN_DIGESTS, MIMO_TWO_PANEL_DIGESTS, SUB6_NEAR_FIELD_DIGESTS]
+    ok = len(cores) >= 2 and len(simd) >= 2 and not differing and first == pinned
     report(
         "digests across BLAS kernels and SIMD levels",
         ok,
@@ -422,6 +531,8 @@ def test_digests_across_blas_kernels_and_simd_levels():
     assert len(simd) >= 2, f"NPY_DISABLE_CPU_FEATURES took no effect: {simd}"
     assert not differing, {key: reports[key] for key in differing[:2]} | {"reference": first}
     assert first[0] == GOLDEN_DIGESTS
+    assert first[1] == MIMO_TWO_PANEL_DIGESTS
+    assert first[2] == SUB6_NEAR_FIELD_DIGESTS
 
 
 def test_mimo_reduction_and_los_rank():

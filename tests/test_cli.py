@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, overrides, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -188,13 +189,63 @@ class TestExitCodes:
     def test_runtime_failure(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,
-            bounds=[[0.0, 0.5], [0.0, 0.5], [0.0, 0.5]],
+            # a 2 m box holds no scatterer 5 m from both ends of a link
+            bounds=[[0.0, 2.0], [0.0, 2.0], [0.0, 2.0]],
             tx=[0.1, 0.1, 0.1],
-            ris=[0.4, 0.45, 0.4],
-            rx=[0.3, 0.2, 0.2],
+            ris=[1.6, 1.95, 1.6],
+            rx=[1.2, 0.5, 0.4],
+            scattering={"min_leg_m": 5.0},
         )
         assert main(["gen", "-c", str(cfg)]) == 3
         assert "error" in capsys.readouterr().err
+
+
+class TestCloseInReference:
+    """A link the band evaluates with the close-in law must span its 1 m
+    reference distance; a shorter one is a config error (exit 2) before
+    any work starts, and a coverage cell that makes one comes out NaN."""
+
+    NEAR_RIS = [40.0, 49.5, 2.0]  # 0.5 m in front of the surface
+
+    @pytest.mark.parametrize(
+        "over, ends",
+        [
+            ({"rx": NEAR_RIS}, "ris and rx are 0.5 m apart"),
+            ({**SUB6, "rx": [0.5, 25.0, 2.0]}, "tx and rx are 0.5 m apart"),
+            ({**SUB6, "rx": NEAR_RIS, "sub6": {"g_mode": "far"}}, "ris and rx are 0.5 m apart"),
+        ],
+        ids=["mmwave_rx_near_ris", "sub6_rx_near_tx", "sub6_far_rx_near_ris"],
+    )
+    def test_short_link_rejected(self, tmp_path, capsys, over, ends):
+        cfg = write_cfg(tmp_path, **over)
+        for command in ("validate", "gen"):
+            assert main([command, "-c", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert ends in err and "close-in" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_near_field_sub6_unaffected(self, tmp_path):
+        # inside the 16x16 panel's Fraunhofer distance the surface -> Rx hop
+        # is the near-field response, which no close-in law evaluates
+        cfg = write_cfg(tmp_path, **SUB6, n=256, rx=self.NEAR_RIS)
+        assert main(["gen", "-c", str(cfg)]) == 0
+        assert read_metadata(tmp_path / "out" / "metadata.json")["files"]["G"]
+
+    def test_coverage_cell_too_close_is_nan(self, tmp_path):
+        def grid(y_max, name):
+            cfg = write_cfg(
+                tmp_path, name=f"{name}.json", out_dir=str(tmp_path / name),
+                coverage={"x": [38.0, 40.0], "y": [45.5, y_max], "step": 2.0, "z": 2.0},
+                control={"strategy": "cophase"},
+            )
+            assert main(["coverage", "-c", str(cfg)]) == 0
+            rows = (tmp_path / name / "coverage.csv").read_text().splitlines()[1:]
+            return {tuple(r.split(",")[:2]): float(r.split(",")[2]) for r in rows}
+
+        full, without = grid(49.5, "full"), grid(47.5, "without")
+        assert math.isnan(full.pop(("40", "49.5")))
+        assert full.pop(("38", "49.5")) > 0.0
+        assert full == without
 
 
 class TestOverrides:

@@ -537,10 +537,12 @@ class TestRun:
     def test_generation_failure_propagates(self, tmp_path):
         cfg = run_cfg(
             tmp_path,
-            bounds=[[0.0, 0.5], [0.0, 0.5], [0.0, 0.5]],
+            # a 2 m box holds no scatterer 5 m from both ends of a link
+            bounds=[[0.0, 2.0], [0.0, 2.0], [0.0, 2.0]],
             tx=[0.1, 0.1, 0.1],
-            ris=[0.4, 0.45, 0.4],
-            rx=[0.3, 0.2, 0.2],
+            ris=[1.6, 1.95, 1.6],
+            rx=[1.2, 0.5, 0.4],
+            scattering={"min_leg_m": 5.0},
         )
         with pytest.raises(GenerationError, match="inadmissible"):
             run(cfg)

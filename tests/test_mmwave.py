@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rischan import mmwave
 from rischan.arrays import ArrayGeometry
@@ -12,13 +14,16 @@ from rischan.geometry import Plane, Point3, SurfaceOrientation, distance, distan
 from rischan.mmwave import (
     ChannelRealization,
     RealizationStreams,
+    assemble,
     compose,
     compose_end_to_end,
+    draw,
     realize,
 )
 from rischan.multiris import RisPanel, realize_multi
 from rischan.propagation import los_probability, path_loss
 from rischan.scattering import Link, generate_clusters, share_clusters
+from rischan.scene import LOS_MODES
 from rischan.streams import substream
 
 from conftest import count_substreams, make_indoor_scene, make_outdoor_scene
@@ -97,16 +102,16 @@ class TestRealize:
         assert not np.array_equal(a.H, b.H)
 
     def test_panel_changes_surface_draws_not_direct(self, indoor_scene):
-        def draw(scene, panel):
-            streams = RealizationStreams.derive(99, 0, panel=panel)
-            return mmwave._draw_panels([(scene, streams)], True, 0)
-
-        a, b = draw(indoor_scene, 0), draw(indoor_scene, 1)
-        assert not np.array_equal(a.H, b.H)
+        # a second, identical panel draws from the panel-1 streams
+        twin = RisPanel(indoor_scene.ris, indoor_scene.ris_geometry)
+        two = realize(make_indoor_scene(extra_panels=(twin,)), master_seed=99)
+        assert not np.array_equal(two.hops[0][0], two.hops[1][0])
         # direct link streams carry no panel tag, but the shared indoor
-        # cluster set re-views the (panel-tagged) Tx-side scatterers
-        scene = make_indoor_scene(share_direct_clusters=False)
-        np.testing.assert_array_equal(draw(scene, 0).D, draw(scene, 1).D)
+        # cluster set re-views the (panel-tagged) Tx-side scatterers, so
+        # compare with the one-panel scene that draws its own direct set
+        one = realize(make_indoor_scene(share_direct_clusters=False), master_seed=99)
+        np.testing.assert_array_equal(two.D, one.D)
+        np.testing.assert_array_equal(two.hops[0][0], one.H)
 
     def test_indoor_g_hop_is_pure_los(self, indoor_scene):
         real = realize(indoor_scene, master_seed=3)
@@ -142,8 +147,8 @@ def test_los_block_consumes_fixed_draws():
     off = make_indoor_scene(los_tx_ris="off")
     rng_on = substream(1, "fixed")
     rng_off = substream(1, "fixed")
-    mmwave._hop(on, Link.TX_RIS, None, rng_on)
-    mmwave._hop(off, Link.TX_RIS, None, rng_off)
+    mmwave._link_draw(on, Link.TX_RIS, rng_on, None)
+    mmwave._link_draw(off, Link.TX_RIS, rng_off, None)
     assert rng_on.uniform() == rng_off.uniform()
 
 
@@ -152,8 +157,8 @@ def test_shadow_los_adds_one_draw():
     shadowed = make_indoor_scene(shadow_los=True)
     r1 = substream(2, "fixed")
     r2 = substream(2, "fixed")
-    mmwave._hop(plain, Link.TX_RIS, None, r1)
-    mmwave._hop(shadowed, Link.TX_RIS, None, r2)
+    mmwave._link_draw(plain, Link.TX_RIS, r1, None)
+    mmwave._link_draw(shadowed, Link.TX_RIS, r2, None)
     # the shadowed variant consumed one extra normal; streams have diverged
     assert r1.uniform() != r2.uniform()
 
@@ -166,10 +171,14 @@ def test_outdoor_g_has_clusters(outdoor_scene):
 
 
 def test_gen_mimo_from_named_streams(indoor_scene):
-    """A draw from pre-derived named streams is the seeded draw."""
-    streams = RealizationStreams.derive(7, 0)
-    real = mmwave._draw_panels([(indoor_scene, streams)], True, 0)
+    """The variates of a draw come from the seeded named streams: the LOS
+    block of H is the first three draws of its ``("link", "h")`` stream."""
+    rec = draw(indoor_scene, 7, 0)
+    twin = RealizationStreams.derive(7, 0).h
+    hop = rec.hops[0]
+    assert (hop.u, hop.phase) == (twin.uniform(), twin.uniform(0.0, 2 * math.pi))
     again = realize(indoor_scene, master_seed=7, index=0)
+    real = assemble([rec])[0]
     np.testing.assert_array_equal(real.H, again.H)
     np.testing.assert_array_equal(real.G, again.G)
     np.testing.assert_array_equal(real.D, again.D)
@@ -192,8 +201,9 @@ class TestLazyStreams:
         for name in self.ALL:
             getattr(forced, name)
         assert len(calls) == 5 + 8
+        monkeypatch.setattr(RealizationStreams, "derive", lambda *args, **kw: forced)
         # a fresh scene, so nothing is kept from the draw above
-        full = mmwave._draw_panels([(make_indoor_scene(), forced)], True, 4)
+        full = realize(make_indoor_scene(), 11, index=4)
         for a, b in ((real.H, full.H), (real.G, full.G), (real.D, full.D)):
             assert a.tobytes() == b.tobytes()
 
@@ -216,6 +226,54 @@ class TestLazyStreams:
         realize_multi(scene, 3, 1)
         assert len(calls) == 2 * 5 + 3
         assert ("rxang", "g", 1, 1) in calls and ("rxang", "d", 1) in calls
+
+
+_EXTRA = {  # surfaces after the first, on the first one's wall
+    True: (Point3(20.0, 50.0, 2.0), Point3(60.0, 50.0, 2.5), SurfaceOrientation(Plane.XZ, facing=-1)),
+    False: (Point3(40.0, 0.0, 12.0), Point3(60.0, 0.0, 8.0), SurfaceOrientation(Plane.XZ, facing=1)),
+}
+_SCENES = st.builds(
+    lambda indoor, panels, nt, nr, los, shadow: (make_indoor_scene if indoor else make_outdoor_scene)(
+        ris_geometry=ArrayGeometry(3, 2, orientation=_EXTRA[indoor][2]),
+        extra_panels=tuple(RisPanel(p, ArrayGeometry(2, 2, orientation=_EXTRA[indoor][2]))
+                           for p in _EXTRA[indoor][:panels - 1]),
+        tx_geometry=ArrayGeometry(nt), rx_geometry=ArrayGeometry(nr),
+        los_tx_ris=los[0], los_ris_rx=los[1], los_tx_rx=los[2],
+        shadow_clustered=shadow[0], shadow_los=shadow[1],
+    ),
+    st.booleans(), st.integers(1, 3), st.sampled_from((1, 2, 4)), st.sampled_from((1, 2, 4)),
+    st.tuples(*[st.sampled_from(LOS_MODES)] * 3), st.tuples(st.booleans(), st.booleans()),
+)
+
+
+def _leaves(obj):
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_SCENES, st.integers(0, 9), st.booleans()), min_size=1, max_size=4))
+def test_assembly_is_the_same_in_any_batch(cases):
+    """``assemble(records)`` gives every record the bits that assembling it
+    alone gives, for any mix of scenes, and reads no stream: no generator is
+    left in the records, and deriving one fails."""
+    records = [draw(scene, 17, index, clustered) for scene, index, clustered in cases]
+    assert not any(isinstance(x, np.random.Generator) for x in _leaves(records))
+    original = mmwave.substream
+    mmwave.substream = None  # any stream derivation from here on raises
+    try:
+        together = assemble(records)
+        alone = [assemble([r])[0] for r in records]
+    finally:
+        mmwave.substream = original
+    for a, b in zip(together, alone):
+        mats_a = [m for hop in a.hops for m in hop] + [a.D]
+        mats_b = [m for hop in b.hops for m in hop] + [b.D]
+        assert [m.tobytes() for m in mats_a] == [m.tobytes() for m in mats_b]
+        assert (a.los_panels, a.los_direct, a.index) == (b.los_panels, b.los_direct, b.index)
 
 
 class TestCompose:
@@ -288,7 +346,7 @@ def test_direct_scalar_oracle(indoor_scene):
     streams = RealizationStreams.derive(seed, 0)
     cl_h = generate_clusters(indoor_scene, Link.TX_RIS, streams.clusters_h)
     cl_d = share_clusters(indoor_scene, cl_h, streams.clusters_d)
-    d = mmwave._hop(indoor_scene, Link.TX_RX, cl_d, streams.d)[0][0, 0]
+    d = realize(indoor_scene, master_seed=seed).D[0, 0]
 
     coeff = cl_d.fading * np.sqrt(cl_d.attenuation) * np.exp(1j * cl_d.extra_phase)
     expected = coeff.sum() / math.sqrt(cl_d.n_subrays)

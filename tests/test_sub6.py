@@ -150,7 +150,7 @@ def _wrap_azimuth(a):
     return np.where(w == -math.pi, math.pi, w)
 
 
-def _hop(scene, link, prof, rng, params=None):
+def _far_hop(scene, link, prof, rng, params=None):
     """The value of one far-field hop drawn from ``rng``."""
     return sub6._sub6_hop(scene, link, prof, rng, params or Sub6Params())[0]
 
@@ -164,11 +164,11 @@ class TestFarFieldHops:
     def test_h_shape_and_determinism(self):
         scene = make_sub6_scene()
         prof = _fixed_profile()
-        h1 = _hop(scene, Link.TX_RIS, prof, np.random.default_rng(7))
-        h2 = _hop(scene, Link.TX_RIS, prof, np.random.default_rng(7))
+        h1 = _far_hop(scene, Link.TX_RIS, prof, np.random.default_rng(7))
+        h2 = _far_hop(scene, Link.TX_RIS, prof, np.random.default_rng(7))
         assert h1.shape == (16,)
         np.testing.assert_array_equal(h1, h2)
-        h3 = _hop(scene, Link.TX_RIS, prof, np.random.default_rng(8))
+        h3 = _far_hop(scene, Link.TX_RIS, prof, np.random.default_rng(8))
         assert not np.array_equal(h1, h3)
 
     def test_h_full_draw_oracle(self):
@@ -176,7 +176,7 @@ class TestFarFieldHops:
         scene = make_sub6_scene(los_tx_ris="on")
         p = Sub6Params(n_clusters=3, n_rays=5)
         prof = _fixed_profile(3)
-        got = _hop(scene, Link.TX_RIS, prof, np.random.default_rng(42), p)
+        got = _far_hop(scene, Link.TX_RIS, prof, np.random.default_rng(42), p)
 
         twin = np.random.default_rng(42)
         twin.uniform()  # visibility draw, outcome forced by the "on" mode
@@ -210,7 +210,7 @@ class TestFarFieldHops:
         scene = make_sub6_scene()
         p = Sub6Params(n_clusters=4, n_rays=3)
         prof = _fixed_profile(4)
-        got = _hop(scene, Link.TX_RX, prof, np.random.default_rng(11), p)
+        got = _far_hop(scene, Link.TX_RX, prof, np.random.default_rng(11), p)
         assert isinstance(got, complex)
 
         twin = np.random.default_rng(11)
@@ -235,8 +235,8 @@ class TestFarFieldHops:
         shadowed = make_sub6_scene(shadow_los=True)
         prof = _fixed_profile()
         r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
-        _hop(base, Link.TX_RX, prof, r1)
-        _hop(shadowed, Link.TX_RX, prof, r2)
+        _far_hop(base, Link.TX_RX, prof, r1)
+        _far_hop(shadowed, Link.TX_RX, prof, r2)
         assert r1.uniform() != r2.uniform()
 
     def test_hop_mean_power_tracks_loss(self):
@@ -251,14 +251,14 @@ class TestFarFieldHops:
             los=True,
         ).linear
         vals = [
-            _hop(scene, Link.TX_RX, prof, np.random.default_rng(1000 + i)) for i in range(4000)
+            _far_hop(scene, Link.TX_RX, prof, np.random.default_rng(1000 + i)) for i in range(4000)
         ]
         mean_pow = np.mean(np.abs(vals) ** 2)
         assert mean_pow == pytest.approx(loss, rel=0.1)
 
     def test_g_far_shape(self):
         scene = make_sub6_scene()
-        g = _hop(scene, Link.RIS_RX, _fixed_profile(), np.random.default_rng(2))
+        g = _far_hop(scene, Link.RIS_RX, _fixed_profile(), np.random.default_rng(2))
         assert g.shape == (16,)
         assert np.all(np.isfinite(g))
 
@@ -451,11 +451,11 @@ class TestRealizeSub6:
         real = realize_sub6(scene, 17, index=2, params=p, g_mode="far")
         streams = Sub6Streams.derive(17, 2)
         prof_h = gen_cluster_powers(streams.powers_h, p)
-        np.testing.assert_array_equal(real.H[:, 0], _hop(scene, Link.TX_RIS, prof_h, streams.h, p))
+        np.testing.assert_array_equal(real.H[:, 0], _far_hop(scene, Link.TX_RIS, prof_h, streams.h, p))
         prof_g = gen_cluster_powers(streams.powers_g, p)
-        np.testing.assert_array_equal(real.G[0, :], _hop(scene, Link.RIS_RX, prof_g, streams.g, p))
+        np.testing.assert_array_equal(real.G[0, :], _far_hop(scene, Link.RIS_RX, prof_g, streams.g, p))
         prof_d = gen_cluster_powers(streams.powers_d, p)
-        assert real.D[0, 0] == _hop(scene, Link.TX_RX, prof_d, streams.d, p)
+        assert real.D[0, 0] == _far_hop(scene, Link.TX_RX, prof_d, streams.d, p)
 
     def test_auto_near_uses_deterministic_g(self):
         scene = make_near_scene()
