@@ -25,8 +25,10 @@ config = {
     "coverage": {"x": [5.0, 70.0], "y": [5.0, 45.0], "step": 5.0, "z": 1.0},
 }
 
-grid, result = coverage_run(load_config(config))
-rates = grid.mean_rate
+run_config = load_config(config)
+result = coverage_run(run_config)
+rates = result.rates  # (x, y) grid of mean rates
+xs, ys = run_config.coverage.xs, run_config.coverage.ys
 
 print(f"cells: {rates.shape[0]} x {rates.shape[1]}, {config['realizations']} draws each")
 print(f"rate range: {np.nanmin(rates):.2f} .. {np.nanmax(rates):.2f} bit/s/Hz")
@@ -35,17 +37,17 @@ print(f"csv written to {result.files['coverage']}\n")
 # bin into 5 shade levels for a terminal rendering, highest y row on top
 shades = " .:*#"
 lo, hi = np.nanmin(rates), np.nanmax(rates)
-for iy in reversed(range(grid.ys.size)):
+for iy in reversed(range(ys.size)):
     row = ""
-    for ix in range(grid.xs.size):
+    for ix in range(xs.size):
         v = rates[ix, iy]
         if np.isnan(v):
             row += "?"
             continue
         level = int((v - lo) / (hi - lo + 1e-12) * (len(shades) - 1))
         row += shades[level]
-    print(f"y={grid.ys[iy]:5.1f} |{row}|")
-print(" " * 10 + "".join("^" if x % 20 == 0 else " " for x in grid.xs.astype(int)))
+    print(f"y={ys[iy]:5.1f} |{row}|")
+print(" " * 10 + "".join("^" if x % 20 == 0 else " " for x in xs.astype(int)))
 print("darker = faster; with a 64-element surface the sweep is still dominated")
 print("by proximity to the Tx at x=0, y=25 (larger N lifts the cells under")
 print("the surface at x=40, y=50 by another bit/s/Hz or so)")

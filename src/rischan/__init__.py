@@ -29,7 +29,6 @@ from .control import (
 )
 from .engine import (
     CoverageArea,
-    CoverageGrid,
     RunConfig,
     RunResult,
     coverage_run,

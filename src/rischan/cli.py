@@ -114,14 +114,12 @@ def main(argv=None) -> int:
             print(f"  {config.scene.describe()}")
             return 0
         if args.command == "coverage":
-            grid, result = coverage_run(config)
+            result = coverage_run(config)
             _print_result(result)
-            finite = grid.mean_rate[~np.isnan(grid.mean_rate)]
+            finite = result.rates[~np.isnan(result.rates)]
             if finite.size:
-                print(
-                    f"grid {grid.xs.size}x{grid.ys.size}: rate "
-                    f"min={finite.min():.4f} max={finite.max():.4f} bit/s/Hz"
-                )
+                nx, ny = result.rates.shape
+                print(f"grid {nx}x{ny}: rate min={finite.min():.4f} max={finite.max():.4f} bit/s/Hz")
             return 0
         # gen and rate share the run path; gen skips the rate table
         if args.command == "gen":

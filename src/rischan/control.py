@@ -36,6 +36,13 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
+def _snap(phases: np.ndarray, bits: int) -> np.ndarray:
+    """Each phase at the nearest of 2^bits uniform levels, ties rounding up."""
+    levels = 1 << bits
+    step = _TWO_PI / levels
+    return np.mod(np.floor(phases / step + 0.5), levels) * step
+
+
 @dataclass(frozen=True, eq=False)
 class RisPhaseConfig:
     """Per-element reflection phases in radians, wrapped to [0, 2 pi).
@@ -59,9 +66,7 @@ class RisPhaseConfig:
         if self.quant_bits is not None:
             if not (1 <= int(self.quant_bits) <= 16):
                 raise ValueError(f"quant_bits must be in 1..16, got {self.quant_bits!r}")
-            step = _TWO_PI / (1 << int(self.quant_bits))
-            snapped = np.mod(np.floor(phi / step + 0.5), 1 << int(self.quant_bits)) * step
-            if not np.allclose(phi, snapped, atol=1e-9):
+            if not np.allclose(phi, _snap(phi, int(self.quant_bits)), atol=1e-9):
                 raise ValueError(
                     f"phases are off the 2^{self.quant_bits}-level grid they claim to be on"
                 )
@@ -137,10 +142,7 @@ def quantize_phases(config: RisPhaseConfig, bits: int) -> RisPhaseConfig:
     """
     if not (1 <= bits <= 16):
         raise ValueError(f"bits must be in 1..16, got {bits!r}")
-    levels = 1 << bits
-    step = _TWO_PI / levels
-    k = np.mod(np.floor(config.phases / step + 0.5), levels)
-    return RisPhaseConfig(k * step, quant_bits=bits, note=config.note)
+    return RisPhaseConfig(_snap(config.phases, bits), quant_bits=bits, note=config.note)
 
 def snr_ratio(tx_power_dbm: float, noise_dbm: float) -> float:
     """Transmit-to-noise power ratio rho = 10^((tx - noise) / 10), linear.

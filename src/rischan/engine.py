@@ -5,7 +5,9 @@ validated into a :class:`RunConfig`. ``run`` generates the requested number
 of channel realizations, applies the configured surface control strategy,
 evaluates rates, and writes channel tensors, a rates table, and a metadata
 sidecar. ``coverage_run`` sweeps the receiver over a grid and records the
-per-cell mean rate.
+per-cell mean rate. Both write through one output path: chunks of indices
+mapped in index order, appended to ``.part`` files, hashed, listed in the
+sidecar and published together.
 
 Everything is reproducible from (config, seed): realizations and grid cells
 consume hash-derived substreams, so results do not depend on worker count
@@ -43,7 +45,7 @@ from .multiris import compose_multi, realize_multi
 from .propagation import CLOSE_IN_REF_M, Environment, EnvironmentKind
 from .scattering import Link, ScatteringParams
 from .scene import LOS_MODES, RisPanel, Scene
-from .simio import MAX_DIM, file_digest, write_metadata, write_tensor, write_tensor_csv
+from .simio import MAX_DIM, file_digest, write_csv, write_metadata, write_tensor, write_tensor_csv
 from .streams import cell_seed, substream
 from .sub6 import Sub6Params, element_edge, realize_sub6, select_g_mode
 
@@ -51,7 +53,6 @@ __all__ = [
     "BANDS",
     "STRATEGIES",
     "CoverageArea",
-    "CoverageGrid",
     "RunConfig",
     "RunResult",
     "load_config",
@@ -109,16 +110,6 @@ class CoverageArea:
     @property
     def ys(self) -> np.ndarray:
         return self.axis(*self.y_range)
-
-
-@dataclass(frozen=True, eq=False)
-class CoverageGrid:
-    """Mean achievable rate over a receiver grid."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-    z: float
-    mean_rate: np.ndarray  # (len(xs), len(ys)), bit/s/Hz; NaN where unreachable
 
 
 @dataclass(frozen=True)
@@ -576,28 +567,6 @@ def _channel_matrices(real) -> dict[str, np.ndarray]:
     """One realization's matrices under the names of ``_tensor_dims``."""
     return _by_tensor_name(real.hops, real.D)
 
-def _run_chunk(config: RunConfig, indices: range, parts: dict[str, Path]) -> list[float]:
-    """Draw realizations ``indices`` and append them to the part files."""
-    results = _map_ordered(
-        lambda i: _one_realization(config, config.scene, config.seed, i), indices, config.workers
-    )
-    start = indices.start
-    if config.write_channels:
-        mats = [_channel_matrices(real) for real, _ in results]
-        for name in mats[0]:
-            chunk = [m[name] for m in mats]
-            write_tensor(parts[name], chunk, start, config.realizations)
-            if config.csv:
-                write_tensor_csv(parts[f"{name}_csv"], chunk, start)
-    rates = [rate for _, rate in results]
-    if config.write_rates:
-        with open(parts["rates"], "w" if start == 0 else "a", encoding="utf-8", newline="\n") as fh:
-            if start == 0:
-                fh.write("index,rate_bits_hz\n")
-            for i, r in enumerate(rates, start):
-                fh.write(f"{i},{r:.12g}\n")
-    return rates
-
 def _part(path: Path) -> Path:
     """Where ``path`` is written until it is complete."""
     return path.with_name(path.name + ".part")
@@ -642,6 +611,34 @@ def _metadata(config: RunConfig, **fields) -> dict:
         **fields,
     }
 
+def _stream(config: RunConfig, files: dict[str, Path], count: int, step: int, work, append):
+    """Write ``files`` under their ``.part`` names, chunk by chunk, and
+    return their digests by key; ``config.out_dir`` is created if missing.
+
+    ``work`` maps over the indices ``0 .. count - 1``, ``step`` at a time
+    and in index order (``_map_ordered``), and ``append(parts, start,
+    results)`` appends each chunk's results to the part files. If anything
+    raises, the part files are removed."""
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    parts = {key: _part(path) for key, path in files.items()}
+    with _removed_on_error(parts.values()):
+        for start in range(0, count, step):
+            chunk = range(start, min(start + step, count))
+            append(parts, start, _map_ordered(work, chunk, config.workers))
+        return {key: file_digest(part) for key, part in parts.items()}
+
+def _result(config: RunConfig, files, digests, rates, dims, **fields) -> RunResult:
+    """Publish ``files`` with a sidecar of the run's ``fields`` that lists
+    every file with its digest, and its ``dims`` for a tensor."""
+    listing = {
+        key: {"file": path.name, "sha256": digests[key]}
+        | ({"dims": [config.realizations, *dims[key]]} if key in dims else {})
+        for key, path in files.items()
+    }
+    metadata = _metadata(config, **fields, files=listing)
+    files = {**files, "metadata": _publish(config.out_dir, files, metadata)}
+    return RunResult(out_dir=config.out_dir, files=files, digests=digests, rates=rates, metadata=metadata)
+
 def run(config: RunConfig) -> RunResult:
     """Execute a realization run and write its outputs.
 
@@ -660,64 +657,65 @@ def run(config: RunConfig) -> RunResult:
     sidecar is deleted before the first rename, so if a rename itself fails,
     the directory holds no ``metadata.json``.
     """
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     dims = _tensor_dims(config)
     files: dict[str, Path] = {}
-    file_meta: dict[str, dict] = {}
     if config.write_channels:
-        for name, shape in dims.items():
-            files[name] = out / f"{name}.risch"
-            file_meta[name] = {"file": files[name].name, "dims": [config.realizations, *shape]}
+        for name in dims:
+            files[name] = config.out_dir / f"{name}.risch"
             if config.csv:
-                files[f"{name}_csv"] = out / f"{name}.csv"
+                files[f"{name}_csv"] = config.out_dir / f"{name}.csv"
     if config.write_rates:
-        files["rates"] = out / "rates.csv"
-        file_meta["rates"] = {"file": "rates.csv"}
-    parts = {key: _part(path) for key, path in files.items()}
+        files["rates"] = config.out_dir / "rates.csv"
+    rates = np.empty(config.realizations)
+
+    def append(parts, start, results):
+        if config.write_channels:
+            mats = [_channel_matrices(real) for real, _ in results]
+            for name in dims:
+                chunk = [m[name] for m in mats]
+                write_tensor(parts[name], chunk, start, config.realizations)
+                if config.csv:
+                    write_tensor_csv(parts[f"{name}_csv"], chunk, start)
+        chunk_rates = [rate for _, rate in results]
+        rates[start:start + len(chunk_rates)] = chunk_rates
+        if config.write_rates:
+            write_csv(parts["rates"], "index,rate_bits_hz", "{},{:.12g}", enumerate(chunk_rates, start), start)
 
     per_draw = 16 * sum(rows * cols for rows, cols in dims.values())
-    step = max(1, _CHUNK_BYTES // per_draw)
-    rates = np.empty(config.realizations)
-    with _removed_on_error(parts.values()):
-        for start in range(0, config.realizations, step):
-            stop = min(start + step, config.realizations)
-            rates[start:stop] = _run_chunk(config, range(start, stop), parts)
-        digests = {key: file_digest(part) for key, part in parts.items()}
-    for key, entry in file_meta.items():
-        entry["sha256"] = digests[key]
-    metadata = _metadata(
-        config,
+    digests = _stream(
+        config, files, config.realizations, max(1, _CHUNK_BYTES // per_draw),
+        lambda i: _one_realization(config, config.scene, config.seed, i), append,
+    )
+    return _result(
+        config, files, digests, rates, dims,
         format="RISCH1",
         format_version=1,
         quant_bits=config.quant_bits,
         tx_power_dbm=config.tx_power_dbm,
         noise_dbm=config.noise_dbm,
-        mean_rate_bits_hz=float(rates.mean()) if rates.size else None,
-        files=file_meta,
+        mean_rate_bits_hz=float(rates.mean()),
     )
-    files["metadata"] = _publish(out, files, metadata)
-    return RunResult(out_dir=out, files=files, digests=digests, rates=rates, metadata=metadata)
 
-def coverage_run(config: RunConfig) -> tuple[CoverageGrid, RunResult]:
+def coverage_run(config: RunConfig) -> RunResult:
     """Sweep the receiver over the configured grid; mean rate per cell.
 
     Each cell gets its own hash-derived seed namespace, so the map is
     independent of cell evaluation order and worker count. Cells whose
     position collides with a terminal, or leaves a link the band evaluates
     with the close-in law shorter than its 1 m reference distance, come out
-    NaN. Writes ``coverage.csv`` (x, y, mean_rate_bits_hz) plus
-    ``metadata.json``, under ``.part`` names until both are complete, as
-    ``run`` does.
+    NaN. The result's ``rates`` is the (nx, ny) grid over
+    ``config.coverage.xs`` and ``.ys``. Writes ``coverage.csv`` (x, y,
+    mean_rate_bits_hz) one grid column (the cells of one x) at a time, plus
+    ``metadata.json``, through the output path of ``run``.
     """
     if config.coverage is None:
         raise ConfigError("coverage: section is required for a coverage run")
     area = config.coverage
     xs, ys = area.xs, area.ys
-    cells = [(ix, iy) for ix in range(xs.size) for iy in range(ys.size)]
+    grid = np.empty((xs.size, ys.size))
 
     def one_cell(cell):
-        ix, iy = cell
+        ix, iy = divmod(cell, ys.size)
         pos = Point3(float(xs[ix]), float(ys[iy]), area.z)
         try:
             scene = config.scene.with_rx(pos)
@@ -730,30 +728,13 @@ def coverage_run(config: RunConfig) -> tuple[CoverageGrid, RunResult]:
             total += _one_realization(config, scene, seed_val, i)[1]
         return total / config.realizations
 
-    values = _map_ordered(one_cell, cells, config.workers)
-    grid = np.array(values).reshape(xs.size, ys.size)
+    def append(parts, start, values):
+        grid.flat[start:start + len(values)] = values
+        x = xs[start // ys.size]
+        rows = ((x, y, value) for y, value in zip(ys, values))
+        write_csv(parts["coverage"], "x,y,mean_rate_bits_hz", "{:.12g},{:.12g},{:.12g}", rows, start)
 
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "coverage.csv"
-    with _removed_on_error([_part(path)]):
-        with open(_part(path), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x,y,mean_rate_bits_hz\n")
-            for ix in range(xs.size):
-                for iy in range(ys.size):
-                    fh.write(f"{xs[ix]:.12g},{ys[iy]:.12g},{grid[ix, iy]:.12g}\n")
-        digest = file_digest(_part(path))
-    metadata = _metadata(
-        config,
-        grid={"nx": int(xs.size), "ny": int(ys.size), "z": area.z, "step": area.step},
-        files={"coverage": {"file": path.name, "sha256": digest}},
-    )
-    meta_path = _publish(out, {"coverage": path}, metadata)
-    result = RunResult(
-        out_dir=out,
-        files={"coverage": path, "metadata": meta_path},
-        digests={"coverage": digest},
-        rates=grid,
-        metadata=metadata,
-    )
-    return CoverageGrid(xs=xs, ys=ys, z=area.z, mean_rate=grid), result
+    files = {"coverage": config.out_dir / "coverage.csv"}
+    digests = _stream(config, files, grid.size, ys.size, one_cell, append)
+    grid_meta = {"nx": int(xs.size), "ny": int(ys.size), "z": area.z, "step": area.step}
+    return _result(config, files, digests, grid, {}, grid=grid_meta)

@@ -30,7 +30,7 @@ forms ``C = D + sum_k G_k diag(exp(j phi_k)) H_k``.
 Multi-antenna terminals turn each ray's rank-one contribution into an outer
 product of the two ends' array responses (plain transpose, no conjugation).
 Departure angles at the wall-mounted Tx are geometric; arrival angles at the
-mobile Rx are drawn uniformly (azimuth on (-pi, pi], elevation on [0, pi])
+mobile Rx are drawn uniformly (azimuth on [-pi, pi), elevation on [0, pi))
 from a dedicated stream, so single-antenna outputs are unaffected by the
 existence of the multi-antenna code path.
 
@@ -57,7 +57,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import elementary as ef
-from .arrays import array_axes, as_complex, power_factors, rank_one_sum
+from .arrays import array_axes, as_complex, cos_power_gain, power_factors, rank_one_sum
 # unused here, but bench/tracer.py wraps these names of this module
 from .arrays import element_gain, steering_matrix, steering_vector  # noqa: F401
 from .geometry import direction_unit
@@ -191,7 +191,7 @@ def _los(scene: Scene, link: Link) -> _LosConstants:
     return scene.constant(("los", link), _los_constants, scene, link)
 
 def _uniform_angles(rng, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m arrival directions at the mobile Rx: az U(-pi, pi], el U[0, pi]."""
+    """m arrival directions at the mobile Rx: az U[-pi, pi), el U[0, pi)."""
     az = rng.uniform(-math.pi, math.pi, size=m)
     el = rng.uniform(0.0, math.pi, size=m)
     return az, el
@@ -339,10 +339,7 @@ def hop_matrices(hops: Sequence[HopDraw]) -> list[tuple[np.ndarray, bool]]:
         power[db_rows] = PathLossSample(power[db_rows]).linear
     if cos:
         lengths = [stop - start for start, stop in gain_rows]
-        c = np.concatenate(cos)
-        front = c >= 0.0
-        gain = per_ray(peak, lengths) * ef.power(np.where(front, c, 0.0), per_ray(exponent, lengths))
-        gain = np.where(front, gain, 0.0)
+        gain = cos_power_gain(per_ray(peak, lengths), per_ray(exponent, lengths), np.concatenate(cos))
         for rows, k in _runs(gain_rows):
             power[rows] *= gain[k:k + rows.stop - rows.start]
     amp = np.sqrt(power)

@@ -97,21 +97,12 @@ class AngleSet:
 
     ``unit`` holds the (M, 3) unit vectors from the endpoint to the
     scatterers, ``cos_boresight`` their components along the endpoint's
-    surface normal. The generators use these; the angles (conventions of
-    :mod:`rischan.geometry`) are derived from them on first use.
+    surface normal. The generators use these; the boresight angle is
+    derived from them on first use.
     """
 
     unit: np.ndarray
     cos_boresight: np.ndarray
-
-    @cached_property
-    def azimuth(self) -> np.ndarray:
-        az = ef.arctan2(self.unit[:, 1], self.unit[:, 0])
-        return np.where(az == -math.pi, math.pi, az)  # keep azimuth in (-pi, pi]
-
-    @cached_property
-    def elevation(self) -> np.ndarray:
-        return ef.arccos(np.clip(self.unit[:, 2], -1.0, 1.0))
 
     @cached_property
     def boresight(self) -> np.ndarray:

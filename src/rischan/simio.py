@@ -12,20 +12,23 @@ Layout of a tensor file (all integers little-endian):
 One file holds one tensor; run metadata travels in a JSON sidecar written
 with sorted keys and no timestamps, so reruns of the same configuration are
 byte-identical. CSV export mirrors the payload as
-``realization,row,col,re,im`` rows in the same order.
+``realization,row,col,re,im`` rows in the same order, through
+``write_csv``, the one writer of every CSV table a run writes.
 
-Both writers stream: a call with ``start=0`` creates the file and writes its
+The writers stream: a call with ``start=0`` creates the file and writes its
 header (for a tensor file, the total realization count comes from ``total``),
-and a call with ``start`` equal to the realizations already written appends
-the next block. A run thus holds one block at a time, and the bytes do not
-depend on how the realizations were split into blocks. A tensor file whose
-payload stops short of its header's realization count is incomplete, and
-``read_tensor`` refuses it. ``file_digest`` hashes in fixed-size blocks.
+and a call with ``start`` equal to the realizations (or rows) already
+written appends the next block. A run thus holds one block at a time, and
+the bytes do not depend on how the realizations were split into blocks. A
+tensor file whose payload stops short of its header's realization count is
+incomplete, and ``read_tensor`` refuses it. ``file_digest`` hashes in
+fixed-size blocks.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import struct
 from pathlib import Path
@@ -38,6 +41,7 @@ __all__ = [
     "MAX_DIM",
     "write_tensor",
     "read_tensor",
+    "write_csv",
     "write_tensor_csv",
     "write_metadata",
     "read_metadata",
@@ -105,6 +109,18 @@ def read_tensor(path) -> np.ndarray:
         )
     return np.frombuffer(payload, dtype="<c16").reshape(dims).astype(np.complex128)
 
+def write_csv(path, header: str, row_format: str, rows, start: int = 0) -> None:
+    """CSV rows, each ``row_format.format(*row)`` on its own line.
+
+    ``start=0`` creates the file with its ``header`` line; a later ``start``
+    appends to it.
+    """
+    line = row_format + "\n"
+    with open(path, "w" if start == 0 else "a", encoding="utf-8", newline="\n") as fh:
+        if start == 0:
+            fh.write(header + "\n")
+        fh.writelines(line.format(*row) for row in rows)
+
 def write_tensor_csv(path, tensor, start: int = 0) -> None:
     """CSV mirror of a tensor, one value per row, row-major order.
 
@@ -114,15 +130,13 @@ def write_tensor_csv(path, tensor, start: int = 0) -> None:
     arr = np.asarray(tensor, dtype=np.complex128)
     if arr.ndim != 3:
         raise ValueError(f"tensor must be 3-d, got shape {arr.shape}")
-    with open(path, "w" if start == 0 else "a", encoding="utf-8", newline="\n") as fh:
-        if start == 0:
-            fh.write("realization,row,col,re,im\n")
-        n, rows, cols = arr.shape
-        for i in range(n):
-            for r in range(rows):
-                for c in range(cols):
-                    v = arr[i, r, c]
-                    fh.write(f"{start + i},{r},{c},{v.real:.17g},{v.imag:.17g}\n")
+    n, rows, cols = arr.shape
+    index = itertools.product(range(start, start + n), range(rows), range(cols))
+    values = zip(index, arr.real.ravel().tolist(), arr.imag.ravel().tolist())
+    write_csv(
+        path, "realization,row,col,re,im", "{},{},{},{:.17g},{:.17g}",
+        ((*ix, re, im) for ix, re, im in values), start,
+    )
 
 def write_metadata(path, metadata: dict) -> None:
     """Deterministic JSON sidecar: sorted keys, LF newline, no timestamps."""

@@ -17,8 +17,10 @@ from rischan import engine
 from rischan.arrays import ElementPattern
 from rischan.engine import CoverageArea, coverage_run, load_config, run
 from rischan.errors import ConfigError, GenerationError
+from rischan.geometry import Point3
 from rischan.scene import Scene
 from rischan.simio import MAX_DIM, file_digest, read_metadata, read_tensor
+from rischan.streams import cell_seed
 
 
 SUB6 = {"band": "sub6", "frequency_ghz": 3.5}
@@ -487,6 +489,18 @@ class TestRun:
         result = run(run_cfg(tmp_path, csv=True))
         assert "H_csv" in result.files and result.files["H_csv"].exists()
 
+    def test_sidecar_lists_every_file(self, tmp_path):
+        """The sidecar holds the digest of every file a run writes, the CSV
+        mirrors included, and each re-hashes to it."""
+        cfg = run_cfg(tmp_path, csv=True)
+        result = run(cfg)
+        files = read_metadata(cfg.out_dir / "metadata.json")["files"]
+        assert {key: entry["sha256"] for key, entry in files.items()} == result.digests
+        assert sorted(files) == ["D", "D_csv", "G", "G_csv", "H", "H_csv", "rates"]
+        for entry in files.values():
+            assert file_digest(cfg.out_dir / entry["file"]) == entry["sha256"]
+        assert files["H_csv"] == {"file": "H.csv", "sha256": result.digests["H_csv"]}
+
     def test_write_flags(self, tmp_path):
         cfg = run_cfg(tmp_path, write_channels=False)
         result = run(cfg)
@@ -612,28 +626,38 @@ class TestStreamingRun:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
-    def test_failed_run_leaves_nothing_complete(self, tmp_path, monkeypatch):
-        cfg = run_cfg(tmp_path, realizations=9, csv=True)
+    @pytest.mark.parametrize("entry", ["run", "coverage_run"])
+    def test_failed_run_leaves_nothing_complete(self, tmp_path, monkeypatch, entry):
+        """A draw that fails after the first chunk is appended (run: in the
+        third chunk of two draws; coverage: in the second grid column)
+        leaves no ``.part`` file, and over the outputs of a completed run it
+        changes no byte."""
+        cov = {"x": [36.0, 40.0], "y": [46.0, 48.0], "step": 2.0, "z": 1.0}
+        cfg = run_cfg(tmp_path, realizations=9, csv=True, coverage=cov)
         monkeypatch.setattr(engine, "_CHUNK_BYTES", 2 * draw_bytes(cfg))
-        original = engine._one_realization
+        original, seen = engine._one_realization, []
 
         def failing(config, scene, seed_val, index):
-            if index == 5:
+            bad = (config.seed, 5) if entry == "run" else (cell_seed(config.seed, 1, 0), 0)
+            if (seed_val, index) == bad:
+                seen.append(sorted(p.name for p in config.out_dir.iterdir()))
                 raise GenerationError("injected failure")
             return original(config, scene, seed_val, index)
 
         monkeypatch.setattr(engine, "_one_realization", failing)
         with pytest.raises(GenerationError, match="injected"):
-            run(cfg)
+            getattr(engine, entry)(cfg)
         assert list(cfg.out_dir.iterdir()) == []
-        # over the outputs of a completed run, a failed one changes no byte
+        part = "rates.csv.part" if entry == "run" else "coverage.csv.part"
+        assert part in seen[0]  # an earlier chunk was appended
         monkeypatch.setattr(engine, "_one_realization", original)
-        run(cfg)
+        getattr(engine, entry)(cfg)
         before = dir_bytes(cfg.out_dir)
         monkeypatch.setattr(engine, "_one_realization", failing)
         with pytest.raises(GenerationError, match="injected"):
-            run(replace(cfg, seed=8))
+            getattr(engine, entry)(replace(cfg, seed=8))
         assert dir_bytes(cfg.out_dir) == before
+        assert len(seen) == 2
 
 
 @pytest.mark.parametrize("entry", ["run", "coverage_run"])
@@ -692,28 +716,28 @@ class TestCoverageRun:
 
     def test_grid_and_files(self, tmp_path):
         cfg = self.cov_cfg(tmp_path)
-        grid, result = coverage_run(cfg)
-        assert grid.mean_rate.shape == (3, 2)
-        assert np.all(np.isfinite(grid.mean_rate))
-        assert np.all(grid.mean_rate > 0.0)
+        result = coverage_run(cfg)
+        assert result.rates.shape == (3, 2)
+        assert np.all(np.isfinite(result.rates))
+        assert np.all(result.rates > 0.0)
         lines = (cfg.out_dir / "coverage.csv").read_text().splitlines()
         assert lines[0] == "x,y,mean_rate_bits_hz"
         assert len(lines) == 1 + 6
         x, y, rate = lines[1].split(",")
         assert (float(x), float(y)) == (36.0, 46.0)
-        assert float(rate) == pytest.approx(grid.mean_rate[0, 0], rel=1e-10)
+        assert float(rate) == pytest.approx(result.rates[0, 0], rel=1e-10)
         meta = read_metadata(cfg.out_dir / "metadata.json")
         assert meta["grid"] == {"nx": 3, "ny": 2, "z": 1.0, "step": 2.0}
         assert meta["files"]["coverage"]["sha256"] == result.digests["coverage"]
 
     def test_worker_invariance(self, tmp_path):
-        _, r1 = coverage_run(self.cov_cfg(tmp_path, workers=1))
-        _, r2 = coverage_run(self.cov_cfg(tmp_path, workers=3))
+        r1 = coverage_run(self.cov_cfg(tmp_path, workers=1))
+        r2 = coverage_run(self.cov_cfg(tmp_path, workers=3))
         assert r1.digests == r2.digests
 
     def test_rerun_identical(self, tmp_path):
-        _, r1 = coverage_run(self.cov_cfg(tmp_path))
-        _, r2 = coverage_run(self.cov_cfg(tmp_path))
+        r1 = coverage_run(self.cov_cfg(tmp_path))
+        r2 = coverage_run(self.cov_cfg(tmp_path))
         assert r1.digests == r2.digests
 
     def test_publish_never_pairs_new_csv_with_old_sidecar(self, tmp_path, monkeypatch):
@@ -732,7 +756,7 @@ class TestCoverageRun:
             coverage_run(replace(cfg, seed=8))
         assert dir_bytes(cfg.out_dir) == before
         monkeypatch.undo()
-        _, result = coverage_run(cfg)
+        result = coverage_run(cfg)
         assert sorted(p.name for p in cfg.out_dir.iterdir()) == ["coverage.csv", "metadata.json"]
         assert file_digest(cfg.out_dir / "coverage.csv") == result.digests["coverage"]
 
@@ -740,10 +764,36 @@ class TestCoverageRun:
         cfg = self.cov_cfg(
             tmp_path, coverage={"x": [0.0, 0.0], "y": [25.0, 25.0], "step": 1.0, "z": 2.0}
         )
-        grid, _ = coverage_run(cfg)
-        assert grid.mean_rate.shape == (1, 1)
-        assert math.isnan(grid.mean_rate[0, 0])
+        result = coverage_run(cfg)
+        assert result.rates.shape == (1, 1)
+        assert math.isnan(result.rates[0, 0])
         assert "nan" in (cfg.out_dir / "coverage.csv").read_text()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_rows_recomputed_cell_by_cell(self, tmp_path, workers):
+        """``coverage.csv`` holds, string for string, the rows recomputed one
+        cell at a time from ``cell_seed`` and ``_one_realization``, the cell
+        on the Tx a NaN, and the result's grid holds the same means."""
+        cov = {"x": [-2.0, 2.0], "y": [23.0, 27.0], "step": 2.0, "z": 2.0}
+        cfg = self.cov_cfg(tmp_path, coverage=cov, workers=workers)
+        result = coverage_run(cfg)
+        area, means = cfg.coverage, []
+        rows = ["x,y,mean_rate_bits_hz"]
+        for ix, x in enumerate(area.xs):
+            for iy, y in enumerate(area.ys):
+                mean = math.nan
+                if (x, y, area.z) != (0.0, 25.0, 2.0):  # not on the Tx
+                    scene = cfg.scene.with_rx(Point3(float(x), float(y), area.z))
+                    seed_val = cell_seed(cfg.seed, ix, iy)
+                    total = 0.0
+                    for i in range(cfg.realizations):
+                        total += engine._one_realization(cfg, scene, seed_val, i)[1]
+                    mean = total / cfg.realizations
+                means.append(mean)
+                rows.append(f"{x:.12g},{y:.12g},{mean:.12g}")
+        assert (cfg.out_dir / "coverage.csv").read_text().splitlines() == rows
+        assert sum("nan" in row for row in rows) == 1
+        np.testing.assert_array_equal(result.rates, np.reshape(means, (3, 3)))
 
     def test_requires_section(self, tmp_path):
         with pytest.raises(ConfigError, match="coverage"):

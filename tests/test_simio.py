@@ -15,6 +15,7 @@ from rischan.simio import (
     file_digest,
     read_metadata,
     read_tensor,
+    write_csv,
     write_metadata,
     write_tensor,
     write_tensor_csv,
@@ -169,6 +170,25 @@ class TestCsv:
     def test_rejects_non_3d(self, tmp_path):
         with pytest.raises(ValueError, match="3-d"):
             write_tensor_csv(tmp_path / "t.csv", np.zeros(3))
+
+    def test_rows_are_each_value_at_17_digits(self, tmp_path, tensor):
+        tensor[0, 0, :] = [-0.0, 5e-324, 1e300 - 1e300j, np.nan]
+        path = tmp_path / "t.csv"
+        write_tensor_csv(path, tensor[:2])
+        write_tensor_csv(path, tensor[2:], 2)
+        rows = [
+            f"{i},{r},{c},{v.real:.17g},{v.imag:.17g}"
+            for i, m in enumerate(tensor) for r, row in enumerate(m) for c, v in enumerate(row)
+        ]
+        assert path.read_text().splitlines()[1:] == rows
+
+    def test_table_writer(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, "i,x", "{},{:.3g}", [(0, 0.5), (1, np.float64(2.0) / 3)])
+        write_csv(path, "i,x", "{},{:.3g}", [(2, -0.0)], 2)
+        assert path.read_bytes() == b"i,x\n0,0.5\n1,0.667\n2,-0\n"
+        write_csv(path, "i,x", "{},{:.3g}", [], 0)
+        assert path.read_bytes() == b"i,x\n"
 
 
 class TestMetadata:
