@@ -37,7 +37,6 @@ __all__ = [
     "steering_matrix",
     "array_axes",
     "power_factors",
-    "axis_factors",
     "rank_one_sum",
     "response_sum",
     "as_complex",
@@ -78,10 +77,7 @@ class ArrayGeometry:
         ih = np.repeat(np.arange(self.n_h), self.n_v)
         iv = np.tile(np.arange(self.n_v), self.n_h)
         out = np.zeros((self.size, 3))
-        if self.orientation.plane is Plane.XZ:
-            out[:, 0] = ih * s
-        else:
-            out[:, 1] = ih * s
+        out[:, self.orientation.plane.axes[0]] = ih * s
         out[:, 2] = iv * s
         return out
 
@@ -163,7 +159,7 @@ def array_axes(geometry: ArrayGeometry, unit, wavelength: float) -> list:
     horizontal axis or z). Along the axis element i responds w^i with
     w = exp(j kd u_axis)."""
     kd = 2.0 * math.pi / wavelength * geometry.spacing_m(wavelength)
-    horizontal = 0 if geometry.orientation.plane is Plane.XZ else 1
+    horizontal = geometry.orientation.plane.axes[0]
     return [(n, kd, unit[:, axis]) for n, axis in ((geometry.n_h, horizontal), (geometry.n_v, 2)) if n > 1]
 
 def power_factors(axes) -> list:
@@ -186,19 +182,6 @@ def power_factors(axes) -> list:
         out.append((re[:n, start:start + m], im[:n, start:start + m]))
         start += m
     return out
-
-def axis_factors(ends, wavelength: float):
-    """(re, im) responses of the array axes of every end, h then v per end.
-
-    ``ends`` lists (geometry, unit), ``unit`` holding the (M, 3) direction
-    vectors of the rays at that end. On the uniform grid the response
-    factors as a(u) = a_h(u) (x) a_v(u), one factor per axis
-    (:func:`array_axes`), so the C library is called for one w per axis
-    and direction, for all ends together, and the powers of w come from
-    :func:`power_factors`. Axes of one element (a factor of ones) are left
-    out.
-    """
-    return power_factors([axis for geometry, unit in ends for axis in array_axes(geometry, unit, wavelength)])
 
 def rank_one_sum(coeff, factors) -> tuple[np.ndarray, np.ndarray]:
     """Sum over m of coeff_m f_1[:, m] (x) f_2[:, m] (x) ... (x) f_K[:, m].
@@ -229,13 +212,15 @@ def response_sum(coeff, ends, wavelength: float) -> np.ndarray:
 
     ``coeff`` is the (re, im) pair of the (M,) ray amplitudes; ``ends``
     lists one (geometry, unit) per array end, ``unit`` holding the (M, 3)
-    ray directions there. Returns shape (size_1, size_2, ...). Array axes
-    of one element contribute the factor 1 and are left out, so a
-    single-antenna end costs nothing and gives the very bits of a sum
-    without that end. The C library is called once for the whole sum (see
-    :func:`axis_factors`).
+    ray directions there. Returns shape (size_1, size_2, ...). On the
+    uniform grid each response factors as a(u) = a_h(u) (x) a_v(u), one
+    factor per array axis (:func:`array_axes`). Axes of one element
+    contribute the factor 1 and are left out, so a single-antenna end
+    costs nothing and gives the very bits of a sum without that end. The
+    C library is called once for the whole sum (:func:`power_factors`).
     """
-    re, im = rank_one_sum(coeff, axis_factors(ends, wavelength))
+    axes = [axis for geometry, unit in ends for axis in array_axes(geometry, unit, wavelength)]
+    re, im = rank_one_sum(coeff, power_factors(axes))
     return as_complex(re, im).reshape([geometry.size for geometry, _ in ends])
 
 def as_complex(re, im) -> np.ndarray:
@@ -253,7 +238,7 @@ def steering_matrix(
     Phase of element p toward direction u is (2 pi / lambda) <offset_p, u>;
     returns shape (size, M) for M directions (or (size,) for scalars).
     Built as the Kronecker product of the two axes' responses (see
-    :func:`axis_factors`).
+    :func:`power_factors`).
     """
     az = np.atleast_1d(np.asarray(azimuth, dtype=float))
     el = np.atleast_1d(np.asarray(elevation, dtype=float))
@@ -261,7 +246,7 @@ def steering_matrix(
         raise ValueError(f"azimuth/elevation shapes differ: {az.shape} vs {el.shape}")
     m = az.size
     re, im = np.ones((1, m)), np.zeros((1, m))
-    for fr, fi in axis_factors([(geometry, direction_unit(az.ravel(), el.ravel()))], wavelength):
+    for fr, fi in power_factors(array_axes(geometry, direction_unit(az.ravel(), el.ravel()), wavelength)):
         re, im = re[:, None, :], im[:, None, :]
         re, im = (re * fr - im * fi).reshape(-1, m), (re * fi + im * fr).reshape(-1, m)
     a = as_complex(re, im)

@@ -61,18 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args: argparse.Namespace):
     data = read_json_object(args.config, "config")
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.realizations is not None:
-        data["realizations"] = args.realizations
-    if args.out_dir is not None:
-        data["out_dir"] = args.out_dir
-    if args.workers is not None:
-        data["workers"] = args.workers
-    if args.frequency_ghz is not None:
-        data["frequency_ghz"] = args.frequency_ghz
-    if args.band is not None:
-        data["band"] = args.band
+    for key in ("seed", "realizations", "out_dir", "workers", "frequency_ghz", "band"):
+        if getattr(args, key) is not None:
+            data[key] = getattr(args, key)
     control = data.get("control", {})
     if isinstance(control, dict) and (args.strategy is not None or args.quant_bits is not None):
         control = dict(control)

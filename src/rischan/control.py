@@ -81,8 +81,6 @@ class RateResult:
 
     rate_bits_hz: float
     snr_linear: float  # transmit power over noise power, linear
-    strategy: str = ""
-    seed: int | None = None
 
 
 def phases_cophase(h: np.ndarray, g: np.ndarray) -> RisPhaseConfig:

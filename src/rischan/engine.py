@@ -202,7 +202,7 @@ def _pair(value, key: str) -> tuple[float, float]:
 
 def _wall(value, key: str) -> Plane:
     _choice(value, key, ("xz", "yz"))
-    return Plane.XZ if value == "xz" else Plane.YZ
+    return Plane(value)
 
 def _facing(value, key: str) -> int:
     if isinstance(value, bool) or value not in (1, -1):
@@ -598,19 +598,6 @@ def _publish(out: Path, files: dict[str, Path], metadata: dict) -> Path:
     os.replace(_part(meta_path), meta_path)
     return meta_path
 
-def _metadata(config: RunConfig, **fields) -> dict:
-    """The sidecar fields of every run, then the entry point's ``fields``."""
-    return {
-        "tool": "rischan",
-        "tool_version": __version__,
-        "config_sha256": config.config_sha256,
-        "band": config.band,
-        "seed": config.seed,
-        "realizations": config.realizations,
-        "strategy": config.strategy,
-        **fields,
-    }
-
 def _stream(config: RunConfig, files: dict[str, Path], count: int, step: int, work, append):
     """Write ``files`` under their ``.part`` names, chunk by chunk, and
     return their digests by key; ``config.out_dir`` is created if missing.
@@ -628,14 +615,25 @@ def _stream(config: RunConfig, files: dict[str, Path], count: int, step: int, wo
         return {key: file_digest(part) for key, part in parts.items()}
 
 def _result(config: RunConfig, files, digests, rates, dims, **fields) -> RunResult:
-    """Publish ``files`` with a sidecar of the run's ``fields`` that lists
-    every file with its digest, and its ``dims`` for a tensor."""
+    """Publish ``files`` with a sidecar: the fields of every run, the entry
+    point's ``fields``, then every file with its digest, and its ``dims``
+    for a tensor."""
     listing = {
         key: {"file": path.name, "sha256": digests[key]}
         | ({"dims": [config.realizations, *dims[key]]} if key in dims else {})
         for key, path in files.items()
     }
-    metadata = _metadata(config, **fields, files=listing)
+    metadata = {
+        "tool": "rischan",
+        "tool_version": __version__,
+        "config_sha256": config.config_sha256,
+        "band": config.band,
+        "seed": config.seed,
+        "realizations": config.realizations,
+        "strategy": config.strategy,
+        **fields,
+        "files": listing,
+    }
     files = {**files, "metadata": _publish(config.out_dir, files, metadata)}
     return RunResult(out_dir=config.out_dir, files=files, digests=digests, rates=rates, metadata=metadata)
 

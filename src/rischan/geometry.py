@@ -40,6 +40,12 @@ class Plane(Enum):
     XZ = "xz"  # side wall, broadside along y
     YZ = "yz"  # end wall, broadside along x
 
+    @property
+    def axes(self) -> tuple[int, int]:
+        """World indices (horizontal, normal) of the plane's in-plane
+        horizontal axis and of its normal; the in-plane vertical axis is z."""
+        return (0, 1) if self is Plane.XZ else (1, 0)
+
 
 @dataclass(frozen=True)
 class Point3:
@@ -82,10 +88,8 @@ class SurfaceOrientation:
 
     @property
     def normal(self) -> np.ndarray:
-        if self.plane is Plane.XZ:
-            n = np.array([0.0, 1.0, 0.0])
-        else:
-            n = np.array([1.0, 0.0, 0.0])
+        n = np.zeros(3)
+        n[self.plane.axes[1]] = 1.0
         return self.facing * n
 
     def normal_component(self, vectors) -> np.ndarray:
@@ -94,7 +98,7 @@ class SurfaceOrientation:
         The normal is a coordinate axis, so this is one signed coordinate:
         exact, with no dot product whose rounding could depend on the CPU.
         """
-        v = np.asarray(vectors, dtype=float)[..., 1 if self.plane is Plane.XZ else 0]
+        v = np.asarray(vectors, dtype=float)[..., self.plane.axes[1]]
         return v if self.facing == 1 else -v
 
 

@@ -297,7 +297,7 @@ def hop_matrices(hops: Sequence[HopDraw]) -> list[tuple[np.ndarray, bool]]:
             size.append(m)
             if cl.extra_phase is not None:
                 extra.append(cl.extra_phase)
-                extra_rows.append((row, row + m))
+                extra_rows.append(np.arange(row, row + m))
         if on:
             if hop.shadow is None:
                 power.append((los.loss,))
@@ -326,7 +326,7 @@ def hop_matrices(hops: Sequence[HopDraw]) -> list[tuple[np.ndarray, bool]]:
                 cos += [c for _, c in parts]
                 exponent.append(2.0 * scene.element_pattern.q)
                 peak.append(scene.element_pattern.boresight_gain)
-                gain_rows.append((row, row + n))
+                gain_rows.append(np.arange(row, row + n))
             if geometry.size > 1:
                 units.append((geometry, parts[0][0] if len(parts) == 1 else _cat([u for u, _ in parts], (0, 3))))
         plans.append((on, row, row + n, units, scene.wavelength, (ends.arrays[1].size, ends.arrays[0].size)))
@@ -338,18 +338,16 @@ def hop_matrices(hops: Sequence[HopDraw]) -> list[tuple[np.ndarray, bool]]:
     if db_rows:
         power[db_rows] = PathLossSample(power[db_rows]).linear
     if cos:
-        lengths = [stop - start for start, stop in gain_rows]
+        lengths = [rows.size for rows in gain_rows]
         gain = cos_power_gain(per_ray(peak, lengths), per_ray(exponent, lengths), np.concatenate(cos))
-        for rows, k in _runs(gain_rows):
-            power[rows] *= gain[k:k + rows.stop - rows.start]
+        power[np.concatenate(gain_rows)] *= gain
     amp = np.sqrt(power)
     fr, fi = _cat(fr), _cat(fi)
     if extra:
         c, s = ef.cis(np.concatenate(extra))
-        for rows, k in _runs(extra_rows):
-            a, b = fr[rows], fi[rows]
-            ck, sk = c[k:k + rows.stop - rows.start], s[k:k + rows.stop - rows.start]
-            fr[rows], fi[rows] = a * ck - b * sk, a * sk + b * ck
+        rows = np.concatenate(extra_rows)
+        a, b = fr[rows], fi[rows]
+        fr[rows], fi[rows] = a * c - b * s, a * s + b * c
     scale = np.repeat(norm, size) * amp
     re, im = fr * scale, fi * scale
 
@@ -375,19 +373,6 @@ def hop_matrices(hops: Sequence[HopDraw]) -> list[tuple[np.ndarray, bool]]:
 def _cat(parts, shape=(0,)) -> np.ndarray:
     """The concatenation of ``parts``, or an empty array of ``shape``."""
     return np.concatenate(parts) if parts else np.zeros(shape)
-
-def _runs(spans):
-    """The maximal runs of the ascending ray-table ``spans`` (start, stop),
-    each as a slice of the table and the offset of its first ray among the
-    spans' rays."""
-    runs, k = [], 0
-    for start, stop in spans:
-        if runs and runs[-1][0].stop == start:
-            runs[-1] = (slice(runs[-1][0].start, stop), runs[-1][1])
-        else:
-            runs.append((slice(start, stop), k))
-        k += stop - start
-    return runs
 
 def realize(
     scene: Scene, master_seed: int, index: int = 0, clustered: bool = True

@@ -147,7 +147,7 @@ class ClusterSet:
 
 
 class _Placement(NamedTuple):
-    """What a scene and parameter set fix about one link's scatterers."""
+    """What a scene fixes about one link's scatterers."""
 
     anchors: np.ndarray  # (2, 3): the positions of endpoints A and B
     surfaces: tuple  # their mounting orientations, None for the mobile Rx
@@ -157,12 +157,13 @@ class _Placement(NamedTuple):
     density: float  # mean cluster count
 
 
-def _placement(scene: "Scene", link: Link, p: ScatteringParams) -> _Placement:
+def _placement(scene: "Scene", link: Link) -> _Placement:
     env = scene.environment
     ends = scene.link(link)
     anchors = np.stack([point.as_array() for point in ends.points])
     lo = np.array([b[0] for b in env.bounds])
     hi = np.array([b[1] for b in env.bounds])
+    p = scene.scattering
     density = p.cluster_density if p.cluster_density is not None else env.cluster_density
     return _Placement(anchors, ends.mounts, lo, hi, hi - lo, density)
 
@@ -236,13 +237,12 @@ class ClusterDraw(NamedTuple):
         return int(self.positions.shape[0])
 
 
-def draw_clusters(
-    scene: "Scene", link: Link, rng: np.random.Generator, params: ScatteringParams | None = None
-) -> ClusterDraw:
+def draw_clusters(scene: "Scene", link: Link, rng: np.random.Generator) -> ClusterDraw:
     """Stage 1 of :func:`generate_clusters`: every draw of one set from
-    ``rng``, the rejection sampling included (it decides how many)."""
-    p = params if params is not None else scene.scattering
-    c = scene.constant(("placement", link, p), _placement, scene, link, p)
+    ``rng``, the rejection sampling included (it decides how many), with
+    the scene's :class:`ScatteringParams`."""
+    p = scene.scattering
+    c = scene.constant(("placement", link), _placement, scene, link)
 
     n_clusters = int(rng.poisson(c.density))
     if p.at_least_one:
@@ -351,12 +351,10 @@ def derive_sets(items) -> list[ClusterSet]:
         start = stop
     return out
 
-def generate_clusters(
-    scene: "Scene", link: Link, rng: np.random.Generator, params: ScatteringParams | None = None
-) -> ClusterSet:
+def generate_clusters(scene: "Scene", link: Link, rng: np.random.Generator) -> ClusterSet:
     """Draw one scatterer realization for ``link`` from ``rng``: the
     :func:`draw_clusters` stage, then :func:`derive_sets` on that one set."""
-    return derive_sets([(scene, draw_clusters(scene, link, rng, params))])[0]
+    return derive_sets([(scene, draw_clusters(scene, link, rng))])[0]
 
 def excess_phase(positions, ris: Point3, rx: Point3, wavelength: float) -> np.ndarray:
     """Phase of re-aiming a scatterer's final leg from the RIS to the Rx.

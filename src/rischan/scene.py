@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .arrays import ArrayGeometry, ElementPattern
 from .errors import ConfigError
-from .geometry import Plane, Point3, SurfaceOrientation, distance, distance_2d
+from .geometry import Point3, SurfaceOrientation, distance, distance_2d
 from .propagation import (
     SPEED_OF_LIGHT, CloseIn, Environment, check_frequency, close_in, los_probability,
 )
@@ -212,10 +212,9 @@ class Scene:
     def describe(self) -> str:
         """One-line human summary for logs."""
         g = self.ris_geometry
-        side = "xz" if g.orientation.plane is Plane.XZ else "yz"
         return (
             f"{self.environment.kind.value} @ {self.frequency_hz / 1e9:g} GHz, "
-            f"N={self.n} ({g.n_h}x{g.n_v} on {side}, facing {g.orientation.facing:+d}), "
+            f"N={self.n} ({g.n_h}x{g.n_v} on {g.orientation.plane.value}, facing {g.orientation.facing:+d}), "
             f"Nt={self.nt}, Nr={self.nr}, tx={self.tx}, ris={self.ris}, rx={self.rx}"
             + (f" (+{len(self.extra_panels)} surface(s))" if self.extra_panels else "")
         )

@@ -33,9 +33,7 @@ from . import elementary as ef
 from .arrays import ArrayGeometry, as_complex, element_gain_cos, response_sum
 # unused here, but bench/tracer.py wraps these names of this module
 from .arrays import element_gain, steering_matrix  # noqa: F401
-from .geometry import (
-    DirectionAngles, Plane, Point3, angles_from, direction_unit, vector_norm,
-)
+from .geometry import DirectionAngles, Point3, angles_from, direction_unit, vector_norm
 from .mmwave import ChannelRealization
 from .scattering import Link
 from .scene import Scene
@@ -135,7 +133,8 @@ def _base_angles(scene: Scene, link: Link) -> DirectionAngles:
 
 def _sub6_hop(scene: Scene, link: Link, profile: ClusterPowerProfile, rng, params: Sub6Params):
     """One far-field hop: the (N,) surface vector of a surface hop, or the
-    complex scalar of the direct Tx -> Rx hop; returns (value, los_state)."""
+    complex 0-d array of the direct Tx -> Rx hop (no array, no angles);
+    returns (value, los_state)."""
     ends = scene.link(link)
     u = rng.uniform()
     shadow = rng.standard_normal() if scene.shadow_los else None
@@ -145,37 +144,24 @@ def _sub6_hop(scene: Scene, link: Link, profile: ClusterPowerProfile, rng, param
     m = c * s
     ray_power = np.repeat(profile.powers, s) / s
 
-    if link is Link.TX_RX:  # no surface, no angles
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=m)
-        amp = np.sqrt(ray_power * loss)
-        c, s = ef.cis(phases)
-        return complex(np.sum(amp * c), np.sum(amp * s)), on
-
-    base = scene.constant(("sub6 base", link), _base_angles, scene, link)
-    geometry = scene.ris_geometry
-    d2r = math.pi / 180.0
-    caz = base.azimuth + d2r * params.cluster_az_spread_deg * rng.standard_normal(c)
-    cel = base.elevation + d2r * params.cluster_el_spread_deg * rng.standard_normal(c)
-    az = np.repeat(caz, s) + d2r * params.ray_az_spread_deg * rng.standard_normal(m)
-    el = np.repeat(cel, s) + d2r * params.ray_el_spread_deg * rng.standard_normal(m)
-    az = _wrap_azimuth(az)
-    el = np.clip(el, 0.0, math.pi)
+    gain, arrays = 1.0, []
+    if link is not Link.TX_RX:
+        base = scene.constant(("sub6 base", link), _base_angles, scene, link)
+        geometry = scene.ris_geometry
+        d2r = math.pi / 180.0
+        caz = base.azimuth + d2r * params.cluster_az_spread_deg * rng.standard_normal(c)
+        cel = base.elevation + d2r * params.cluster_el_spread_deg * rng.standard_normal(c)
+        az = np.repeat(caz, s) + d2r * params.ray_az_spread_deg * rng.standard_normal(m)
+        el = np.repeat(cel, s) + d2r * params.ray_el_spread_deg * rng.standard_normal(m)
+        unit = direction_unit(_wrap_azimuth(az), np.clip(el, 0.0, math.pi))
+        arrays = [(geometry, unit)]
+        if scene.element_pattern is not None:
+            gain = element_gain_cos(scene.element_pattern, geometry.orientation.normal_component(unit))
     phases = rng.uniform(0.0, 2.0 * math.pi, size=m)
-
-    unit = direction_unit(az, el)
-    gain = 1.0
-    if scene.element_pattern is not None:
-        gain = element_gain_cos(scene.element_pattern, geometry.orientation.normal_component(unit))
     amp = np.sqrt(ray_power * gain * loss)
     c, s = ef.cis(phases)
-    return response_sum((amp * c, amp * s), [(geometry, unit)], scene.wavelength), on
+    return response_sum((amp * c, amp * s), arrays, scene.wavelength), on
 
-
-def _inplane_axes(plane: Plane) -> tuple[int, int, int]:
-    """(horizontal axis, vertical axis, normal axis) world indices."""
-    if plane is Plane.XZ:
-        return 0, 2, 1
-    return 1, 2, 0
 
 def element_edge(geometry: ArrayGeometry, wavelength: float, edge_m: float | None = None) -> float:
     """Side of each element's square aperture: ``edge_m``, or the element
@@ -214,13 +200,13 @@ def nearfield_element_capture(
     """
     edge = element_edge(geometry, wavelength, edge_m)
     centers = geometry.element_centers(wavelength, center.as_array())
-    ih, iv, nax = _inplane_axes(geometry.orientation.plane)
+    horizontal = geometry.orientation.plane.axes[0]
     rxa = rx.as_array()
-    perp = float((rxa[nax] - centers[0, nax]) * geometry.orientation.normal[nax])
+    perp = float(geometry.orientation.normal_component(rxa - centers[0]))
     if perp <= 0.0:
         return np.zeros(geometry.size)
-    dx = rxa[ih] - centers[:, ih]
-    dz = rxa[iv] - centers[:, iv]
+    dx = rxa[horizontal] - centers[:, horizontal]
+    dz = rxa[2] - centers[:, 2]
 
     def corner(x, z):
         y2 = perp * perp

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rischan.control import (
-    RateResult,
     RisPhaseConfig,
     achievable_rate,
     phases_cophase,
@@ -225,7 +224,3 @@ class TestAchievableRate:
         r1 = achievable_rate(c, tx_power_dbm=10.0).rate_bits_hz
         r2 = achievable_rate(c, tx_power_dbm=20.0).rate_bits_hz
         assert r2 > r1
-
-    def test_result_fields(self):
-        r = RateResult(rate_bits_hz=1.0, snr_linear=10.0, strategy="cophase", seed=4)
-        assert r.strategy == "cophase" and r.seed == 4

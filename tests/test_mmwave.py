@@ -3,11 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rischan import mmwave
-from rischan.arrays import ArrayGeometry
+from rischan.arrays import ArrayGeometry, ElementPattern
 from rischan.control import RisPhaseConfig
 from rischan.errors import ConfigError
 from rischan.geometry import Plane, Point3, SurfaceOrientation, distance, distance_2d
@@ -232,17 +232,19 @@ _EXTRA = {  # surfaces after the first, on the first one's wall
     True: (Point3(20.0, 50.0, 2.0), Point3(60.0, 50.0, 2.5), SurfaceOrientation(Plane.XZ, facing=-1)),
     False: (Point3(40.0, 0.0, 12.0), Point3(60.0, 0.0, 8.0), SurfaceOrientation(Plane.XZ, facing=1)),
 }
+_PATTERNS = (None, ElementPattern(), ElementPattern(1.0))
 _SCENES = st.builds(
-    lambda indoor, panels, nt, nr, los, shadow: (make_indoor_scene if indoor else make_outdoor_scene)(
+    lambda indoor, panels, nt, nr, los, shadow, pattern: (make_indoor_scene if indoor else make_outdoor_scene)(
         ris_geometry=ArrayGeometry(3, 2, orientation=_EXTRA[indoor][2]),
         extra_panels=tuple(RisPanel(p, ArrayGeometry(2, 2, orientation=_EXTRA[indoor][2]))
                            for p in _EXTRA[indoor][:panels - 1]),
         tx_geometry=ArrayGeometry(nt), rx_geometry=ArrayGeometry(nr),
         los_tx_ris=los[0], los_ris_rx=los[1], los_tx_rx=los[2],
-        shadow_clustered=shadow[0], shadow_los=shadow[1],
+        shadow_clustered=shadow[0], shadow_los=shadow[1], element_pattern=pattern,
     ),
     st.booleans(), st.integers(1, 3), st.sampled_from((1, 2, 4)), st.sampled_from((1, 2, 4)),
     st.tuples(*[st.sampled_from(LOS_MODES)] * 3), st.tuples(st.booleans(), st.booleans()),
+    st.sampled_from(_PATTERNS),
 )
 
 
@@ -256,6 +258,9 @@ def _leaves(obj):
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(_SCENES, st.integers(0, 9), st.booleans()), min_size=1, max_size=4))
+@example([  # element patterns of two exponents in one batch: a per-ray exponent
+    (make_indoor_scene(element_pattern=pattern), index, True) for index, pattern in enumerate(_PATTERNS)
+] + [(make_outdoor_scene(element_pattern=_PATTERNS[2]), 3, True)])
 def test_assembly_is_the_same_in_any_batch(cases):
     """``assemble(records)`` gives every record the bits that assembling it
     alone gives, for any mix of scenes, and reads no stream: no generator is

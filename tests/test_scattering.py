@@ -47,8 +47,8 @@ def test_at_least_one_cluster(indoor_scene):
     scene = make_indoor_scene(scattering=ScatteringParams(cluster_density=1e-9))
     cs = generate_clusters(scene, Link.TX_RIS, substream(2, "c"))
     assert cs.n_clusters >= 1
-    off = ScatteringParams(cluster_density=1e-9, at_least_one=False)
-    empty = generate_clusters(scene, Link.TX_RIS, substream(2, "c"), params=off)
+    off = make_indoor_scene(scattering=ScatteringParams(cluster_density=1e-9, at_least_one=False))
+    empty = generate_clusters(off, Link.TX_RIS, substream(2, "c"))
     assert empty.n_clusters == 0
     assert empty.n_subrays == 0
     assert empty.normalization == 0.0
@@ -60,7 +60,7 @@ def test_at_least_one_cluster(indoor_scene):
         assert arr.shape == (0,) and arr.dtype == np.float64
     for angles in (empty.angles_a, empty.angles_b):  # both ends are mounted
         assert angles.unit.shape == (0, 3) and angles.cos_boresight.shape == (0,)
-    direct = generate_clusters(scene, Link.TX_RX, substream(2, "c"), params=off)
+    direct = generate_clusters(off, Link.TX_RX, substream(2, "c"))
     assert direct.angles_a.unit.shape == (0, 3) and direct.angles_b is None
 
 
@@ -136,11 +136,14 @@ def _within_3_sigma(values, mean: float, var: float) -> bool:
     return abs(np.mean(values) - mean) <= 3.0 * math.sqrt(var / len(values))
 
 
-def test_count_statistics(monkeypatch, indoor_scene):
+@pytest.mark.parametrize("make_scene", [make_indoor_scene, make_outdoor_scene], ids=["indoor", "umi"])
+def test_count_statistics(monkeypatch, make_scene):
     """Over 3000 sets the cluster count is Poisson(density) with 0 lifted to
     1, and the sub-ray count per cluster is uniform on [min_subrays,
-    max_subrays], each within 3 sigma. Most sets redraw rejected points, so
-    a placement that biased either count would show here."""
+    max_subrays], each within 3 sigma. Sets redraw rejected points (most
+    of them indoors, about a fifth in the street canyon), so a placement
+    that biased either count would show here."""
+    scene = make_scene()
     redraws = [0]
     admissible = scattering._admissible
 
@@ -150,18 +153,18 @@ def test_count_statistics(monkeypatch, indoor_scene):
         return mask
 
     monkeypatch.setattr(scattering, "_admissible", counted)
-    p = indoor_scene.scattering
-    lam = indoor_scene.environment.cluster_density
+    p = scene.scattering
+    lam = scene.environment.cluster_density
     assert p.at_least_one and p.cluster_density is None
     n_sets, redrawn, clusters, subrays = 3000, 0, [], []
     for i in range(n_sets):
         redraws[0] = 0
-        cs = generate_clusters(indoor_scene, Link.TX_RIS, substream(13, "stats", i))
+        cs = generate_clusters(scene, Link.TX_RIS, substream(13, "stats", i))
         redrawn += redraws[0] > 0
         assert cs.centers.shape[0] == cs.counts.size and cs.positions.shape[0] == cs.n_subrays
         clusters.append(cs.n_clusters)
         subrays.extend(cs.counts)
-    assert redrawn > n_sets // 2
+    assert redrawn > (n_sets // 2 if scene.environment.indoor else 0)
 
     # max(1, N) for N ~ Poisson(lam): P(1) = e^-lam (1 + lam)
     clusters = np.array(clusters)
@@ -290,9 +293,8 @@ _SPHERE /= np.linalg.norm(_SPHERE, axis=1, keepdims=True)
     which=st.sampled_from([Link.TX_RIS, Link.RIS_RX, Link.TX_RX]),
 )
 def test_admissible_matches_reference(pts, min_leg, which):
-    scene = make_indoor_scene()
-    params = ScatteringParams(min_leg_m=min_leg)
-    c = _placement(scene, which, params)
+    scene = make_indoor_scene(scattering=ScatteringParams(min_leg_m=min_leg))
+    c = _placement(scene, which)
     ends = scene.link(which)
     (pos_a, pos_b), (surf_a, surf_b) = (p.as_array() for p in ends.points), ends.mounts
     # points exactly min_leg from each endpoint along every axis, and points

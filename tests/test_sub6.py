@@ -211,7 +211,7 @@ class TestFarFieldHops:
         p = Sub6Params(n_clusters=4, n_rays=3)
         prof = _fixed_profile(4)
         got = _far_hop(scene, Link.TX_RX, prof, np.random.default_rng(11), p)
-        assert isinstance(got, complex)
+        assert got.shape == () and got.dtype == np.complex128
 
         twin = np.random.default_rng(11)
         u = twin.uniform()
@@ -343,6 +343,20 @@ class TestNearFieldCapture:
             self.GEOM, self.WAVELENGTH, center, rx, edge_m=self.GEOM.spacing_m(self.WAVELENGTH) / 2
         )
         assert np.all(half < full)
+
+    @pytest.mark.parametrize("facing", [1, -1])
+    def test_yz_wall_is_xz_wall_with_x_and_y_swapped(self, facing):
+        """A yz-wall panel captures, bit for bit, what an xz-wall panel
+        captures in the scene mirrored across the plane x = y."""
+        wavelength = 299792458.0 / 3.5e9
+        center, rx = (1.0, 2.0, 1.5), (1.3, 2.0 + 0.8 * facing, 1.2)
+        got = {}
+        for plane, swap in ((Plane.XZ, False), (Plane.YZ, True)):
+            geom = ArrayGeometry(8, 4, orientation=SurfaceOrientation(plane, facing=facing))
+            c, r = ((p[1], p[0], p[2]) if swap else p for p in (center, rx))
+            got[plane] = nearfield_element_capture(geom, wavelength, Point3(*c), Point3(*r))
+        assert np.all(got[Plane.XZ] > 0.0)
+        np.testing.assert_array_equal(got[Plane.YZ], got[Plane.XZ])
 
     def test_fraunhofer_oracle(self):
         s = self.GEOM.spacing_m(self.WAVELENGTH)
