@@ -1,12 +1,19 @@
 """Elementary functions for everything the generators write to disk.
 
 numpy evaluates several float64 elementary functions (in numpy 2.4:
-``exp``, ``log10``, ``power``, ``cbrt``, ``arccos``, ``arctan2``) with loops
-it selects at run time from the CPU's features (AVX-512, AVX2/FMA or the
-baseline), and those loops do not round alike: the same seed would give
-different channel bytes on different machines. The functions here evaluate every element with the C
-math library through :mod:`math` instead, so each input has one result for
-a given C library whatever numpy dispatched to.
+``exp``, ``log``, ``log10``, ``power``, ``cbrt``, ``arccos``, ``arctan``,
+``arctan2``) with loops it selects at run time from the CPU's features
+(AVX-512, AVX2/FMA or the baseline), and those loops do not round alike:
+the same seed would give different channel bytes on different machines.
+The functions here evaluate every element with the C math library, so each
+input has one result for a given C library whatever numpy dispatched to.
+
+:func:`cos` and :func:`cis` call numpy's float64 ``cos``/``sin`` loops,
+which make that same C-library call on each element at every dispatch
+level (``tests/test_elementary.py`` checks this bit for bit, per level).
+Every other function goes through :mod:`math`, one call per element: at
+the AVX-512 level numpy's own ``log``, ``exp``, ``arctan`` and ``log10``
+loops give other bits than the C library on some inputs.
 
 Each function takes an array-like (or a scalar) and returns a float64 array
 of the same shape. Where the C function raises (outside its domain, or on
@@ -35,9 +42,8 @@ _cbrt = getattr(math, "cbrt", None) or (  # Python 3.10 has no math.cbrt
     lambda v: math.copysign(math.pow(abs(v), 1.0 / 3.0), v)
 )
 _NUMPY = {
-    math.sin: np.sin, math.cos: np.cos, math.exp: np.exp, math.log: np.log,
-    math.log10: np.log10, _pow10: partial(np.power, 10.0), math.pow: np.power,
-    _cbrt: np.cbrt, math.acos: np.arccos, math.atan: np.arctan, math.atan2: np.arctan2,
+    math.exp: np.exp, math.log: np.log, math.log10: np.log10, _pow10: partial(np.power, 10.0),
+    math.pow: np.power, _cbrt: np.cbrt, math.acos: np.arccos, math.atan: np.arctan, math.atan2: np.arctan2,
 }
 
 
@@ -79,14 +85,15 @@ def _apply(fn, x, *scalars) -> np.ndarray:
 
 
 def cos(x) -> np.ndarray:
-    return _apply(math.cos, x)
+    return cis(x)[0]
 
 
 def cis(x) -> tuple[np.ndarray, np.ndarray]:
-    """(cos x, sin x): the real and imaginary parts of exp(j x)."""
+    """(cos x, sin x): the real and imaginary parts of exp(j x), by numpy's
+    loops (see above); an infinite element gives NaN, without a warning."""
     a = np.asarray(x, dtype=float)
-    flat = a.ravel().tolist()
-    return _run(math.cos, a.shape, flat), _run(math.sin, a.shape, flat)
+    with np.errstate(invalid="ignore"):
+        return np.cos(a, out=np.empty(a.shape)), np.sin(a, out=np.empty(a.shape))
 
 
 def exp(x) -> np.ndarray:

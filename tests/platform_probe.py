@@ -1,5 +1,5 @@
 """The platform facts that could decide floating-point bits, and a child
-process for the cross-platform digest test.
+process for the cross-platform digest test and the sin/cos check.
 
 As a script it takes a JSON list of run configurations as its argument,
 runs each with ``rischan.run`` in a temporary directory, and prints one JSON
@@ -10,6 +10,7 @@ was active and the SIMD targets numpy dispatched to. The parent sets
 
 import ctypes
 import json
+import math
 import re
 import sys
 import tempfile
@@ -82,6 +83,36 @@ def tensor_digests(config: dict) -> dict[str, str]:
             for name, entry in result.metadata["files"].items()
             if entry["file"].endswith(".risch")
         }
+
+
+def sincos_mismatches(seed: int, n: int) -> dict:
+    """How many elements of a seeded sample ``rischan.elementary.cis``
+    (numpy's float64 cos/sin loops) gives other bits for than the C
+    library's ``math.cos``/``math.sin``, with the SIMD targets this process
+    may use. The sample spans small, large, tiny and huge arguments, and
+    +-0, +-inf, NaN, subnormals and multiples of pi/2; on an infinite
+    element, where ``math`` raises, it must give NaN."""
+    from rischan import elementary as ef
+
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], n)
+    special = [
+        0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+        2.2250738585072014e-308, math.pi, -math.pi, math.pi / 2, 3 * math.pi / 2, 1e22, -1e22,
+    ]
+    x = np.concatenate([
+        rng.uniform(-7.0, 7.0, n), rng.uniform(-1e3, 1e3, n), rng.uniform(0.0, 2 * math.pi, n),
+        rng.uniform(-1e-3, 1e-3, n), sign * np.exp(rng.uniform(-700.0, 700.0, n)),
+        rng.uniform(-1e22, 1e22, n), special,
+    ])
+    finite = ~np.isinf(x)
+    report = {"simd": simd_enabled(), "points": int(x.size)}
+    for name, got in zip(("cos", "sin"), ef.cis(x)):
+        ref = getattr(math, name)
+        want = np.fromiter((ref(v) for v in x[finite].tolist()), dtype=float, count=int(finite.sum()))
+        differ = got[finite].view(np.int64) != want.view(np.int64)
+        report[name] = int(differ.sum()) + int((~np.isnan(got[~finite])).sum())
+    return report
 
 
 def main() -> None:

@@ -143,6 +143,9 @@ class TestExitCodes:
             ({"noise_dbm": -1e300}, "tx_power_dbm"),
             ({**SUB6, "sub6": {"element_edge_m": 0.0}}, "sub6.element_edge_m"),
             ({**SUB6, "sub6": {"element_edge_m": 1.0}}, "sub6.element_edge_m"),
+            ({**SUB6, "sub6": {"n_rays": 10**9}}, "sub6: n_clusters x n_rays = 15000000000 rays per hop"),
+            ({**SUB6, "sub6": {"n_rays": 2**70}}, "over the limit of 10000"),
+            ({**SUB6, "sub6": {"n_clusters": 10**7, "n_rays": 10**7}}, "over the limit of 10000"),
         ],
         ids=[
             "spread_nan", "spread_str", "delay_nan", "ray_az_inf", "exponent_nan",
@@ -150,6 +153,7 @@ class TestExitCodes:
             "density_negative", "scattering_density_negative", "pattern_q_negative",
             "tx_spacing_zero", "retry_cap_over", "coverage_grid_over",
             "tx_power_overflow", "noise_overflow", "edge_zero", "edge_over_spacing",
+            "sub6_rays_1e9", "sub6_rays_2pow70", "sub6_clusters_rays_1e7",
         ],
     )
     def test_bad_section_field(self, tmp_path, capsys, over, key):

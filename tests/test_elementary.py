@@ -1,11 +1,19 @@
 """Elementary functions evaluated by the C math library."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rischan
 from rischan import elementary as ef
+
+import platform_probe
 
 
 @pytest.mark.parametrize(
@@ -40,16 +48,26 @@ def test_special_values_match_numpy():
     """Where the C function raises, the element gets numpy's value."""
     assert ef.log(np.array([0.0, -1.0, 1.0])).tolist()[0] == -math.inf
     assert math.isnan(ef.log(-1.0)) and math.isnan(ef.arccos(2.0)) and math.isnan(ef.cos(math.inf))
+    c, s = ef.cis([math.inf, -math.inf, math.nan])  # no RuntimeWarning: the suite makes it an error
+    assert np.isnan(c).all() and np.isnan(s).all()
     assert ef.exp([1000.0]).tolist() == [math.inf]
     assert ef.pow10([400.0]).tolist() == [math.inf]
     assert ef.power([0.0], -1.0).tolist() == [math.inf]
+
+
+def cis_re(x):
+    return ef.cis(x)[0]
+
+
+def cis_im(x):
+    return ef.cis(x)[1]
 
 
 @pytest.mark.parametrize(
     "fn",
     [
         ef.cos, ef.exp, ef.log, ef.log10, ef.pow10, ef.cbrt, ef.arccos, ef.arctan,
-        lambda x: ef.power(x, 0.57),
+        lambda x: ef.power(x, 0.57), cis_re, cis_im,
     ],
 )
 def test_zero_d_input_matches_one_element_array(fn):
@@ -59,3 +77,26 @@ def test_zero_d_input_matches_one_element_array(fn):
         assert got.shape == () and got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
         assert fn(np.float64(v)).tobytes() == want.tobytes()
+
+
+def test_numpy_sin_cos_are_the_c_library_at_every_simd_level():
+    """``cis`` and ``cos`` run numpy's float64 cos/sin loops, which call the
+    C library on each element. On a seeded sample (special values included)
+    they give the bits of ``math.cos``/``math.sin`` at every SIMD dispatch
+    level numpy was built for: one child process per level, each with the
+    targets above it disabled. A numpy whose float64 sin/cos loops round on
+    their own fails here."""
+    targets = platform_probe.simd_dispatch_targets()
+    src = str(Path(rischan.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
+    child = "import json, platform_probe; print(json.dumps(platform_probe.sincos_mismatches(20261019, 30000)))"
+    reports = {}
+    for k in range(len(targets) + 1):
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets[k:]), PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300, check=True
+        )
+        reports[" ".join(targets[:k]) or "baseline"] = json.loads(out.stdout.splitlines()[-1])
+    assert reports["baseline"]["simd"] == [], "NPY_DISABLE_CPU_FEATURES took no effect"
+    differing = {level: r for level, r in reports.items() if r["cos"] or r["sin"]}
+    assert not differing, differing
