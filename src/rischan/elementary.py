@@ -8,10 +8,12 @@ the same seed would give different channel bytes on different machines.
 The functions here evaluate every element with the C math library, so each
 input has one result for a given C library whatever numpy dispatched to.
 
-:func:`cos` and :func:`cis` call numpy's float64 ``cos``/``sin`` loops,
-which make that same C-library call on each element at every dispatch
-level (``tests/test_elementary.py`` checks this bit for bit, per level).
-Every other function goes through :mod:`math`, one call per element: at
+:func:`cos` and :func:`cis` call numpy's float64 ``cos``/``sin`` loops
+under the numpy releases and on the architectures in ``_CHECKED_NUMPY``:
+there those loops make that same C-library call on each element at every
+dispatch level (``tests/test_elementary.py`` checks this bit for bit, per
+level). Elsewhere they go through :mod:`math`, with the same bits. Every
+other function always goes through :mod:`math`, one call per element: at
 the AVX-512 level numpy's own ``log``, ``exp``, ``arctan`` and ``log10``
 loops give other bits than the C library on some inputs.
 
@@ -29,6 +31,7 @@ numpy reductions. No BLAS call is made on it.
 from __future__ import annotations
 
 import math
+import platform
 from functools import partial
 
 import numpy as np
@@ -41,9 +44,16 @@ _pow10 = partial(math.pow, 10.0)
 _cbrt = getattr(math, "cbrt", None) or (  # Python 3.10 has no math.cbrt
     lambda v: math.copysign(math.pow(abs(v), 1.0 / 3.0), v)
 )
+# (major, minor, machine) of the numpy releases and architectures whose
+# float64 cos/sin loops call the C library on each element at every SIMD
+# level; add one only after tests/test_elementary.py passes there
+_CHECKED_NUMPY = {(2, 4, "x86_64")}
+_version = np.lib.NumpyVersion(np.__version__)
+_NUMPY_SIN_COS = (_version.major, _version.minor, platform.machine()) in _CHECKED_NUMPY
 _NUMPY = {
-    math.exp: np.exp, math.log: np.log, math.log10: np.log10, _pow10: partial(np.power, 10.0),
-    math.pow: np.power, _cbrt: np.cbrt, math.acos: np.arccos, math.atan: np.arctan, math.atan2: np.arctan2,
+    math.sin: np.sin, math.cos: np.cos, math.exp: np.exp, math.log: np.log,
+    math.log10: np.log10, _pow10: partial(np.power, 10.0), math.pow: np.power,
+    _cbrt: np.cbrt, math.acos: np.arccos, math.atan: np.arctan, math.atan2: np.arctan2,
 }
 
 
@@ -85,13 +95,17 @@ def _apply(fn, x, *scalars) -> np.ndarray:
 
 
 def cos(x) -> np.ndarray:
-    return cis(x)[0]
+    return cis(x)[0] if _NUMPY_SIN_COS else _apply(math.cos, x)
 
 
 def cis(x) -> tuple[np.ndarray, np.ndarray]:
     """(cos x, sin x): the real and imaginary parts of exp(j x), by numpy's
-    loops (see above); an infinite element gives NaN, without a warning."""
+    loops where they are checked (see above); an infinite element gives
+    NaN, without a warning."""
     a = np.asarray(x, dtype=float)
+    if not _NUMPY_SIN_COS:
+        flat = a.ravel().tolist()
+        return _run(math.cos, a.shape, flat), _run(math.sin, a.shape, flat)
     with np.errstate(invalid="ignore"):
         return np.cos(a, out=np.empty(a.shape)), np.sin(a, out=np.empty(a.shape))
 

@@ -17,42 +17,25 @@ the fraction of isotropically radiated power that its physical aperture
 subtends (exact rectangle integral, polarization included) with the phase
 of its element-center travel distance reduced modulo one wavelength.
 
-A realization is made in two stages, as at mmWave. :func:`draw` reads
-every variate from the realization's streams into a :class:`Sub6Draw`;
-:func:`assemble` derives the hop values from any number of such records
-without reading a stream, in one elementwise pass per derived quantity
-over the rays of all their hops (delays and powers, close-in losses,
-angles, directions, element gains, amplitudes, phasors, and the axis
-factors of every surface). Only the sort of each power profile, its
-normalizing sum and the sum over each hop's rays run per hop, on that
-hop's operands alone, so a record assembles to the same bits alone or in
-any batch. :func:`realize_sub6` is ``assemble([draw(...)])[0]``.
-
-Draw order per hop, H, then G (far-field form only), then D: the power
-profile consumes its own stream (delay uniforms, then per-cluster
-shadowing normals); the hop stream gives the visibility uniform, the
-optional loss shadowing normal, cluster azimuth/elevation means, ray
-azimuth/elevation offsets, and ray phases. The direct hop has no angles,
-only phases.
+Draw order per hop: visibility uniform, optional loss shadowing normal,
+cluster azimuth/elevation means, ray azimuth/elevation offsets, ray phases.
+The direct hop has no angles, only phases. Power profiles consume their own
+generator: delay uniforms then per-cluster shadowing normals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import NamedTuple, Sequence
-
 import numpy as np
 
 from . import elementary as ef
-from .arrays import ArrayGeometry, array_axes, as_complex, cos_power_gain, power_factors, rank_one_sum
+from .arrays import ArrayGeometry, as_complex, element_gain_cos, response_sum
 # unused here, but bench/tracer.py wraps these names of this module
 from .arrays import element_gain, steering_matrix  # noqa: F401
 from .geometry import DirectionAngles, Point3, angles_from, direction_unit, vector_norm
 from .mmwave import ChannelRealization
-from .propagation import CloseIn
-from .scattering import Link, per_ray
+from .scattering import Link
 from .scene import Scene
 from .streams import NamedStreams, substream
 
@@ -64,10 +47,6 @@ __all__ = [
     "gen_cluster_powers",
     "gen_g_near",
     "select_g_mode",
-    "Sub6HopDraw",
-    "Sub6Draw",
-    "draw",
-    "assemble",
     "realize_sub6",
     "element_edge",
     "nearfield_element_capture",
@@ -132,46 +111,23 @@ def powers_from_delays(
     tau = np.asarray(delays_s, dtype=float)
     if np.any(tau < 0):
         raise ValueError("delays must be >= 0")
-    shadow = np.asarray(shadow_db, dtype=float)
-    return _decay_powers(tau, delay_scaling, delay_spread_s, shadow, [np.broadcast(tau, shadow).size])
-
-def _decay_powers(tau, scaling, spread, shadow_db, sizes) -> np.ndarray:
-    """:func:`powers_from_delays` of the profiles laid end to end in ``tau``
-    (profile k has ``sizes[k]`` clusters); ``scaling`` and ``spread`` are
-    scalars or one value per cluster. Each profile is divided by its own
-    sum."""
-    raw = ef.exp(-tau * (scaling - 1.0) / (scaling * spread))
-    raw = raw * ef.pow10(-shadow_db / 10.0)
-    totals = [part.sum() for part in _pieces(raw.reshape(-1), sizes)]
-    if 0.0 in totals:
+    raw = ef.exp(-tau * (delay_scaling - 1.0) / (delay_scaling * delay_spread_s))
+    raw = raw * ef.pow10(-np.asarray(shadow_db, dtype=float) / 10.0)
+    total = raw.sum()
+    if total == 0.0:
         raise ValueError("all cluster powers collapsed to zero")
-    return raw / per_ray(totals, sizes)
-
-def _profiles(params: Sequence[Sub6Params], u: np.ndarray, z: np.ndarray):
-    """(delays, powers) of the power profiles laid end to end in ``u`` and
-    ``z``, their delay uniforms and per-cluster shadowing normals; profile k
-    has ``params[k].n_clusters`` clusters. Each profile is sorted on its
-    own; the rest is elementwise."""
-    sizes = [p.n_clusters for p in params]
-    u = np.maximum(u, np.nextafter(0.0, 1.0))  # ln(0) guard; measure-zero event
-    delays = per_ray([-p.delay_scaling * p.delay_spread_s for p in params], sizes) * ef.log(u)
-    parts = _pieces(delays, sizes)
-    for part in parts:
-        part.sort()
-    delays -= np.repeat([part[0] for part in parts], sizes)
-    shadows = per_ray([p.shadow_cluster_db for p in params], sizes) * z
-    scaling = per_ray([p.delay_scaling for p in params], sizes)
-    spread = per_ray([p.delay_spread_s for p in params], sizes)
-    return delays, _decay_powers(delays, scaling, spread, shadows, sizes)
-
-def _pieces(a: np.ndarray, sizes) -> list[np.ndarray]:
-    """``a`` cut into consecutive views of ``sizes[k]`` rows each."""
-    return [a[end - n:end] for n, end in zip(sizes, accumulate(sizes))]
+    return raw / total
 
 def gen_cluster_powers(rng: np.random.Generator, params: Sub6Params | None = None) -> ClusterPowerProfile:
     """Draw one delay/power profile (delay uniforms, then shadow normals)."""
     p = params or Sub6Params()
-    delays, powers = _profiles([p], rng.random(p.n_clusters), rng.standard_normal(p.n_clusters))
+    u = rng.random(p.n_clusters)
+    u[u == 0.0] = np.nextafter(0.0, 1.0)  # ln(0) guard; measure-zero event
+    delays = -p.delay_scaling * p.delay_spread_s * ef.log(u)
+    delays = np.sort(delays)
+    delays -= delays[0]
+    shadows = p.shadow_cluster_db * rng.standard_normal(p.n_clusters)
+    powers = powers_from_delays(delays, p.delay_scaling, p.delay_spread_s, shadows)
     return ClusterPowerProfile(delays_s=delays, powers=powers)
 
 
@@ -184,6 +140,37 @@ def _base_angles(scene: Scene, link: Link) -> DirectionAngles:
     ends = scene.link(link)
     k = ends.names.index("ris")
     return angles_from(ends.points[k], ends.mounts[k], ends.points[1 - k])
+
+def _sub6_hop(scene: Scene, link: Link, profile: ClusterPowerProfile, rng, params: Sub6Params):
+    """One far-field hop: the (N,) surface vector of a surface hop, or the
+    complex 0-d array of the direct Tx -> Rx hop (no array, no angles);
+    returns (value, los_state)."""
+    ends = scene.link(link)
+    u = rng.uniform()
+    shadow = rng.standard_normal() if scene.shadow_los else None
+    on = ends.visible(u)
+    loss = scene.close_in(on).sample(ends.distance, shadow).linear
+    c, s = profile.n_clusters, params.n_rays
+    m = c * s
+    ray_power = np.repeat(profile.powers, s) / s
+
+    gain, arrays = 1.0, []
+    if link is not Link.TX_RX:
+        base = scene.constant(("sub6 base", link), _base_angles, scene, link)
+        geometry = scene.ris_geometry
+        d2r = math.pi / 180.0
+        caz = base.azimuth + d2r * params.cluster_az_spread_deg * rng.standard_normal(c)
+        cel = base.elevation + d2r * params.cluster_el_spread_deg * rng.standard_normal(c)
+        az = np.repeat(caz, s) + d2r * params.ray_az_spread_deg * rng.standard_normal(m)
+        el = np.repeat(cel, s) + d2r * params.ray_el_spread_deg * rng.standard_normal(m)
+        unit = direction_unit(_wrap_azimuth(az), np.clip(el, 0.0, math.pi))
+        arrays = [(geometry, unit)]
+        if scene.element_pattern is not None:
+            gain = element_gain_cos(scene.element_pattern, geometry.orientation.normal_component(unit))
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=m)
+    amp = np.sqrt(ray_power * gain * loss)
+    c, s = ef.cis(phases)
+    return response_sum((amp * c, amp * s), arrays, scene.wavelength), on
 
 
 def element_edge(geometry: ArrayGeometry, wavelength: float, edge_m: float | None = None) -> float:
@@ -307,167 +294,6 @@ class Sub6Streams(NamedStreams):
         return substream(master_seed, *path)  # this module's binding, read per call
 
 
-class Sub6HopDraw(NamedTuple):
-    """The variates of one far-field hop, as :func:`draw` reads them."""
-
-    scene: Scene
-    link: Link
-    params: Sub6Params
-    delay_u: np.ndarray  # (C,) delay uniforms of the hop's power profile
-    cluster_z: np.ndarray  # (C,) its per-cluster shadowing normals
-    u: float  # visibility uniform
-    shadow: float | None  # loss shadowing normal, when the scene draws one
-    angles: tuple | None  # normals of the cluster az, el (C,) and ray az, el (C R,); surface hops only
-    phases: np.ndarray  # (C R,) ray phases
-
-
-class Sub6Draw(NamedTuple):
-    """Stage 1 of one sub-6 realization: its far-field hops H, G (unless the
-    near-field form is selected) and D, and else the scene's near-field G.
-    :func:`assemble` turns it into a :class:`ChannelRealization`."""
-
-    hops: tuple[Sub6HopDraw, ...]
-    near_g: np.ndarray | None  # the scene's constant, copied by assemble
-    index: int
-
-
-def _hop_draw(scene: Scene, link: Link, params: Sub6Params, powers_rng, rng) -> Sub6HopDraw:
-    """One far-field hop's variates in the documented order: the power
-    profile from ``powers_rng``, the rest from ``rng``."""
-    c, m = params.n_clusters, params.n_clusters * params.n_rays
-    delay_u, cluster_z = powers_rng.random(c), powers_rng.standard_normal(c)
-    u = rng.uniform()
-    shadow = rng.standard_normal() if scene.shadow_los else None
-    angles = None
-    if link is not Link.TX_RX:
-        angles = tuple(rng.standard_normal(n) for n in (c, c, m, m))
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=m)
-    return Sub6HopDraw(scene, link, params, delay_u, cluster_z, u, shadow, angles, phases)
-
-def draw(
-    scene: Scene,
-    master_seed: int,
-    index: int = 0,
-    params: Sub6Params | None = None,
-    g_mode: str = "auto",
-    edge_m: float | None = None,
-) -> Sub6Draw:
-    """Stage 1 of sub-6 realization ``index``: read every stream it
-    consumes (see :func:`realize_sub6`)."""
-    if scene.nt != 1 or scene.nr != 1:
-        raise ValueError("sub-6 GHz generation covers single-antenna terminals (Nt = Nr = 1)")
-    if scene.extra_panels:
-        raise ValueError("sub-6 GHz generation covers one surface; the scene has extra_panels")
-    mode = select_g_mode(scene, g_mode, edge_m)
-    p = params or Sub6Params()
-    streams = Sub6Streams.derive(master_seed, index)
-    hops = [_hop_draw(scene, Link.TX_RIS, p, streams.powers_h, streams.h)]
-    near_g = None
-    if mode == "near":
-        near_g = scene.constant(("near g", edge_m), gen_g_near, scene, edge_m)
-    else:
-        hops.append(_hop_draw(scene, Link.RIS_RX, p, streams.powers_g, streams.g))
-    hops.append(_hop_draw(scene, Link.TX_RX, p, streams.powers_d, streams.d))
-    return Sub6Draw(tuple(hops), near_g, index)
-
-def assemble(draws: Sequence[Sub6Draw]) -> list[ChannelRealization]:
-    """Stage 2: the realization of each of ``draws``, reading no stream
-    (:func:`_hop_values` over the far-field hops of all of them)."""
-    values, out = iter(_hop_values([hop for d in draws for hop in d.hops])), []
-    for d in draws:
-        h, los_h = next(values)
-        g, los_g = next(values) if d.near_g is None else (d.near_g.copy(), True)
-        direct, los_d = next(values)
-        out.append(ChannelRealization(
-            hops=((h[:, None], g[None, :]),),
-            D=direct.reshape(1, 1),
-            los_panels=({Link.TX_RIS: los_h, Link.RIS_RX: los_g},),
-            los_direct=los_d,
-            index=d.index,
-        ))
-    return out
-
-def _hop_values(hops: Sequence[Sub6HopDraw]) -> list[tuple[np.ndarray, bool]]:
-    """The value and LOS state of each of ``hops``: the (N,) surface vector
-    of a surface hop, the complex 0-d array of the direct hop.
-
-    A hop is the sum over its rays of sqrt((ray power x element gain) x
-    close-in loss), the ray's phasor and, on a surface hop, the surface
-    array response. The rays of all ``hops`` form one table, ordered by
-    kind (surface hops with an element pattern, other surface hops, direct
-    hops), so the rows that have directions and the rows that have gains
-    are prefixes of it; each derived quantity is one pass over it. Only
-    the sort and sum of each power profile (:func:`_profiles`) and the sum
-    over each hop's rays (:func:`rank_one_sum`) run per hop.
-    """
-    kind = [(hop.angles is None, hop.scene.element_pattern is None) for hop in hops]
-    order = sorted(range(len(hops)), key=kind.__getitem__)
-    hops = [hops[i] for i in order]
-    params = [hop.params for hop in hops]
-    clusters = [p.n_clusters for p in params]
-    sizes = [p.n_clusters * p.n_rays for p in params]  # rays per hop
-    per_cluster = [p.n_rays for p in params]
-    delay_u, cluster_z = (np.concatenate(x) for x in zip(*((hop.delay_u, hop.cluster_z) for hop in hops)))
-    _, powers = _profiles(params, delay_u, cluster_z)
-    power = np.repeat(powers, per_ray(per_cluster, clusters)) / per_ray(per_cluster, sizes)
-
-    ends = [hop.scene.link(hop.link) for hop in hops]
-    on = [e.visible(hop.u) for e, hop in zip(ends, hops)]
-    # one close-in law per hop; a hop without a shadowing normal adds
-    # sigma * 0.0, and x + 0.0 is x for every loss the law gives (never -0.0)
-    law = CloseIn(*np.array([hop.scene.close_in(v) for hop, v in zip(hops, on)]).T)
-    shadows = [hop.shadow for hop in hops]
-    shadow = None if shadows.count(None) == len(hops) else [0.0 if x is None else x for x in shadows]
-    loss = law.sample(np.array([e.distance for e in ends]), shadow).linear
-
-    surface = [hop for hop in hops if hop.angles is not None]  # a prefix of hops
-    axes, counts = [], [0] * len(hops)
-    if surface:
-        k = len(surface)
-        cl, rows = clusters[:k], sizes[:k]
-        d2r = math.pi / 180.0
-        base = [hop.scene.constant(("sub6 base", hop.link), _base_angles, hop.scene, hop.link)
-                for hop in surface]
-        caz_z, cel_z, az_z, el_z = (np.concatenate(z) for z in zip(*(hop.angles for hop in surface)))
-
-        def spread(name, lengths):
-            return per_ray([d2r * getattr(hop.params, name) for hop in surface], lengths)
-
-        caz = per_ray([b.azimuth for b in base], cl) + spread("cluster_az_spread_deg", cl) * caz_z
-        cel = per_ray([b.elevation for b in base], cl) + spread("cluster_el_spread_deg", cl) * cel_z
-        repeats = per_ray(per_cluster[:k], cl)
-        az = np.repeat(caz, repeats) + spread("ray_az_spread_deg", rows) * az_z
-        el = np.repeat(cel, repeats) + spread("ray_el_spread_deg", rows) * el_z
-        unit = direction_unit(_wrap_azimuth(az), np.clip(el, 0.0, math.pi))
-        units = _pieces(unit, rows)
-
-        patterns = [hop.scene.element_pattern for hop in surface if hop.scene.element_pattern is not None]
-        if patterns:  # their rays lead the table
-            n = len(patterns)
-            cos = np.concatenate([hop.scene.ris_geometry.orientation.normal_component(part)
-                                  for hop, part in zip(surface, units[:n])])
-            peak = per_ray([q.boresight_gain for q in patterns], sizes[:n])
-            exponent = per_ray([2.0 * q.q for q in patterns], sizes[:n])
-            power[:cos.size] *= cos_power_gain(peak, exponent, cos)
-        for i, (hop, part) in enumerate(zip(surface, units)):
-            hop_axes = array_axes(hop.scene.ris_geometry, part, hop.scene.wavelength)
-            axes += hop_axes
-            counts[i] = len(hop_axes)
-
-    amp = np.sqrt(power * np.repeat(loss, sizes))
-    c, s = ef.cis(np.concatenate([hop.phases for hop in hops]))
-    re, im = amp * c, amp * s
-    factors = power_factors(axes)
-
-    values, row, first = [None] * len(hops), 0, 0
-    for i, hop, size, count, visible in zip(order, hops, sizes, counts, on):
-        h_re, h_im = rank_one_sum((re[row:row + size], im[row:row + size]), factors[first:first + count])
-        shape = [hop.scene.ris_geometry.size] if hop.angles is not None else []
-        values[i] = (as_complex(h_re, h_im).reshape(shape), visible)
-        row, first = row + size, first + count
-    return values
-
-
 def realize_sub6(
     scene: Scene,
     master_seed: int,
@@ -476,8 +302,7 @@ def realize_sub6(
     g_mode: str = "auto",
     edge_m: float | None = None,
 ) -> ChannelRealization:
-    """One seeded sub-6 GHz realization packed as single-antenna matrices:
-    ``assemble([draw(...)])[0]``.
+    """One seeded sub-6 GHz realization packed as single-antenna matrices.
 
     Single-antenna terminals only (the band's model is vector/scalar); each
     hop draws its own power profile and fading from named substreams. In
@@ -485,4 +310,31 @@ def realize_sub6(
     the scene computed once per scene object, and its streams are left
     untouched (never derived).
     """
-    return assemble([draw(scene, master_seed, index, params, g_mode, edge_m)])[0]
+    if scene.nt != 1 or scene.nr != 1:
+        raise ValueError("sub-6 GHz generation covers single-antenna terminals (Nt = Nr = 1)")
+    if scene.extra_panels:
+        raise ValueError("sub-6 GHz generation covers one surface; the scene has extra_panels")
+    mode = select_g_mode(scene, g_mode, edge_m)
+    p = params or Sub6Params()
+    streams = Sub6Streams.derive(master_seed, index)
+
+    prof_h = gen_cluster_powers(streams.powers_h, p)
+    h, los_h = _sub6_hop(scene, Link.TX_RIS, prof_h, streams.h, p)
+
+    if mode == "near":
+        g = scene.constant(("near g", edge_m), gen_g_near, scene, edge_m).copy()
+        los_g = True
+    else:
+        prof_g = gen_cluster_powers(streams.powers_g, p)
+        g, los_g = _sub6_hop(scene, Link.RIS_RX, prof_g, streams.g, p)
+
+    prof_d = gen_cluster_powers(streams.powers_d, p)
+    d, los_d = _sub6_hop(scene, Link.TX_RX, prof_d, streams.d, p)
+
+    return ChannelRealization(
+        hops=((h[:, None], g[None, :]),),
+        D=np.array([[d]], dtype=complex),
+        los_panels=({Link.TX_RIS: los_h, Link.RIS_RX: los_g},),
+        los_direct=los_d,
+        index=index,
+    )

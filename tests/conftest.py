@@ -49,15 +49,6 @@ def count_substreams(monkeypatch, module) -> list:
     return calls
 
 
-def leaves(obj):
-    """Every item of ``obj`` that is not a tuple or a list, depth first."""
-    if isinstance(obj, (tuple, list)):
-        for item in obj:
-            yield from leaves(item)
-    else:
-        yield obj
-
-
 @pytest.fixture
 def indoor_scene() -> Scene:
     return make_indoor_scene()

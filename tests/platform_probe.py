@@ -87,11 +87,12 @@ def tensor_digests(config: dict) -> dict[str, str]:
 
 def sincos_mismatches(seed: int, n: int) -> dict:
     """How many elements of a seeded sample ``rischan.elementary.cis``
-    (numpy's float64 cos/sin loops) gives other bits for than the C
-    library's ``math.cos``/``math.sin``, with the SIMD targets this process
-    may use. The sample spans small, large, tiny and huge arguments, and
-    +-0, +-inf, NaN, subnormals and multiples of pi/2; on an infinite
-    element, where ``math`` raises, it must give NaN."""
+    (numpy's float64 cos/sin loops, under a numpy it has checked) gives
+    other bits for than the C library's ``math.cos``/``math.sin``, with the
+    SIMD targets this process may use. The sample spans small, large, tiny
+    and huge arguments, and +-0, +-inf, NaN, subnormals and multiples of
+    pi/2; on an infinite element, where ``math`` raises, it must give
+    NaN."""
     from rischan import elementary as ef
 
     rng = np.random.default_rng(seed)

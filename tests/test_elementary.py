@@ -80,12 +80,12 @@ def test_zero_d_input_matches_one_element_array(fn):
 
 
 def test_numpy_sin_cos_are_the_c_library_at_every_simd_level():
-    """``cis`` and ``cos`` run numpy's float64 cos/sin loops, which call the
-    C library on each element. On a seeded sample (special values included)
-    they give the bits of ``math.cos``/``math.sin`` at every SIMD dispatch
-    level numpy was built for: one child process per level, each with the
-    targets above it disabled. A numpy whose float64 sin/cos loops round on
-    their own fails here."""
+    """``cis`` and ``cos`` give the bits of ``math.cos``/``math.sin`` on a
+    seeded sample (special values included) at every SIMD dispatch level
+    numpy was built for: one child process per level, each with the targets
+    above it disabled. Under a numpy release in ``_CHECKED_NUMPY`` they run
+    numpy's float64 cos/sin loops, so a release whose loops round on their
+    own fails here once it is added there."""
     targets = platform_probe.simd_dispatch_targets()
     src = str(Path(rischan.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
@@ -100,3 +100,16 @@ def test_numpy_sin_cos_are_the_c_library_at_every_simd_level():
     assert reports["baseline"]["simd"] == [], "NPY_DISABLE_CPU_FEATURES took no effect"
     differing = {level: r for level, r in reports.items() if r["cos"] or r["sin"]}
     assert not differing, differing
+
+
+def test_math_sin_cos_path(monkeypatch):
+    """Under a numpy release not in ``_CHECKED_NUMPY``, ``cis`` and ``cos``
+    call ``math``: the same bits, for arrays, 0-d input and infinities."""
+    monkeypatch.setattr(ef, "_NUMPY_SIN_COS", False)
+    report = platform_probe.sincos_mismatches(7, 2000)
+    assert report["cos"] == report["sin"] == 0, report
+    for v in (0.3, -0.0, 1e22, math.inf):
+        c, s = ef.cis(v)
+        assert c.shape == s.shape == () and ef.cos(v).tobytes() == c.tobytes()
+        one = ef.cis([v])
+        assert c.tobytes() == one[0].tobytes() and s.tobytes() == one[1].tobytes()

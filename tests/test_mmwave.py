@@ -26,7 +26,7 @@ from rischan.scattering import Link, generate_clusters, share_clusters
 from rischan.scene import LOS_MODES
 from rischan.streams import substream
 
-from conftest import count_substreams, leaves, make_indoor_scene, make_outdoor_scene
+from conftest import count_substreams, make_indoor_scene, make_outdoor_scene
 
 
 class TestSceneValidation:
@@ -248,6 +248,14 @@ _SCENES = st.builds(
 )
 
 
+def _leaves(obj):
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(_SCENES, st.integers(0, 9), st.booleans()), min_size=1, max_size=4))
 @example([  # element patterns of two exponents in one batch: a per-ray exponent
@@ -258,7 +266,7 @@ def test_assembly_is_the_same_in_any_batch(cases):
     alone gives, for any mix of scenes, and reads no stream: no generator is
     left in the records, and deriving one fails."""
     records = [draw(scene, 17, index, clustered) for scene, index, clustered in cases]
-    assert not any(isinstance(x, np.random.Generator) for x in leaves(records))
+    assert not any(isinstance(x, np.random.Generator) for x in _leaves(records))
     original = mmwave.substream
     mmwave.substream = None  # any stream derivation from here on raises
     try:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rischan import elementary as ef, sub6
-from rischan.arrays import ArrayGeometry, ElementPattern, as_complex, element_gain_cos, response_sum
+from rischan.arrays import ArrayGeometry, as_complex, element_gain_cos, response_sum
 from rischan.engine import coverage_run, load_config
 from rischan.geometry import (
     Plane,
@@ -21,10 +21,10 @@ from rischan.geometry import (
 )
 from rischan.propagation import los_probability, path_loss
 from rischan.scattering import Link
-from rischan.scene import LOS_MODES
 from rischan.streams import substream
 from rischan.sub6 import (
     MAX_RAYS_PER_HOP,
+    ClusterPowerProfile,
     Sub6Params,
     Sub6Streams,
     fraunhofer_distance,
@@ -32,12 +32,10 @@ from rischan.sub6 import (
     gen_g_near,
     nearfield_element_capture,
     powers_from_delays,
-    assemble,
-    draw,
     realize_sub6,
 )
 
-from conftest import count_substreams, leaves, make_indoor_scene
+from conftest import count_substreams, make_indoor_scene
 
 
 def make_sub6_scene(**overrides):
@@ -160,34 +158,33 @@ def _wrap_azimuth(a):
     return np.where(w == -math.pi, math.pi, w)
 
 
-def _far_hop(scene, link, powers_rng, rng, params=None):
-    """The value of one far-field hop: its power profile drawn from
-    ``powers_rng``, the rest from ``rng`` (stage 1, then stage 2 alone)."""
-    record = sub6._hop_draw(scene, link, params or Sub6Params(), powers_rng, rng)
-    return sub6._hop_values([record])[0][0]
+def _far_hop(scene, link, prof, rng, params=None):
+    """The value of one far-field hop drawn from ``rng``."""
+    return sub6._sub6_hop(scene, link, prof, rng, params or Sub6Params())[0]
 
 
-def _rng(seed):
-    return np.random.default_rng(seed)
+def _fixed_profile(c=4):
+    delays = np.linspace(0.0, 300e-9, c)
+    return ClusterPowerProfile(delays_s=delays, powers=powers_from_delays(delays, 3.0, 66e-9))
 
 
 class TestFarFieldHops:
     def test_h_shape_and_determinism(self):
         scene = make_sub6_scene()
-        h1 = _far_hop(scene, Link.TX_RIS, _rng(0), _rng(7))
-        h2 = _far_hop(scene, Link.TX_RIS, _rng(0), _rng(7))
+        prof = _fixed_profile()
+        h1 = _far_hop(scene, Link.TX_RIS, prof, np.random.default_rng(7))
+        h2 = _far_hop(scene, Link.TX_RIS, prof, np.random.default_rng(7))
         assert h1.shape == (16,)
         np.testing.assert_array_equal(h1, h2)
-        h3 = _far_hop(scene, Link.TX_RIS, _rng(0), _rng(8))
+        h3 = _far_hop(scene, Link.TX_RIS, prof, np.random.default_rng(8))
         assert not np.array_equal(h1, h3)
 
     def test_h_full_draw_oracle(self):
         """Byte-for-byte replay of the documented hop draw order."""
         scene = make_sub6_scene(los_tx_ris="on")
         p = Sub6Params(n_clusters=3, n_rays=5)
-        got = _far_hop(scene, Link.TX_RIS, _rng(0), _rng(42), p)
-
-        prof = gen_cluster_powers(_rng(0), p)  # the power profile consumes its own stream
+        prof = _fixed_profile(3)
+        got = _far_hop(scene, Link.TX_RIS, prof, np.random.default_rng(42), p)
 
         twin = np.random.default_rng(42)
         twin.uniform()  # visibility draw, outcome forced by the "on" mode
@@ -220,10 +217,9 @@ class TestFarFieldHops:
     def test_direct_scalar_oracle(self):
         scene = make_sub6_scene()
         p = Sub6Params(n_clusters=4, n_rays=3)
-        got = _far_hop(scene, Link.TX_RX, _rng(0), _rng(11), p)
+        prof = _fixed_profile(4)
+        got = _far_hop(scene, Link.TX_RX, prof, np.random.default_rng(11), p)
         assert got.shape == () and got.dtype == np.complex128
-
-        prof = gen_cluster_powers(_rng(0), p)
 
         twin = np.random.default_rng(11)
         u = twin.uniform()
@@ -245,15 +241,17 @@ class TestFarFieldHops:
         """With loss shadowing on, each hop consumes one extra normal."""
         base = make_sub6_scene()
         shadowed = make_sub6_scene(shadow_los=True)
+        prof = _fixed_profile()
         r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
-        _far_hop(base, Link.TX_RX, _rng(0), r1)
-        _far_hop(shadowed, Link.TX_RX, _rng(0), r2)
+        _far_hop(base, Link.TX_RX, prof, r1)
+        _far_hop(shadowed, Link.TX_RX, prof, r2)
         assert r1.uniform() != r2.uniform()
 
     def test_hop_mean_power_tracks_loss(self):
         """Ray phases are i.i.d. uniform, so E|value|^2 = loss for the scalar
         hop (powers sum to one)."""
         scene = make_sub6_scene(los_tx_rx="on", shadow_los=False)
+        prof = _fixed_profile()
         loss = path_loss(
             scene.frequency_hz,
             distance(scene.tx, scene.rx),
@@ -261,14 +259,14 @@ class TestFarFieldHops:
             los=True,
         ).linear
         vals = [
-            _far_hop(scene, Link.TX_RX, _rng(i), _rng(1000 + i)) for i in range(4000)
+            _far_hop(scene, Link.TX_RX, prof, np.random.default_rng(1000 + i)) for i in range(4000)
         ]
         mean_pow = np.mean(np.abs(vals) ** 2)
         assert mean_pow == pytest.approx(loss, rel=0.1)
 
     def test_g_far_shape(self):
         scene = make_sub6_scene()
-        g = _far_hop(scene, Link.RIS_RX, _rng(0), _rng(2))
+        g = _far_hop(scene, Link.RIS_RX, _fixed_profile(), np.random.default_rng(2))
         assert g.shape == (16,)
         assert np.all(np.isfinite(g))
 
@@ -420,54 +418,6 @@ class TestGenGModeSelection:
         assert not np.array_equal(near.G, far.G)
 
 
-def _walled(plane):
-    """The 4x4 sub-6 scene's surface on ``plane``, facing the room."""
-    return ArrayGeometry(4, 4, orientation=SurfaceOrientation(plane, facing=-1))
-
-
-_PATTERNS = (None, ElementPattern(), ElementPattern(1.0))
-_SCENES = st.builds(
-    lambda near, plane, pattern, shadow, los: (make_near_scene if near else make_sub6_scene)(
-        **({} if near else {"ris_geometry": _walled(plane)}),
-        element_pattern=pattern, shadow_los=shadow,
-        los_tx_ris=los[0], los_ris_rx=los[1], los_tx_rx=los[2],
-    ),
-    st.booleans(), st.sampled_from(Plane), st.sampled_from(_PATTERNS), st.booleans(),
-    st.tuples(*[st.sampled_from(LOS_MODES)] * 3),
-)
-# numpy's pairwise sum changes its blocking at 8 and at 128 elements
-_PARAMS = st.builds(
-    lambda c, r: Sub6Params(n_clusters=c, n_rays=r),
-    st.one_of(st.integers(1, 20), st.integers(120, 140)), st.integers(1, 4),
-)
-_CASES = st.tuples(_SCENES, _PARAMS, st.sampled_from(("auto", "near", "far")), st.integers(0, 9))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(_CASES, min_size=1, max_size=4))
-@example([  # profiles of 1, 8 and 129 clusters, near and far G, both walls, all three patterns
-    (make_sub6_scene(ris_geometry=_walled(Plane.YZ), element_pattern=None), Sub6Params(1, 3), "far", 0),
-    (make_near_scene(element_pattern=_PATTERNS[2], shadow_los=True), Sub6Params(8, 2), "auto", 1),
-    (make_sub6_scene(ris_geometry=_walled(Plane.XZ)), Sub6Params(129, 1), "auto", 2),
-])
-def test_assembly_is_the_same_in_any_batch(cases):
-    """``assemble(records)`` gives every record the bits that assembling it
-    alone gives, for any mix of scenes, parameters and G forms, and reads no
-    stream: no generator is left in the records, and deriving one fails."""
-    records = [draw(scene, 17, index, params, mode) for scene, params, mode, index in cases]
-    assert not any(isinstance(x, np.random.Generator) for x in leaves(records))
-    original = sub6.substream
-    sub6.substream = None  # any stream derivation from here on raises
-    try:
-        together = assemble(records)
-        alone = [assemble([r])[0] for r in records]
-    finally:
-        sub6.substream = original
-    for a, b in zip(together, alone):
-        assert [m.tobytes() for m in (a.H, a.G, a.D)] == [m.tobytes() for m in (b.H, b.G, b.D)]
-        assert (a.los_panels, a.los_direct, a.index) == (b.los_panels, b.los_direct, b.index)
-
-
 class TestGModeOncePerScene:
     @staticmethod
     def _count(monkeypatch) -> list:
@@ -552,9 +502,12 @@ class TestRealizeSub6:
         p = Sub6Params(n_clusters=5, n_rays=4)
         real = realize_sub6(scene, 17, index=2, params=p, g_mode="far")
         streams = Sub6Streams.derive(17, 2)
-        np.testing.assert_array_equal(real.H[:, 0], _far_hop(scene, Link.TX_RIS, streams.powers_h, streams.h, p))
-        np.testing.assert_array_equal(real.G[0, :], _far_hop(scene, Link.RIS_RX, streams.powers_g, streams.g, p))
-        assert real.D[0, 0] == _far_hop(scene, Link.TX_RX, streams.powers_d, streams.d, p)
+        prof_h = gen_cluster_powers(streams.powers_h, p)
+        np.testing.assert_array_equal(real.H[:, 0], _far_hop(scene, Link.TX_RIS, prof_h, streams.h, p))
+        prof_g = gen_cluster_powers(streams.powers_g, p)
+        np.testing.assert_array_equal(real.G[0, :], _far_hop(scene, Link.RIS_RX, prof_g, streams.g, p))
+        prof_d = gen_cluster_powers(streams.powers_d, p)
+        assert real.D[0, 0] == _far_hop(scene, Link.TX_RX, prof_d, streams.d, p)
 
     def test_auto_near_uses_deterministic_g(self):
         scene = make_near_scene()
