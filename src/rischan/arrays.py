@@ -32,7 +32,6 @@ __all__ = [
     "ElementPattern",
     "element_gain",
     "element_gain_cos",
-    "cos_power_gain",
     "steering_vector",
     "steering_matrix",
     "array_axes",
@@ -117,16 +116,13 @@ def element_gain(pattern: ElementPattern, boresight_angle) -> np.ndarray:
     return g if g.ndim else float(g)
 
 def element_gain_cos(pattern: ElementPattern, cos_boresight) -> np.ndarray:
-    """:func:`element_gain` from the cosine of the boresight angle; a
+    """:func:`element_gain` from the cosine of the boresight angle:
+    ``boresight_gain * cos^(2q)`` in front of the element (cosine >= 0); a
     negative cosine is behind the element and gives 0."""
-    return cos_power_gain(pattern.boresight_gain, 2.0 * pattern.q, cos_boresight)
-
-def cos_power_gain(peak, exponent, cos_boresight) -> np.ndarray:
-    """``peak * cos^exponent`` in front of the element (cosine >= 0), else 0;
-    ``peak`` and ``exponent`` are scalars or one value per cosine."""
     c = np.asarray(cos_boresight, dtype=float)
     front = c >= 0.0
-    return np.where(front, peak * ef.power(np.where(front, c, 0.0), exponent), 0.0)
+    gain = pattern.boresight_gain * ef.power(np.where(front, c, 0.0), 2.0 * pattern.q)
+    return np.where(front, gain, 0.0)
 
 def _powers(wr, wi, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(re, im) of w^i for i < n, shape (n, K), for K unit numbers w.

@@ -18,8 +18,10 @@ the AVX-512 level numpy's own ``log``, ``exp``, ``arctan`` and ``log10``
 loops give other bits than the C library on some inputs.
 
 Each function takes an array-like (or a scalar) and returns a float64 array
-of the same shape. Where the C function raises (outside its domain, or on
-overflow) the element gets numpy's NaN or infinity instead.
+of the same shape; the exponent of :func:`power` is one scalar. Where the C
+function raises (outside its domain, or on overflow) the element gets
+numpy's NaN or infinity instead. The cube root is the C library's ``cbrt``
+(``math.cbrt``, Python >= 3.11).
 
 The rest of the arithmetic on the generator path keeps to operations that
 are exactly rounded on every CPU: float64 ``+ - * /`` and ``sqrt`` as
@@ -41,9 +43,6 @@ __all__ = [
 ]
 
 _pow10 = partial(math.pow, 10.0)
-_cbrt = getattr(math, "cbrt", None) or (  # Python 3.10 has no math.cbrt
-    lambda v: math.copysign(math.pow(abs(v), 1.0 / 3.0), v)
-)
 # (major, minor, machine) of the numpy releases and architectures whose
 # float64 cos/sin loops call the C library on each element at every SIMD
 # level; add one only after tests/test_elementary.py passes there
@@ -53,7 +52,7 @@ _NUMPY_SIN_COS = (_version.major, _version.minor, platform.machine()) in _CHECKE
 _NUMPY = {
     math.sin: np.sin, math.cos: np.cos, math.exp: np.exp, math.log: np.log,
     math.log10: np.log10, _pow10: partial(np.power, 10.0), math.pow: np.power,
-    _cbrt: np.cbrt, math.acos: np.arccos, math.atan: np.arctan, math.atan2: np.arctan2,
+    math.cbrt: np.cbrt, math.acos: np.arccos, math.atan: np.arctan, math.atan2: np.arctan2,
 }
 
 
@@ -128,17 +127,13 @@ def pow10(x) -> np.ndarray:
 
 
 def power(x, p) -> np.ndarray:
-    """x ** p, for a scalar exponent or one exponent per element of x."""
-    if not np.ndim(p):
-        return _apply(math.pow, x, p)
-    a = np.asarray(x, dtype=float)
-    return _run(math.pow, a.shape, a.ravel().tolist(), np.broadcast_to(p, a.shape).ravel().tolist())
+    """x ** p, for a scalar exponent p."""
+    return _apply(math.pow, x, p)
 
 
 def cbrt(x) -> np.ndarray:
-    """Real cube root. Python 3.10 has no ``math.cbrt``; there it is
-    ``copysign(|x| ** (1/3), x)``, which can differ from it in the last bit."""
-    return _apply(_cbrt, x)
+    """Real cube root."""
+    return _apply(math.cbrt, x)
 
 
 def arccos(x) -> np.ndarray:

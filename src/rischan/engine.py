@@ -276,8 +276,7 @@ def _build(key: str, cls, *args, **kwargs):
 
 def _params(base, section, key: str):
     """``base`` with the fields of config section ``key`` replaced, each value
-    checked against the type of the field's value in ``base`` (a None there
-    takes null or a number)."""
+    checked against the type of the field's value in ``base``."""
     values = {}
     for name, value in _section(section, key, base.__dataclass_fields__).items():
         current, field_key = getattr(base, name), f"{key}.{name}"
@@ -286,7 +285,7 @@ def _params(base, section, key: str):
         elif isinstance(current, int):
             values[name] = _integer(value, field_key)
         else:
-            values[name] = None if value is None and current is None else _number(value, field_key)
+            values[name] = _number(value, field_key)
     return _build(key, replace, base, **values)
 
 def _terminal_array(data: dict, key: str, count_key: str, spacing: float) -> ArrayGeometry:
@@ -563,10 +562,6 @@ def _tensor_dims(config: RunConfig) -> dict[str, tuple[int, int]]:
     nt, nr = panels[0].nt, panels[0].nr
     return _by_tensor_name([((p.n, nt), (nr, p.n)) for p in panels], (nr, nt))
 
-def _channel_matrices(real) -> dict[str, np.ndarray]:
-    """One realization's matrices under the names of ``_tensor_dims``."""
-    return _by_tensor_name(real.hops, real.D)
-
 def _part(path: Path) -> Path:
     """Where ``path`` is written until it is complete."""
     return path.with_name(path.name + ".part")
@@ -668,7 +663,7 @@ def run(config: RunConfig) -> RunResult:
 
     def append(parts, start, results):
         if config.write_channels:
-            mats = [_channel_matrices(real) for real, _ in results]
+            mats = [_by_tensor_name(real.hops, real.D) for real, _ in results]
             for name in dims:
                 chunk = [m[name] for m in mats]
                 write_tensor(parts[name], chunk, start, config.realizations)

@@ -22,7 +22,10 @@ surface plus D, a single surface being the one-panel case. It is made in
 two stages. :func:`draw` reads every variate from the realization's
 streams into a :class:`RealizationDraw`; :func:`assemble` derives the
 matrices from any number of such records without reading a stream, in
-one pass per derived quantity over the rays of all their hops.
+one pass per derived quantity over the rays of all their hops. A pass
+applies one model: the scenes of its records may differ in geometry, not
+in environment, carrier, element pattern or shadowing switches
+(:data:`rischan.scene.MODEL_FIELDS`), as the panel views of one scene do.
 :func:`realize` (also bound as :func:`rischan.multiris.realize_multi`) is
 ``assemble([draw(...)])[0]`` for any panel count, and :func:`compose`
 forms ``C = D + sum_k G_k diag(exp(j phi_k)) H_k``.
@@ -45,7 +48,7 @@ bitwise-stable results. The arithmetic from the draws to the matrices
 follows the README's determinism contract (no BLAS; the elementary
 functions of :mod:`rischan.elementary`; elementwise passes, whose bits do
 not depend on what else is in the pass; sums over rays per hop), so those
-bits depend neither on the CPU nor on how draws are batched.
+bits depend neither on the CPU nor on how draws of one model are batched.
 """
 
 from __future__ import annotations
@@ -57,12 +60,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import elementary as ef
-from .arrays import array_axes, as_complex, cos_power_gain, power_factors, rank_one_sum
+from .arrays import array_axes, as_complex, element_gain_cos, power_factors, rank_one_sum
 # unused here, but bench/tracer.py wraps these names of this module
 from .arrays import element_gain, steering_matrix, steering_vector  # noqa: F401
 from .geometry import direction_unit
 from .propagation import PathLossSample
-from .scattering import ClusterDraw, Link, derive_sets, draw_clusters, per_ray, share_draw
+from .scattering import ClusterDraw, Link, derive_sets, draw_clusters, share_draw
 # unused here, but bench/tracer.py wraps these names of this module
 from .scattering import generate_clusters, share_clusters  # noqa: F401
 from .scene import Scene
@@ -176,7 +179,7 @@ class _LosConstants(NamedTuple):
 
 
 def _los_constants(scene: Scene, link: Link) -> _LosConstants:
-    """Per-scene LOS loss and directions of ``link`` (kept by :func:`_los`)."""
+    """Per-scene LOS loss and directions of ``link`` (kept in the scene's memo)."""
     ends = scene.link(link)
     a, b = (point.as_array() for point in ends.points)
     loss = scene.close_in(True).sample(ends.distance)
@@ -186,9 +189,6 @@ def _los_constants(scene: Scene, link: Link) -> _LosConstants:
         for mount, unit in zip(ends.mounts, units)
     )
     return _LosConstants(loss.loss_db, loss.linear, directions)
-
-def _los(scene: Scene, link: Link) -> _LosConstants:
-    return scene.constant(("los", link), _los_constants, scene, link)
 
 def _uniform_angles(rng, m: int) -> tuple[np.ndarray, np.ndarray]:
     """m arrival directions at the mobile Rx: az U[-pi, pi), el U[0, pi)."""
@@ -273,18 +273,28 @@ def hop_matrices(hops: Sequence[HopDraw]) -> list[tuple[np.ndarray, bool]]:
     the ray amplitudes, and the axis factors of every array axis
     (:func:`power_factors`). Only the sum over a hop's rays
     (:func:`rank_one_sum`) runs per hop, on that hop's operands alone, so
-    a hop comes out with the same bits in any batch.
+    a hop comes out with the same bits in any batch of one model.
+
+    The scenes of ``hops`` share one model (:data:`rischan.scene.MODEL_FIELDS`;
+    ValueError names the first field that differs), so the element pattern,
+    the wavelength and the LOS shadowing sigma are the first scene's.
     """
+    if not hops:
+        return []
+    model = hops[0].scene
+    model.check_model(h.scene for h in hops)
+    pattern, wavelength = model.element_pattern, model.wavelength
+    sigma_los = model.environment.path_loss.sigma_los_db
     sets = iter(derive_sets([(h.scene, h.clusters) for h in hops if h.clusters is not None]))
     # the ray table, piece by piece: a hop's sub-rays, then its LOS ray
     power, fr, fi, norm, size = [], [], [], [], []
     extra, extra_rows, db_rows = [], [], []  # excess phases; LOS losses still in dB
-    cos, exponent, peak, gain_rows = [], [], [], []  # element-pattern gains at the surface
+    cos, gain_rows = [], []  # element-pattern gains at the surface
     az, el = [], []  # Rx arrival angles, in Rx-table order
     plans, row, rx_row = [], 0, 0
     for hop in hops:
         scene, link = hop.scene, hop.link
-        ends, los = scene.link(link), _los(scene, link)
+        ends, los = scene.link(link), scene.constant(("los", link), _los_constants, scene, link)
         on = ends.visible(hop.u)
         cl = next(sets) if hop.clusters is not None else None
         m = cl.n_subrays if cl is not None else 0
@@ -302,7 +312,7 @@ def hop_matrices(hops: Sequence[HopDraw]) -> list[tuple[np.ndarray, bool]]:
             if hop.shadow is None:
                 power.append((los.loss,))
             else:
-                power.append((los.loss_db + scene.environment.path_loss.sigma_los_db * hop.shadow,))
+                power.append((los.loss_db + sigma_los * hop.shadow,))
                 db_rows.append(row + m)
             fr.append((math.cos(hop.phase),))
             fi.append((math.sin(hop.phase),))
@@ -322,14 +332,12 @@ def hop_matrices(hops: Sequence[HopDraw]) -> list[tuple[np.ndarray, bool]]:
                 continue
             angles = getattr(cl, "angles_b" if k else "angles_a") if m else None
             parts = ([(angles.unit, angles.cos_boresight)] if m else []) + ([los.directions[k]] if on else [])
-            if name == "ris" and scene.element_pattern is not None and n:
+            if name == "ris" and pattern is not None and n:
                 cos += [c for _, c in parts]
-                exponent.append(2.0 * scene.element_pattern.q)
-                peak.append(scene.element_pattern.boresight_gain)
                 gain_rows.append(np.arange(row, row + n))
             if geometry.size > 1:
                 units.append((geometry, parts[0][0] if len(parts) == 1 else _cat([u for u, _ in parts], (0, 3))))
-        plans.append((on, row, row + n, units, scene.wavelength, (ends.arrays[1].size, ends.arrays[0].size)))
+        plans.append((on, row, row + n, units, (ends.arrays[1].size, ends.arrays[0].size)))
         row += n
 
     # ray amplitudes: sqrt(power x gain), the fading (rotated by any excess
@@ -338,9 +346,7 @@ def hop_matrices(hops: Sequence[HopDraw]) -> list[tuple[np.ndarray, bool]]:
     if db_rows:
         power[db_rows] = PathLossSample(power[db_rows]).linear
     if cos:
-        lengths = [rows.size for rows in gain_rows]
-        gain = cos_power_gain(per_ray(peak, lengths), per_ray(exponent, lengths), np.concatenate(cos))
-        power[np.concatenate(gain_rows)] *= gain
+        power[np.concatenate(gain_rows)] *= element_gain_cos(pattern, np.concatenate(cos))
     amp = np.sqrt(power)
     fr, fi = _cat(fr), _cat(fi)
     if extra:
@@ -353,7 +359,7 @@ def hop_matrices(hops: Sequence[HopDraw]) -> list[tuple[np.ndarray, bool]]:
 
     rx_unit = direction_unit(np.concatenate(az), np.concatenate(el)) if az else None
     axes, counts = [], []
-    for _, _, _, units, wavelength, _ in plans:
+    for _, _, _, units, _ in plans:
         hop_axes = [
             axis
             for geometry, unit in units  # the Rx's as a slice of rx_unit
@@ -364,7 +370,7 @@ def hop_matrices(hops: Sequence[HopDraw]) -> list[tuple[np.ndarray, bool]]:
     factors = power_factors(axes)
 
     mats, start = [], 0
-    for (on, first, stop, _, _, shape), count in zip(plans, counts):
+    for (on, first, stop, _, shape), count in zip(plans, counts):
         h_re, h_im = rank_one_sum((re[first:stop], im[first:stop]), factors[start:start + count])
         mats.append((as_complex(h_re, h_im).reshape(shape), on))
         start += count

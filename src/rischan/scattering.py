@@ -28,7 +28,6 @@ from . import elementary as ef
 from .arrays import as_complex
 from .errors import GenerationError
 from .geometry import Point3, vector_norm
-from .propagation import CloseIn
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scene import Scene
@@ -65,12 +64,11 @@ MAX_RETRY_CAP = 10_000
 class ScatteringParams:
     """Knobs of the cluster generator.
 
-    ``cluster_density`` of None defers to the environment default. Sub-ray
+    The mean cluster count is the environment's ``cluster_density``. Sub-ray
     counts are drawn uniformly on [min_subrays, max_subrays]. Placement gives
     up after ``retry_cap`` resampling rounds, at most ``MAX_RETRY_CAP``.
     """
 
-    cluster_density: float | None = None
     min_subrays: int = 1
     max_subrays: int = 30
     spread_m: float = 1.5
@@ -87,8 +85,6 @@ class ScatteringParams:
             raise ValueError("spread_m and min_leg_m must be >= 0")
         if not 1 <= self.retry_cap <= MAX_RETRY_CAP:
             raise ValueError(f"retry_cap must be in [1, {MAX_RETRY_CAP}], got {self.retry_cap!r}")
-        if self.cluster_density is not None and not self.cluster_density >= 0:
-            raise ValueError(f"cluster_density must be >= 0, got {self.cluster_density!r}")
 
 
 @dataclass(frozen=True)
@@ -163,9 +159,7 @@ def _placement(scene: "Scene", link: Link) -> _Placement:
     anchors = np.stack([point.as_array() for point in ends.points])
     lo = np.array([b[0] for b in env.bounds])
     hi = np.array([b[1] for b in env.bounds])
-    p = scene.scattering
-    density = p.cluster_density if p.cluster_density is not None else env.cluster_density
-    return _Placement(anchors, ends.mounts, lo, hi, hi - lo, density)
+    return _Placement(anchors, ends.mounts, lo, hi, hi - lo, env.cluster_density)
 
 def _ball(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
     """n points uniform in a ball of the given radius."""
@@ -299,43 +293,36 @@ def _legs(scene: "Scene", link: Link, reaimed: bool):
         points, mounts = ends.points, ends.mounts
     return np.stack([p.as_array() for p in (*points, scene.ris)]), mounts
 
-def per_ray(values, sizes):
-    """One value per ray from one value per group of ``sizes`` rays: the
-    value itself when all groups share it (the arithmetic is the same,
-    element by element)."""
-    if values.count(values[0]) == len(values):
-        return values[0]
-    return np.repeat(np.array(values), sizes, axis=0)
-
 def derive_sets(items) -> list[ClusterSet]:
     """Stage 2 of cluster generation for any number of sets: the
     :class:`ClusterSet` of each ``(scene, ClusterDraw)`` pair of ``items``.
 
-    Reads no stream. The sets' rays are concatenated and the derived
-    quantities are one pass over all of them: the leg vectors and their
-    :func:`vector_norm` distances, the two-leg close-in attenuation (one
-    ``log10``, one ``pow10``), the unit directions, and the excess phases
-    of re-aimed sets. Each element is computed as a one-set derivation
-    computes it, so the bits do not depend on which other sets share the
-    pass.
+    Reads no stream. The scenes of ``items`` share one model
+    (:data:`rischan.scene.MODEL_FIELDS`; ValueError names the first field
+    that differs), so the close-in law, the wavelength and the clustered
+    shadowing switch are the first scene's. The sets' rays are
+    concatenated and the derived quantities are one pass over all of them:
+    the leg vectors and their :func:`vector_norm` distances, the two-leg
+    close-in attenuation (one ``log10``, one ``pow10``), the unit
+    directions, and the excess phases of re-aimed sets. Each element is
+    computed as a one-set derivation computes it, so the bits do not depend
+    on which other sets share the pass.
     """
     if not items:
         return []
+    model = items[0][0]
+    model.check_model(scene for scene, _ in items)
     sizes = [d.n_subrays for _, d in items]
     legs = [scene.constant(("legs", d.link, d.reaimed), _legs, scene, d.link, d.reaimed) for scene, d in items]
     anchors = np.repeat(np.array([anchors for anchors, _ in legs]), sizes, axis=0)
     rel = np.concatenate([d.positions for _, d in items])[:, None, :] - anchors
     dist = vector_norm(rel, axis=2)  # (M, 3): to A, to B, to the surface
     unit = rel[:, :2] / dist[:, :2, None]
-    laws = [scene.close_in(False) for scene, _ in items]
-    close_in = CloseIn(*[per_ray(field, sizes) for field in zip(*laws)])
-    shadow = None
-    if any(d.shadow is not None for _, d in items):  # an unshadowed set adds sigma * 0, leaving its loss as it is
-        shadow = np.concatenate([np.zeros(d.n_subrays) if d.shadow is None else d.shadow for _, d in items])
-    att = close_in.sample(dist[:, 0] + dist[:, 1], shadow).linear
+    shadow = np.concatenate([d.shadow for _, d in items]) if model.shadow_clustered else None
+    att = model.close_in(False).sample(dist[:, 0] + dist[:, 1], shadow).linear
     extra = None
     if any(d.reaimed for _, d in items):
-        extra = _excess_phase(dist[:, 1], dist[:, 2], per_ray([scene.wavelength for scene, _ in items], sizes))
+        extra = _excess_phase(dist[:, 1], dist[:, 2], model.wavelength)
 
     out, start = [], 0
     for (_, d), (_, (mount_a, mount_b)), m in zip(items, legs, sizes):

@@ -22,10 +22,14 @@ from .propagation import (
 )
 from .scattering import Link, ScatteringParams
 
-__all__ = ["LOS_MODES", "LinkRecord", "RisPanel", "Scene"]
+__all__ = ["LOS_MODES", "MODEL_FIELDS", "LinkRecord", "RisPanel", "Scene"]
 
 # per-hop visibility policy: distance-dependent Bernoulli, forced on, forced off
 LOS_MODES = ("auto", "on", "off")
+
+# The fields of a scene that make its model: what a stage-2 pass applies to
+# every ray it derives. Scenes that share them differ only in geometry.
+MODEL_FIELDS = ("environment", "frequency_hz", "element_pattern", "shadow_clustered", "shadow_los")
 
 # The ends (A, B) of each link. A hop matrix has B's array along its rows and
 # A's along its columns; a cluster set's ``angles_a``/``angles_b`` are the
@@ -137,6 +141,17 @@ class Scene:
         state (see :func:`rischan.propagation.close_in`)."""
         params = self.environment.path_loss
         return self.constant(("close-in", los), close_in, self.frequency_hz, params, los)
+
+    def check_model(self, scenes) -> None:
+        """Raise ValueError naming the first of :data:`MODEL_FIELDS` in which
+        one of ``scenes`` differs from this scene. The same scene object is
+        not compared, so a one-scene batch pays nothing."""
+        for other in scenes:
+            if other is not self:
+                for name in MODEL_FIELDS:
+                    mine, theirs = getattr(self, name), getattr(other, name)
+                    if mine != theirs:
+                        raise ValueError(f"scenes of one stage-2 pass differ in {name}: {mine!r} and {theirs!r}")
 
     @property
     def wavelength(self) -> float:

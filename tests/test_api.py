@@ -1,7 +1,8 @@
-"""Every name a rischan module exports resolves on that module, and every
-name it imports is used."""
+"""Every name a rischan module exports resolves on that module, every name
+it imports is used, and every helper it does not export has a caller."""
 
 import ast
+import collections
 import importlib
 import pkgutil
 from pathlib import Path
@@ -26,8 +27,8 @@ def test_all_resolves(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
-def _string_annotation_names(tree) -> set:
-    """Names used inside the string annotations of ``tree``."""
+def _string_annotation_names(tree) -> list:
+    """Names used inside the string annotations of ``tree``, once per use."""
     annotations = [
         ann for node in ast.walk(tree)
         for ann in (getattr(node, "returns", None), getattr(node, "annotation", None)) if ann is not None
@@ -36,7 +37,15 @@ def _string_annotation_names(tree) -> set:
         c.value for ann in annotations for c in ast.walk(ann)
         if isinstance(c, ast.Constant) and isinstance(c.value, str)
     ]
-    return {n.id for text in strings for n in ast.walk(ast.parse(text, mode="eval")) if isinstance(n, ast.Name)}
+    return [n.id for text in strings for n in ast.walk(ast.parse(text, mode="eval")) if isinstance(n, ast.Name)]
+
+
+def _module_all(tree) -> set:
+    """The names in the ``__all__`` of the module ``tree``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            return set(ast.literal_eval(node.value))
+    return set()
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -55,9 +64,32 @@ def test_no_unused_imports(path):
             continue
         for alias in node.names:
             imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _string_annotation_names(tree)
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
-            used |= set(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= set(_string_annotation_names(tree)) | _module_all(tree)
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports names it does not use: {unused}"
+
+
+def _references(node) -> collections.Counter:
+    """How often each name is read under ``node``, as a name or an attribute."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    ) + collections.Counter(_string_annotation_names(node))
+
+
+def test_no_orphan_helpers():
+    """Every module-level function or class that its module's ``__all__``
+    does not export is referenced by name somewhere in the package outside
+    its own definition."""
+    trees = {path: ast.parse(path.read_text()) for path in Path(rischan.__file__).parent.glob("*.py")}
+    used = sum((_references(tree) for tree in trees.values()), collections.Counter())
+    orphans = [
+        f"{path.name}: {node.name}"
+        for path, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in _module_all(tree)
+        and used[node.name] <= _references(node)[node.name]
+    ]
+    assert not orphans, f"unexported definitions that nothing in the package references: {orphans}"

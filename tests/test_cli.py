@@ -131,7 +131,7 @@ class TestExitCodes:
             ({"bounds": [1, 2, 3]}, "bounds"),
             ({"bounds": [[75.0, 0.0], [0.0, 50.0], [0.0, 3.5]]}, "bounds must have min < max"),
             ({"cluster_density": -1}, "cluster_density"),
-            ({"scattering": {"cluster_density": -1}}, "scattering: cluster_density"),
+            ({"scattering": {"cluster_density": 0.5}}, "scattering: unknown fields ['cluster_density']"),
             ({"pattern_q": -1}, "pattern_q"),
             ({"tx_array": {"spacing_wavelengths": 0}}, "tx_array: spacing_wavelengths"),
             ({"scattering": {"retry_cap": 10**9}}, "scattering: retry_cap"),
@@ -150,7 +150,7 @@ class TestExitCodes:
         ids=[
             "spread_nan", "spread_str", "delay_nan", "ray_az_inf", "exponent_nan",
             "exponent_str", "exponent_bool", "anchor_zero", "bounds_flat", "bounds_reversed",
-            "density_negative", "scattering_density_negative", "pattern_q_negative",
+            "density_negative", "scattering_density_unknown", "pattern_q_negative",
             "tx_spacing_zero", "retry_cap_over", "coverage_grid_over",
             "tx_power_overflow", "noise_overflow", "edge_zero", "edge_over_spacing",
             "sub6_rays_1e9", "sub6_rays_2pow70", "sub6_clusters_rays_1e7",

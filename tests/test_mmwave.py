@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rischan import mmwave
@@ -21,9 +21,9 @@ from rischan.mmwave import (
     realize,
 )
 from rischan.multiris import RisPanel, realize_multi
-from rischan.propagation import los_probability, path_loss
-from rischan.scattering import Link, generate_clusters, share_clusters
-from rischan.scene import LOS_MODES
+from rischan.propagation import Environment, los_probability, path_loss
+from rischan.scattering import Link, derive_sets, draw_clusters, generate_clusters, share_clusters
+from rischan.scene import LOS_MODES, MODEL_FIELDS
 from rischan.streams import substream
 
 from conftest import count_substreams, make_indoor_scene, make_outdoor_scene
@@ -233,18 +233,28 @@ _EXTRA = {  # surfaces after the first, on the first one's wall
     False: (Point3(40.0, 0.0, 12.0), Point3(60.0, 0.0, 8.0), SurfaceOrientation(Plane.XZ, facing=1)),
 }
 _PATTERNS = (None, ElementPattern(), ElementPattern(1.0))
-_SCENES = st.builds(
-    lambda indoor, panels, nt, nr, los, shadow, pattern: (make_indoor_scene if indoor else make_outdoor_scene)(
-        ris_geometry=ArrayGeometry(3, 2, orientation=_EXTRA[indoor][2]),
-        extra_panels=tuple(RisPanel(p, ArrayGeometry(2, 2, orientation=_EXTRA[indoor][2]))
-                           for p in _EXTRA[indoor][:panels - 1]),
-        tx_geometry=ArrayGeometry(nt), rx_geometry=ArrayGeometry(nr),
-        los_tx_ris=los[0], los_ris_rx=los[1], los_tx_rx=los[2],
-        shadow_clustered=shadow[0], shadow_los=shadow[1], element_pattern=pattern,
-    ),
-    st.booleans(), st.integers(1, 3), st.sampled_from((1, 2, 4)), st.sampled_from((1, 2, 4)),
-    st.tuples(*[st.sampled_from(LOS_MODES)] * 3), st.tuples(st.booleans(), st.booleans()),
-    st.sampled_from(_PATTERNS),
+
+
+def _scenes(indoor, shadow, pattern):
+    """Scenes of one model (environment, carrier, pattern, shadowing) that
+    differ in geometry: panel count, Nt, Nr and LOS modes."""
+    return st.builds(
+        lambda panels, nt, nr, los: (make_indoor_scene if indoor else make_outdoor_scene)(
+            ris_geometry=ArrayGeometry(3, 2, orientation=_EXTRA[indoor][2]),
+            extra_panels=tuple(RisPanel(p, ArrayGeometry(2, 2, orientation=_EXTRA[indoor][2]))
+                               for p in _EXTRA[indoor][:panels - 1]),
+            tx_geometry=ArrayGeometry(nt), rx_geometry=ArrayGeometry(nr),
+            los_tx_ris=los[0], los_ris_rx=los[1], los_tx_rx=los[2],
+            shadow_clustered=shadow[0], shadow_los=shadow[1], element_pattern=pattern,
+        ),
+        st.integers(1, 3), st.sampled_from((1, 2, 4)), st.sampled_from((1, 2, 4)),
+        st.tuples(*[st.sampled_from(LOS_MODES)] * 3),
+    )
+
+
+_MODELS = st.tuples(st.booleans(), st.tuples(st.booleans(), st.booleans()), st.sampled_from(_PATTERNS))
+_BATCHES = _MODELS.flatmap(  # one model per batch
+    lambda model: st.lists(st.tuples(_scenes(*model), st.integers(0, 9), st.booleans()), min_size=1, max_size=4)
 )
 
 
@@ -257,14 +267,11 @@ def _leaves(obj):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(_SCENES, st.integers(0, 9), st.booleans()), min_size=1, max_size=4))
-@example([  # element patterns of two exponents in one batch: a per-ray exponent
-    (make_indoor_scene(element_pattern=pattern), index, True) for index, pattern in enumerate(_PATTERNS)
-] + [(make_outdoor_scene(element_pattern=_PATTERNS[2]), 3, True)])
+@given(_BATCHES)
 def test_assembly_is_the_same_in_any_batch(cases):
     """``assemble(records)`` gives every record the bits that assembling it
-    alone gives, for any mix of scenes, and reads no stream: no generator is
-    left in the records, and deriving one fails."""
+    alone gives, for any mix of scenes of one model, and reads no stream: no
+    generator is left in the records, and deriving one fails."""
     records = [draw(scene, 17, index, clustered) for scene, index, clustered in cases]
     assert not any(isinstance(x, np.random.Generator) for x in _leaves(records))
     original = mmwave.substream
@@ -279,6 +286,28 @@ def test_assembly_is_the_same_in_any_batch(cases):
         mats_b = [m for hop in b.hops for m in hop] + [b.D]
         assert [m.tobytes() for m in mats_a] == [m.tobytes() for m in mats_b]
         assert (a.los_panels, a.los_direct, a.index) == (b.los_panels, b.los_direct, b.index)
+
+
+_OTHER_MODEL = {  # per model field, a value the default indoor scene does not have
+    "environment": Environment.indoor_office(cluster_density=2.5),
+    "frequency_hz": 30e9,
+    "element_pattern": ElementPattern(1.0),
+    "shadow_clustered": False,
+    "shadow_los": True,
+}
+
+
+@pytest.mark.parametrize("field", MODEL_FIELDS)
+def test_a_batch_of_two_models_is_refused(field):
+    """Stage 2 applies one model to its whole pass: a batch whose scenes
+    differ in a model field raises, naming it, through ``assemble`` and
+    through ``derive_sets``."""
+    scenes = (make_indoor_scene(), make_indoor_scene(**{field: _OTHER_MODEL[field]}))
+    with pytest.raises(ValueError, match=f"differ in {field}"):
+        assemble([draw(scene, 17, index) for index, scene in enumerate(scenes)])
+    items = [(scene, draw_clusters(scene, Link.TX_RIS, substream(17, "c", i))) for i, scene in enumerate(scenes)]
+    with pytest.raises(ValueError, match=f"differ in {field}"):
+        derive_sets(items)
 
 
 class TestCompose:

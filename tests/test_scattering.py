@@ -44,10 +44,11 @@ def test_deterministic(indoor_scene):
 
 
 def test_at_least_one_cluster(indoor_scene):
-    scene = make_indoor_scene(scattering=ScatteringParams(cluster_density=1e-9))
+    sparse = Environment.indoor_office(cluster_density=1e-9)
+    scene = make_indoor_scene(environment=sparse)
     cs = generate_clusters(scene, Link.TX_RIS, substream(2, "c"))
     assert cs.n_clusters >= 1
-    off = make_indoor_scene(scattering=ScatteringParams(cluster_density=1e-9, at_least_one=False))
+    off = make_indoor_scene(environment=sparse, scattering=ScatteringParams(at_least_one=False))
     empty = generate_clusters(off, Link.TX_RIS, substream(2, "c"))
     assert empty.n_clusters == 0
     assert empty.n_subrays == 0
@@ -155,7 +156,7 @@ def test_count_statistics(monkeypatch, make_scene):
     monkeypatch.setattr(scattering, "_admissible", counted)
     p = scene.scattering
     lam = scene.environment.cluster_density
-    assert p.at_least_one and p.cluster_density is None
+    assert p.at_least_one
     n_sets, redrawn, clusters, subrays = 3000, 0, [], []
     for i in range(n_sets):
         redraws[0] = 0
