@@ -14,7 +14,6 @@ from .arrays import (
     ArrayGeometry,
     ElementPattern,
     element_gain,
-    reflection_matrix,
     steering_matrix,
     steering_vector,
 )
@@ -58,7 +57,6 @@ from .propagation import (
     EnvironmentKind,
     PathLossParams,
     ci_intercept_db,
-    draw_los,
     los_probability,
     path_loss,
 )
@@ -66,7 +64,6 @@ from .scattering import (
     ClusterSet,
     Link,
     ScatteringParams,
-    excess_phase,
     generate_clusters,
     share_clusters,
 )

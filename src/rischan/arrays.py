@@ -39,7 +39,6 @@ __all__ = [
     "rank_one_sum",
     "response_sum",
     "as_complex",
-    "reflection_matrix",
 ]
 
 
@@ -255,14 +254,3 @@ def steering_vector(
 ) -> np.ndarray:
     """Array response toward one direction, shape (size,)."""
     return steering_matrix(geometry, angles.azimuth, angles.elevation, wavelength)
-
-def reflection_matrix(phases) -> np.ndarray:
-    """Diagonal unit-modulus reflection matrix from a phase vector.
-
-    Accepts a plain array of radians or any object with a ``phases``
-    attribute (see :class:`rischan.control.RisPhaseConfig`).
-    """
-    phi = np.asarray(getattr(phases, "phases", phases), dtype=float)
-    if phi.ndim != 1:
-        raise ValueError(f"phases must be a 1-d vector, got shape {phi.shape}")
-    return np.diag(np.exp(1j * phi))

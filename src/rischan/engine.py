@@ -47,7 +47,7 @@ from .scattering import Link, ScatteringParams
 from .scene import LOS_MODES, RisPanel, Scene
 from .simio import MAX_DIM, file_digest, write_csv, write_metadata, write_tensor, write_tensor_csv
 from .streams import cell_seed, substream
-from .sub6 import Sub6Params, element_edge, realize_sub6, select_g_mode
+from .sub6 import G_MODES, Sub6Params, element_edge, realize_sub6, select_g_mode
 
 __all__ = [
     "BANDS",
@@ -370,8 +370,9 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
     facings = _per_surface(data, "ris_facing", 1, n_panels, _facing)
     shapes = _per_surface(data, "ris_shape", None, n_panels, lambda v, k: v, nested=True)
 
-    spacing = _number(data.get("spacing_wavelengths", 0.5), "spacing_wavelengths")
-    q_val = data.get("pattern_q", 0.285)
+    spacing = data.get("spacing_wavelengths", ArrayGeometry.spacing_wavelengths)
+    spacing = _number(spacing, "spacing_wavelengths")
+    q_val = data.get("pattern_q", ElementPattern.q)
     pattern = (
         None if q_val is None else _build("pattern_q", ElementPattern, _number(q_val, "pattern_q"))
     )
@@ -385,13 +386,14 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
     tx_geom = _terminal_array(data, "tx_array", "nt", spacing)
     rx_geom = _terminal_array(data, "rx_array", "nr", spacing)
 
+    # only the switches a config gives; the Scene's defaults fill in the rest
     links = ("tx_ris", "ris_rx", "tx_rx")
     los = _section(data.get("los", {}), "los", links)
-    los_modes = {k: _choice(los.get(k, "auto"), f"los.{k}", LOS_MODES) for k in links}
-
+    switches = {f"los_{k}": _choice(los[k], f"los.{k}", LOS_MODES) for k in links if k in los}
     shadowing = _section(data.get("shadowing", {}), "shadowing", ("clustered", "los"))
-    shadow_clustered = _boolean(shadowing.get("clustered", True), "shadowing.clustered")
-    shadow_los = _boolean(shadowing.get("los", False), "shadowing.los")
+    for k in ("clustered", "los"):
+        if k in shadowing:
+            switches[f"shadow_{k}"] = _boolean(shadowing[k], f"shadowing.{k}")
 
     scattering = _params(ScatteringParams(), data.get("scattering", {}), "scattering")
 
@@ -403,7 +405,7 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
 
     sub6_fields = [*Sub6Params.__dataclass_fields__, "g_mode", "element_edge_m"]
     sub6_cfg = dict(_section(data.get("sub6", {}), "sub6", sub6_fields))
-    sub6_g_mode = _choice(sub6_cfg.pop("g_mode", "auto"), "sub6.g_mode", ("auto", "near", "far"))
+    sub6_g_mode = _choice(sub6_cfg.pop("g_mode", "auto"), "sub6.g_mode", G_MODES)
     sub6_edge = sub6_cfg.pop("element_edge_m", None)
     if sub6_edge is not None:
         sub6_edge = _number(sub6_edge, "sub6.element_edge_m")
@@ -442,12 +444,8 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
         element_pattern=pattern,
         scattering=scattering,
         share_direct_clusters=share,
-        los_tx_ris=los_modes["tx_ris"],
-        los_ris_rx=los_modes["ris_rx"],
-        los_tx_rx=los_modes["tx_rx"],
-        shadow_clustered=shadow_clustered,
-        shadow_los=shadow_los,
         extra_panels=tuple(RisPanel(p, g) for p, g in zip(positions[1:], ris_geoms[1:])),
+        **switches,
     )
 
     if band == "sub6" and (tx_geom.size != 1 or rx_geom.size != 1):

@@ -64,11 +64,6 @@ class Point3:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
-    @classmethod
-    def from_array(cls, arr) -> "Point3":
-        x, y, z = np.asarray(arr, dtype=float).reshape(3)
-        return cls(float(x), float(y), float(z))
-
 
 @dataclass(frozen=True)
 class SurfaceOrientation:
@@ -109,15 +104,6 @@ class DirectionAngles:
     azimuth: float
     elevation: float
     boresight: float
-
-    @property
-    def in_front(self) -> bool:
-        """True when the target is on the surface's broadside half-space.
-
-        Directions lying exactly in the mounting plane count as in front
-        (their boresight is pi/2, the pattern edge).
-        """
-        return self.boresight <= math.pi / 2
 
 
 def distance(a: Point3, b: Point3) -> float:

@@ -139,13 +139,6 @@ class ChannelRealization:
     def los(self) -> dict[Link, bool]:
         return {**self.los_panels[0], Link.TX_RX: self.los_direct}
 
-    @property
-    def outage_links(self) -> frozenset[Link]:
-        """Hops of the first panel and the direct link whose matrix came out
-        identically zero (no LOS, no rays)."""
-        mats = ((Link.TX_RIS, self.H), (Link.RIS_RX, self.G), (Link.TX_RX, self.D))
-        return frozenset(link for link, mat in mats if not np.any(mat))
-
 
 class HopDraw(NamedTuple):
     """The variates of one hop, as :func:`draw` reads them: the LOS block,
@@ -222,7 +215,7 @@ def draw(scene: Scene, master_seed: int, index: int = 0, clustered: bool = True)
     """
     hops, panels = [], []
     for k, view in enumerate(scene.panel_scenes):
-        streams = RealizationStreams.derive(master_seed, index, panel=k)
+        streams = RealizationStreams(master_seed, index, panel=k)
         panels.append((view, streams))
         cl_h = draw_clusters(view, Link.TX_RIS, streams.clusters_h) if clustered else None
         cl_g = None

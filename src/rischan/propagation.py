@@ -37,7 +37,6 @@ __all__ = [
     "close_in",
     "path_loss",
     "los_probability",
-    "draw_los",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -232,7 +231,3 @@ def los_probability(d2d_m: float, kind: EnvironmentKind) -> float:
     if d <= 18.0:
         return 1.0
     return 18.0 / d + math.exp(-d / 36.0) * (1.0 - 18.0 / d)
-
-def draw_los(d2d_m: float, kind: EnvironmentKind, rng) -> bool:
-    """Bernoulli LOS state; always consumes exactly one uniform draw."""
-    return bool(rng.uniform() < los_probability(d2d_m, kind))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 from . import elementary as ef
 from .arrays import as_complex
 from .errors import GenerationError
-from .geometry import Point3, vector_norm
+from .geometry import vector_norm
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scene import Scene
@@ -43,7 +42,6 @@ __all__ = [
     "derive_sets",
     "generate_clusters",
     "share_clusters",
-    "excess_phase",
 ]
 
 
@@ -99,10 +97,6 @@ class AngleSet:
 
     unit: np.ndarray
     cos_boresight: np.ndarray
-
-    @cached_property
-    def boresight(self) -> np.ndarray:
-        return ef.arccos(np.clip(self.cos_boresight, -1.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,7 +316,9 @@ def derive_sets(items) -> list[ClusterSet]:
     att = model.close_in(False).sample(dist[:, 0] + dist[:, 1], shadow).linear
     extra = None
     if any(d.reaimed for _, d in items):
-        extra = _excess_phase(dist[:, 1], dist[:, 2], model.wavelength)
+        # re-aiming the final leg from the surface to B (the Rx): the travel
+        # difference |s - rx| - |s - ris| modulo one wavelength, in radians
+        extra = 2.0 * math.pi * np.mod((dist[:, 1] - dist[:, 2]) / model.wavelength, 1.0)
 
     out, start = [], 0
     for (_, d), (_, (mount_a, mount_b)), m in zip(items, legs, sizes):
@@ -343,20 +339,6 @@ def generate_clusters(scene: "Scene", link: Link, rng: np.random.Generator) -> C
     :func:`draw_clusters` stage, then :func:`derive_sets` on that one set."""
     return derive_sets([(scene, draw_clusters(scene, link, rng))])[0]
 
-def excess_phase(positions, ris: Point3, rx: Point3, wavelength: float) -> np.ndarray:
-    """Phase of re-aiming a scatterer's final leg from the RIS to the Rx.
-
-    For each scatterer the travel difference ``|s - rx| - |s - ris|`` is
-    reduced modulo one wavelength and expressed in radians, in [0, 2 pi).
-    """
-    pts = np.atleast_2d(np.asarray(positions, dtype=float))
-    d_rx = vector_norm(pts - rx.as_array(), axis=1)
-    phase = _excess_phase(d_rx, vector_norm(pts - ris.as_array(), axis=1), wavelength)
-    return phase if np.asarray(positions).ndim > 1 else float(phase[0])
-
-def _excess_phase(d_rx, d_ris, wavelength: float) -> np.ndarray:
-    return 2.0 * math.pi * np.mod((d_rx - d_ris) / wavelength, 1.0)
-
 def share_clusters(
     scene: "Scene", tx_ris: ClusterSet, rng: np.random.Generator | None = None
 ) -> ClusterSet:
@@ -366,7 +348,7 @@ def share_clusters(
     scatterers: positions, per-cluster counts, complex fading and the Tx
     legs are the very same arrays (aliased, bitwise identical), while the
     final leg is re-aimed at the Rx, which changes travel distances,
-    attenuation, and adds the per-path :func:`excess_phase`. ``rng``
+    attenuation, and adds a per-path excess phase. ``rng``
     supplies the shadowing draws of the re-aimed paths when the scene
     enables clustered shadowing (:func:`share_draw`, then
     :func:`derive_sets` on that one set).

@@ -25,16 +25,12 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["substream", "substream_key", "cell_seed", "NamedStreams"]
+__all__ = ["substream", "cell_seed", "NamedStreams"]
 
 
 def _digest(master_seed: int, path: tuple) -> bytes:
     text = "|".join([str(int(master_seed)), *map(str, path)])
     return hashlib.sha256(text.encode("ascii")).digest()
-
-def substream_key(master_seed: int, *path: object) -> np.ndarray:
-    """Return the 2-word Philox key for a named substream."""
-    return np.frombuffer(_digest(master_seed, path), dtype="<u8", count=2).copy()
 
 @cache
 def _key_sequence() -> type:
@@ -88,10 +84,6 @@ class NamedStreams:
 
     def __init__(self, master_seed: int, index: int, panel: int = 0):
         self.master_seed, self.index, self.panel = master_seed, index, panel
-
-    @classmethod
-    def derive(cls, master_seed: int, index: int, panel: int = 0):
-        return cls(master_seed, index, panel)
 
     def __getattr__(self, name: str) -> np.random.Generator:
         if name in self.PANEL_PATHS:

@@ -40,6 +40,7 @@ from .scene import Scene
 from .streams import NamedStreams, substream
 
 __all__ = [
+    "G_MODES",
     "Sub6Params",
     "Sub6Streams",
     "ClusterPowerProfile",
@@ -53,6 +54,9 @@ __all__ = [
     "fraunhofer_distance",
 ]
 
+
+# surface -> Rx forms: the Fraunhofer test picks one, or near/far is forced
+G_MODES = ("auto", "near", "far")
 
 # rays per far-field hop (n_clusters x n_rays), 33 times the default 300: a
 # draw holds a few arrays of this many elements per hop
@@ -267,7 +271,7 @@ def select_g_mode(scene: Scene, mode: str, edge_m: float | None) -> str:
     ``scene``: "auto" picks the near-field response whenever the receiver is
     closer than the panel's Fraunhofer distance (a constant of the scene,
     decided once per scene object)."""
-    if mode not in ("auto", "near", "far"):
+    if mode not in G_MODES:
         raise ValueError(f"g_mode={mode!r}: expected auto, near, or far")
     if mode == "auto":
         mode = scene.constant(("g mode", edge_m), _auto_g_mode, scene, edge_m)
@@ -316,7 +320,7 @@ def realize_sub6(
         raise ValueError("sub-6 GHz generation covers one surface; the scene has extra_panels")
     mode = select_g_mode(scene, g_mode, edge_m)
     p = params or Sub6Params()
-    streams = Sub6Streams.derive(master_seed, index)
+    streams = Sub6Streams(master_seed, index)
 
     prof_h = gen_cluster_powers(streams.powers_h, p)
     h, los_h = _sub6_hop(scene, Link.TX_RIS, prof_h, streams.h, p)

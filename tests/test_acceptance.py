@@ -33,7 +33,6 @@ from rischan.propagation import (
     SPEED_OF_LIGHT,
     Environment,
     EnvironmentKind,
-    draw_los,
     los_probability,
     path_loss,
 )
@@ -43,7 +42,7 @@ from rischan.streams import substream
 from rischan.sub6 import fraunhofer_distance, nearfield_element_capture
 
 import platform_probe
-from conftest import make_indoor_scene
+from conftest import make_indoor_scene, make_outdoor_scene
 
 XZ_IN = SurfaceOrientation(Plane.XZ, facing=-1)
 
@@ -281,12 +280,17 @@ def test_cophasing_optimality():
 
 
 def test_los_statistics():
-    """Fraction of visible draws matches the distance fit within 3 binomial
-    sigmas at 10 distances per environment, 1e4 draws each (exact where the
-    probability is degenerate)."""
+    """Fraction of visible draws of a Tx -> Rx link in "auto" mode
+    (``LinkRecord.visible``) matches the distance fit within 3 binomial
+    sigmas at 10 ground distances per environment, 1e4 draws each (exact
+    where the probability is degenerate)."""
     cases = {
         EnvironmentKind.INDOOR_OFFICE: [0.5, 1.0, 1.2, 2.0, 3.0, 5.0, 6.5, 10.0, 20.0, 50.0],
         EnvironmentKind.STREET_CANYON: [1.0, 5.0, 10.0, 18.0, 25.0, 36.0, 60.0, 100.0, 200.0, 400.0],
+    }
+    make_scene = {
+        EnvironmentKind.INDOOR_OFFICE: make_indoor_scene,
+        EnvironmentKind.STREET_CANYON: make_outdoor_scene,
     }
     n = 10_000
     worst_sigma = 0.0
@@ -294,8 +298,10 @@ def test_los_statistics():
     for kind, distances in cases.items():
         for d in distances:
             p = los_probability(d, kind)
+            # the heights differ: visibility follows the ground distance
+            link = make_scene[kind](tx=Point3(0.0, 0.0, 2.0), rx=Point3(d, 0.0, 1.0)).link(Link.TX_RX)
             rng = substream(707, "los", kind.value, f"{d:.3f}")
-            k = sum(draw_los(d, kind, rng) for _ in range(n))
+            k = sum(link.visible(rng.uniform()) for _ in range(n))
             if p in (0.0, 1.0):
                 ok = ok and k == int(n * p)
                 continue

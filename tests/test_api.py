@@ -1,10 +1,12 @@
-"""Every name a rischan module exports resolves on that module, every name
-it imports is used, and every helper it does not export has a caller."""
+"""Every name a rischan module exports resolves on that module and has a
+caller, every name it imports is used, and every helper it does not export
+has a caller."""
 
 import ast
 import collections
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ MODULES = sorted(
 )
 # the package's own sources; ``__init__`` imports only to re-export
 SOURCES = sorted(p for p in Path(rischan.__file__).parent.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -93,3 +96,47 @@ def test_no_orphan_helpers():
         and used[node.name] <= _references(node)[node.name]
     ]
     assert not orphans, f"unexported definitions that nothing in the package references: {orphans}"
+
+
+def _definitions(tree) -> dict:
+    """The module-level function, class and assignment nodes of ``tree``,
+    by the name each defines."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, ast.Assign):
+            found.update((target.id, node) for target in node.targets if isinstance(target, ast.Name))
+    return found
+
+
+def _outside_refs(path) -> set:
+    """The names a demo or benchmark script refers to: names, attributes,
+    imported names, and identifier strings (the tracer binds by string)."""
+    tree = ast.parse(path.read_text())
+    return set(_references(tree)) | {
+        alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for alias in n.names
+    } | {
+        n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    }
+
+
+def test_every_export_has_a_caller():
+    """Every name in a module's ``__all__`` is used by the program or named
+    in its documentation: another package module reads it (a re-export in
+    ``__init__`` is not a read), its own module reads it outside its
+    definition, a demo or benchmark script refers to it, or README names
+    it. An export that only its tests call is dead weight."""
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    refs = {path: _references(tree) for path, tree in trees.items()}
+    outside = set().union(*(_outside_refs(p) for d in ("demos", "bench") for p in (ROOT / d).glob("*.py")))
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    unused = []
+    for path, tree in sorted(trees.items()):
+        definitions = _definitions(tree)
+        for name in sorted(_module_all(tree)):
+            own = name in definitions and refs[path][name] > _references(definitions[name])[name]
+            if not (own or name in outside or name in readme
+                    or any(refs[other][name] for other in trees if other != path)):
+                unused.append(f"{path.name}: {name}")
+    assert not unused, f"exported names with no caller outside the tests: {unused}"

@@ -10,12 +10,10 @@ from rischan.arrays import (
     ElementPattern,
     element_gain,
     element_gain_cos,
-    reflection_matrix,
     response_sum,
     steering_matrix,
     steering_vector,
 )
-from rischan.control import RisPhaseConfig
 from rischan.geometry import DirectionAngles, Plane, SurfaceOrientation, direction_unit
 
 LAM = 0.0107  # ~28 GHz
@@ -196,15 +194,3 @@ def test_element_gain_cos_matches_angle_form():
     psi = np.array([0.0, 0.4, 1.2, math.pi / 2, 2.0, math.pi])
     np.testing.assert_allclose(element_gain_cos(p, np.cos(psi)), element_gain(p, psi), rtol=1e-12, atol=1e-30)
     assert element_gain_cos(p, -0.1) == 0.0
-
-
-def test_reflection_matrix():
-    phi = np.array([0.0, math.pi / 2, math.pi])
-    m = reflection_matrix(phi)
-    assert m.shape == (3, 3)
-    np.testing.assert_allclose(np.diag(m), np.exp(1j * phi))
-    assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
-    # accepts a config object as well
-    np.testing.assert_allclose(reflection_matrix(RisPhaseConfig(phi)), m)
-    with pytest.raises(ValueError, match="1-d"):
-        reflection_matrix(np.zeros((2, 2)))

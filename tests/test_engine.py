@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from rischan import engine
-from rischan.arrays import ElementPattern
+from rischan.arrays import ArrayGeometry, ElementPattern
 from rischan.engine import CoverageArea, coverage_run, load_config, run
 from rischan.errors import ConfigError, GenerationError
 from rischan.geometry import Point3
@@ -69,6 +69,14 @@ class TestLoadConfigDefaults:
         assert scene.frequency_hz == 28e9
         assert scene.ris_geometry.orientation.facing == -1
         assert isinstance(scene.element_pattern, ElementPattern)
+        # what the config leaves out comes from the model types' own defaults
+        fields = Scene.__dataclass_fields__
+        for name in ("los_tx_ris", "los_ris_rx", "los_tx_rx", "shadow_clustered", "shadow_los"):
+            assert getattr(scene, name) == fields[name].default, name
+        assert scene.element_pattern.q == ElementPattern().q
+        spacing = ArrayGeometry(1).spacing_wavelengths
+        for geometry in (scene.ris_geometry, scene.tx_geometry, scene.rx_geometry):
+            assert geometry.spacing_wavelengths == spacing
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "run.json"

@@ -137,8 +137,7 @@ class TestRealize:
         scene = make_indoor_scene(los_tx_ris="off", los_ris_rx="off", los_tx_rx="off")
         real = realize(scene, master_seed=5, clustered=False)
         assert not real.los[Link.TX_RIS]
-        assert np.all(real.H == 0) and np.all(real.G == 0) and np.all(real.D == 0)
-        assert real.outage_links == {Link.TX_RIS, Link.RIS_RX, Link.TX_RX}
+        assert not np.any(real.H) and not np.any(real.G) and not np.any(real.D)
 
 
 def test_los_block_consumes_fixed_draws():
@@ -174,7 +173,7 @@ def test_gen_mimo_from_named_streams(indoor_scene):
     """The variates of a draw come from the seeded named streams: the LOS
     block of H is the first three draws of its ``("link", "h")`` stream."""
     rec = draw(indoor_scene, 7, 0)
-    twin = RealizationStreams.derive(7, 0).h
+    twin = RealizationStreams(7, 0).h
     hop = rec.hops[0]
     assert (hop.u, hop.phase) == (twin.uniform(), twin.uniform(0.0, 2 * math.pi))
     again = realize(indoor_scene, master_seed=7, index=0)
@@ -197,11 +196,11 @@ class TestLazyStreams:
             ("clusters", "txris", 0, 4), ("link", "h", 0, 4), ("link", "g", 0, 4),
             ("clusters", "txrx", 4), ("link", "d", 4),
         ])
-        forced = RealizationStreams.derive(11, 4)
+        forced = RealizationStreams(11, 4)
         for name in self.ALL:
             getattr(forced, name)
         assert len(calls) == 5 + 8
-        monkeypatch.setattr(RealizationStreams, "derive", lambda *args, **kw: forced)
+        monkeypatch.setattr(mmwave, "RealizationStreams", lambda *args, **kw: forced)
         # a fresh scene, so nothing is kept from the draw above
         full = realize(make_indoor_scene(), 11, index=4)
         for a, b in ((real.H, full.H), (real.G, full.G), (real.D, full.D)):
@@ -377,14 +376,14 @@ def test_rx_angle_streams_keep_siso_draws_stable():
 def test_direct_scalar_oracle(indoor_scene):
     """Rebuild one direct-link draw by hand: re-aimed clusters plus LOS ray."""
     seed = 41
-    streams = RealizationStreams.derive(seed, 0)
+    streams = RealizationStreams(seed, 0)
     cl_h = generate_clusters(indoor_scene, Link.TX_RIS, streams.clusters_h)
     cl_d = share_clusters(indoor_scene, cl_h, streams.clusters_d)
     d = realize(indoor_scene, master_seed=seed).D[0, 0]
 
     coeff = cl_d.fading * np.sqrt(cl_d.attenuation) * np.exp(1j * cl_d.extra_phase)
     expected = coeff.sum() / math.sqrt(cl_d.n_subrays)
-    twin = RealizationStreams.derive(seed, 0).d  # replay the LOS block draws
+    twin = RealizationStreams(seed, 0).d  # replay the LOS block draws
     u = twin.uniform()
     phase = twin.uniform(0.0, 2 * math.pi)
     p = los_probability(
@@ -403,4 +402,4 @@ def test_direct_scalar_oracle(indoor_scene):
 
 def test_outage_links_empty_when_all_present(indoor_scene):
     real = realize(indoor_scene, master_seed=51)
-    assert Link.TX_RIS not in real.outage_links  # clusters guarantee energy
+    assert np.any(real.H)  # clusters guarantee energy

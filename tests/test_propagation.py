@@ -14,11 +14,9 @@ from rischan.propagation import (
     PathLossParams,
     check_frequency,
     ci_intercept_db,
-    draw_los,
     los_probability,
     path_loss,
 )
-from rischan.streams import substream
 
 
 def test_speed_of_light_value():
@@ -129,22 +127,6 @@ class TestLosProbability:
             for d in np.linspace(0.0, 500.0, 101):
                 p = los_probability(float(d), k)
                 assert 0.0 <= p <= 1.0
-
-
-def test_draw_los_consumes_one_uniform():
-    a = substream(3, "los")
-    b = substream(3, "los")
-    draw_los(30.0, EnvironmentKind.INDOOR_OFFICE, a)
-    b.uniform()
-    assert a.uniform() == b.uniform()
-
-
-def test_draw_los_deterministic():
-    k = EnvironmentKind.STREET_CANYON
-    got = [draw_los(40.0, k, substream(7, "los", i)) for i in range(20)]
-    again = [draw_los(40.0, k, substream(7, "los", i)) for i in range(20)]
-    assert got == again
-    assert any(got) and not all(got)  # 40 m sits strictly between the extremes
 
 
 def run_config(**over):

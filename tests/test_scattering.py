@@ -15,7 +15,6 @@ from rischan.scattering import (
     ScatteringParams,
     _admissible,
     _placement,
-    excess_phase,
     generate_clusters,
     share_clusters,
 )
@@ -105,8 +104,8 @@ def test_angles_match_positions(indoor_scene):
     d = cs.positions - indoor_scene.ris.as_array()
     r = np.linalg.norm(d, axis=1)
     cosb = d @ indoor_scene.ris_geometry.orientation.normal / r
-    np.testing.assert_allclose(cs.angles_b.boresight, np.arccos(cosb), atol=1e-12)
-    assert np.all(cs.angles_b.boresight < math.pi / 2)  # in front, by construction
+    np.testing.assert_allclose(cs.angles_b.cos_boresight, cosb, atol=1e-12)
+    assert np.all(cs.angles_b.cos_boresight > 0.0)  # in front, by construction
 
 
 def test_attenuation_is_two_leg_nlos_loss():
@@ -222,7 +221,10 @@ class TestShareClusters:
         assert shared.extra_phase.shape == (tx_ris.n_subrays,)
         assert np.all(shared.extra_phase >= 0.0)
         assert np.all(shared.extra_phase < 2 * math.pi)
-        expected = excess_phase(tx_ris.positions, scene.ris, scene.rx, scene.wavelength)
+        # |s - rx| - |s - ris| modulo one wavelength, in radians
+        d_rx = np.linalg.norm(tx_ris.positions - scene.rx.as_array(), axis=1)
+        d_ris = np.linalg.norm(tx_ris.positions - scene.ris.as_array(), axis=1)
+        expected = 2 * math.pi * np.mod((d_rx - d_ris) / scene.wavelength, 1.0)
         np.testing.assert_allclose(shared.extra_phase, expected)
 
     def test_outdoor_rejected(self):
@@ -245,18 +247,6 @@ class TestShareClusters:
         quiet = make_indoor_scene(shadow_clustered=False)
         cs2 = generate_clusters(quiet, Link.TX_RIS, substream(15, "c"))
         share_clusters(quiet, cs2)  # fine without an rng
-
-
-def test_excess_phase_oracle():
-    scene = make_indoor_scene()
-    pos = np.array([[20.0, 30.0, 1.5]])
-    d_rx = np.linalg.norm(pos[0] - scene.rx.as_array())
-    d_ris = np.linalg.norm(pos[0] - scene.ris.as_array())
-    expected = 2 * math.pi * ((d_rx - d_ris) / scene.wavelength % 1.0)
-    assert excess_phase(pos, scene.ris, scene.rx, scene.wavelength)[0] == pytest.approx(expected)
-    # scalar-shaped input returns a scalar
-    val = excess_phase(pos[0], scene.ris, scene.rx, scene.wavelength)
-    assert isinstance(val, float)
 
 
 def test_cluster_set_is_frozen(indoor_scene):

@@ -450,7 +450,7 @@ class TestGModeOncePerScene:
 
 class TestSub6Streams:
     def test_paths_match_substream(self):
-        s = Sub6Streams.derive(42, 7, panel=2)
+        s = Sub6Streams(42, 7, panel=2)
         pairs = [
             (s.powers_h, substream(42, "sub6", "powers", "h", 2, 7)),
             (s.powers_g, substream(42, "sub6", "powers", "g", 2, 7)),
@@ -463,8 +463,8 @@ class TestSub6Streams:
             assert got.random() == want.random()
 
     def test_direct_streams_panel_free(self):
-        a = Sub6Streams.derive(1, 0, panel=0)
-        b = Sub6Streams.derive(1, 0, panel=3)
+        a = Sub6Streams(1, 0, panel=0)
+        b = Sub6Streams(1, 0, panel=3)
         assert a.d.random() == b.d.random()
         assert a.h.random() != b.h.random()
 
@@ -501,7 +501,7 @@ class TestRealizeSub6:
         scene = make_sub6_scene()
         p = Sub6Params(n_clusters=5, n_rays=4)
         real = realize_sub6(scene, 17, index=2, params=p, g_mode="far")
-        streams = Sub6Streams.derive(17, 2)
+        streams = Sub6Streams(17, 2)
         prof_h = gen_cluster_powers(streams.powers_h, p)
         np.testing.assert_array_equal(real.H[:, 0], _far_hop(scene, Link.TX_RIS, prof_h, streams.h, p))
         prof_g = gen_cluster_powers(streams.powers_g, p)
