@@ -28,10 +28,6 @@ import numpy as np
 __all__ = ["substream", "cell_seed", "NamedStreams"]
 
 
-def _digest(master_seed: int, path: tuple) -> bytes:
-    text = "|".join([str(int(master_seed)), *map(str, path)])
-    return hashlib.sha256(text.encode("ascii")).digest()
-
 @cache
 def _key_sequence() -> type:
     """The seed-sequence type that hands Philox a key that is already known.
@@ -64,7 +60,8 @@ def substream(master_seed: int, *path: object) -> np.random.Generator:
     are statistically independent Philox counter streams. Every call returns
     a new generator.
     """
-    key = np.frombuffer(_digest(master_seed, path), dtype="<u8", count=2)  # Philox copies it
+    digest = hashlib.sha256("|".join([str(int(master_seed)), *map(str, path)]).encode("ascii")).digest()
+    key = np.frombuffer(digest, dtype="<u8", count=2)  # Philox copies it
     return np.random.Generator(np.random.Philox(_key_sequence()(key)))
 
 
