@@ -46,7 +46,6 @@ from .geometry import (
 )
 from .mmwave import (
     ChannelRealization,
-    RealizationStreams,
     compose_end_to_end,
     realize,
 )

@@ -41,10 +41,12 @@ Determinism contract. Every stage-1 routine draws from generators handed
 to it, in a documented fixed order. Each line-of-sight block consumes exactly one
 uniform (visibility), one uniform (phase), and, if the scene enables LOS
 shadowing, one normal draw, whether or not the ray ends up visible; forced
-"on"/"off" modes consume the same draws. :class:`RealizationStreams` names
-one substream per purpose, derived when the draw first reads it, so
-realizations can be generated independently, in any order, with
-bitwise-stable results. The arithmetic from the draws to the matrices
+"on"/"off" modes consume the same draws. Each purpose has a substream of
+its own, derived where :func:`draw` reads it: keyed by surface and
+realization for the surface hops, by realization alone for the direct link
+(one physical Tx-Rx path, whatever the surface count). The README's
+determinism contract lists the paths. So realizations can be generated
+independently, in any order, with bitwise-stable results. The arithmetic from the draws to the matrices
 follows the README's determinism contract (no BLAS; the elementary
 functions of :mod:`rischan.elementary`; elementwise passes, whose bits do
 not depend on what else is in the pass; sums over rays per hop), so those
@@ -69,10 +71,9 @@ from .scattering import ClusterDraw, Link, derive_sets, draw_clusters, share_dra
 # unused here, but bench/tracer.py wraps these names of this module
 from .scattering import generate_clusters, share_clusters  # noqa: F401
 from .scene import Scene
-from .streams import NamedStreams, substream
+from .streams import substream
 
 __all__ = [
-    "RealizationStreams",
     "ChannelRealization",
     "HopDraw",
     "RealizationDraw",
@@ -83,32 +84,6 @@ __all__ = [
     "compose",
     "compose_end_to_end",
 ]
-
-
-class RealizationStreams(NamedStreams):
-    """The named substreams consumed by one channel realization, each
-    derived the first time the draw reads it.
-
-    ``panel`` tags the surface-specific streams so multi-surface scenes get
-    independent draws per surface while the direct link stays common to all
-    of them (one physical Tx-Rx path, whatever the surface count).
-    """
-
-    PANEL_PATHS = {
-        "clusters_h": ("clusters", "txris"),
-        "clusters_g": ("clusters", "risrx"),
-        "h": ("link", "h"),
-        "g": ("link", "g"),
-        "rxang_g": ("rxang", "g"),
-    }
-    COMMON_PATHS = {
-        "clusters_d": ("clusters", "txrx"),
-        "d": ("link", "d"),
-        "rxang_d": ("rxang", "d"),
-    }
-
-    def _derive(self, master_seed: int, *path) -> np.random.Generator:
-        return substream(master_seed, *path)  # this module's binding, read per call
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,30 +188,31 @@ def draw(scene: Scene, master_seed: int, index: int = 0, clustered: bool = True)
     streams for a multi-antenna Rx, the surface -> Rx cluster stream
     outdoors, the direct cluster stream for a draw it feeds.
     """
-    hops, panels = [], []
-    for k, view in enumerate(scene.panel_scenes):
-        streams = RealizationStreams(master_seed, index, panel=k)
-        panels.append((view, streams))
-        cl_h = draw_clusters(view, Link.TX_RIS, streams.clusters_h) if clustered else None
-        cl_g = None
-        if clustered and not view.environment.indoor:
-            cl_g = draw_clusters(view, Link.RIS_RX, streams.clusters_g)
-        rxang = streams.rxang_g if view.nr > 1 else None
+    hops, views = [], scene.panel_scenes
+    for k, view in enumerate(views):
+        cl_h = cl_g = rxang = None
+        if clustered:
+            cl_h = draw_clusters(view, Link.TX_RIS, substream(master_seed, "clusters", "txris", k, index))
+            if not view.environment.indoor:
+                cl_g = draw_clusters(view, Link.RIS_RX, substream(master_seed, "clusters", "risrx", k, index))
+        if view.nr > 1:
+            rxang = substream(master_seed, "rxang", "g", k, index)
         hops += [
-            _link_draw(view, Link.TX_RIS, streams.h, cl_h),
-            _link_draw(view, Link.RIS_RX, streams.g, cl_g, rxang),
+            _link_draw(view, Link.TX_RIS, substream(master_seed, "link", "h", k, index), cl_h),
+            _link_draw(view, Link.RIS_RX, substream(master_seed, "link", "g", k, index), cl_g, rxang),
         ]
 
-    view, streams = panels[0]
-    cl_d = None
+    view = views[0]
+    cl_d = rxang = None
     if clustered:
         if not view.shares_direct_clusters:
-            cl_d = draw_clusters(view, Link.TX_RX, streams.clusters_d)
+            cl_d = draw_clusters(view, Link.TX_RX, substream(master_seed, "clusters", "txrx", index))
         else:  # re-viewing draws only the shadowing of the re-aimed paths
-            rng = streams.clusters_d if view.shadow_clustered else None
+            rng = substream(master_seed, "clusters", "txrx", index) if view.shadow_clustered else None
             cl_d = share_draw(view, hops[0].clusters, rng)
-    rxang = streams.rxang_d if view.nr > 1 else None
-    hops.append(_link_draw(view, Link.TX_RX, streams.d, cl_d, rxang))
+    if view.nr > 1:
+        rxang = substream(master_seed, "rxang", "d", index)
+    hops.append(_link_draw(view, Link.TX_RX, substream(master_seed, "link", "d", index), cl_d, rxang))
     return RealizationDraw(tuple(hops), index)
 
 def assemble(draws: Sequence[RealizationDraw]) -> list[ChannelRealization]:

@@ -57,6 +57,12 @@ class Link(Enum):
 # that cannot be placed fails within a second at this cap, not hours later.
 MAX_RETRY_CAP = 10_000
 
+# Most rays of one hop in either band: a sub-6 hop's n_clusters x n_rays
+# (33 times its default 300), a clustered hop's cluster_density x
+# max_subrays (its mean cluster count times its most sub-rays per cluster).
+# A draw holds a few arrays of this many elements per hop.
+MAX_RAYS_PER_HOP = 10_000
+
 
 @dataclass(frozen=True)
 class ScatteringParams:
@@ -91,8 +97,8 @@ class AngleSet:
 
     ``unit`` holds the (M, 3) unit vectors from the endpoint to the
     scatterers, ``cos_boresight`` their components along the endpoint's
-    surface normal. The generators use these; the boresight angle is
-    derived from them on first use.
+    surface normal, the cosines of the boresight angles (no angle itself
+    is kept).
     """
 
     unit: np.ndarray
@@ -276,16 +282,12 @@ def share_draw(scene: "Scene", tx_ris, rng: np.random.Generator | None = None) -
         Link.TX_RX, tx_ris.counts, tx_ris.centers, tx_ris.positions, tx_ris.fading, shadow, True
     )
 
-def _legs(scene: "Scene", link: Link, reaimed: bool):
-    """The anchors of a set's legs as a (3, 3) array, ends A and B and then
-    the surface (the end a re-aimed set's final leg replaces), with the
-    mounts of A and B."""
-    if reaimed:
-        points, mounts = (scene.tx, scene.rx), (scene.tx_geometry.orientation, None)
-    else:
-        ends = scene.link(link)
-        points, mounts = ends.points, ends.mounts
-    return np.stack([p.as_array() for p in (*points, scene.ris)]), mounts
+def _legs(scene: "Scene", link: Link):
+    """The anchors of a set's legs as a (3, 3) array, ends A and B of its
+    link and then the surface (the end a re-aimed set's final leg
+    replaces), with the mounts of A and B."""
+    ends = scene.link(link)
+    return np.stack([p.as_array() for p in (*ends.points, scene.ris)]), ends.mounts
 
 def derive_sets(items) -> list[ClusterSet]:
     """Stage 2 of cluster generation for any number of sets: the
@@ -307,7 +309,7 @@ def derive_sets(items) -> list[ClusterSet]:
     model = items[0][0]
     model.check_model(scene for scene, _ in items)
     sizes = [d.n_subrays for _, d in items]
-    legs = [scene.constant(("legs", d.link, d.reaimed), _legs, scene, d.link, d.reaimed) for scene, d in items]
+    legs = [scene.constant(("legs", d.link), _legs, scene, d.link) for scene, d in items]
     anchors = np.repeat(np.array([anchors for anchors, _ in legs]), sizes, axis=0)
     rel = np.concatenate([d.positions for _, d in items])[:, None, :] - anchors
     dist = vector_norm(rel, axis=2)  # (M, 3): to A, to B, to the surface

@@ -20,7 +20,7 @@ from .geometry import Point3, SurfaceOrientation, distance, distance_2d
 from .propagation import (
     SPEED_OF_LIGHT, CloseIn, Environment, check_frequency, close_in, los_probability,
 )
-from .scattering import Link, ScatteringParams
+from .scattering import MAX_RAYS_PER_HOP, Link, ScatteringParams
 
 __all__ = ["LOS_MODES", "MODEL_FIELDS", "LinkRecord", "RisPanel", "Scene"]
 
@@ -102,6 +102,12 @@ class Scene:
             self.panel_scenes  # each view runs the checks below for its surface
             return
         check_frequency(self.frequency_hz)
+        rays = self.environment.cluster_density * self.scattering.max_subrays
+        if rays > MAX_RAYS_PER_HOP:
+            raise ConfigError(
+                f"cluster_density x scattering.max_subrays = {rays:g} rays per hop, "
+                f"over the limit of {MAX_RAYS_PER_HOP}"
+            )
         for name, mode in (
             ("los_tx_ris", self.los_tx_ris),
             ("los_ris_rx", self.los_ris_rx),

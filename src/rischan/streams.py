@@ -12,10 +12,9 @@ uint64 words and fed to ``numpy.random.Philox``. Path parts are lowercase
 tags and non-negative integers; the textual join makes the mapping stable
 across platforms and releases.
 
-A realization's streams are held by a :class:`NamedStreams` record, which
-derives each one the first time the draw reads it: a stream the draw never
-consumes costs nothing, and one it does consume is the same stream however
-many others were derived before it.
+A draw calls :func:`substream` at the one place where it reads a stream,
+so a stream it never consumes is never derived, and one it does consume is
+the same stream however many others were derived before it.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["substream", "cell_seed", "NamedStreams"]
+__all__ = ["substream", "cell_seed"]
 
 
 @cache
@@ -63,35 +62,6 @@ def substream(master_seed: int, *path: object) -> np.random.Generator:
     digest = hashlib.sha256("|".join([str(int(master_seed)), *map(str, path)]).encode("ascii")).digest()
     key = np.frombuffer(digest, dtype="<u8", count=2)  # Philox copies it
     return np.random.Generator(np.random.Philox(_key_sequence()(key)))
-
-
-class NamedStreams:
-    """The named substreams of one realization, derived on first use.
-
-    Subclasses map attribute names to the tags of their paths:
-    ``PANEL_PATHS`` name per-surface streams, keyed
-    ``(master_seed, *tags, panel, index)``, and ``COMMON_PATHS`` streams
-    shared by all surfaces, keyed ``(master_seed, *tags, index)``. Reading
-    an attribute derives that stream once, through the subclass's
-    ``_derive(master_seed, *path)``, and keeps it.
-    """
-
-    PANEL_PATHS: dict[str, tuple[str, ...]] = {}
-    COMMON_PATHS: dict[str, tuple[str, ...]] = {}
-
-    def __init__(self, master_seed: int, index: int, panel: int = 0):
-        self.master_seed, self.index, self.panel = master_seed, index, panel
-
-    def __getattr__(self, name: str) -> np.random.Generator:
-        if name in self.PANEL_PATHS:
-            path = (*self.PANEL_PATHS[name], self.panel, self.index)
-        elif name in self.COMMON_PATHS:
-            path = (*self.COMMON_PATHS[name], self.index)
-        else:
-            raise AttributeError(name)
-        gen = self._derive(self.master_seed, *path)
-        setattr(self, name, gen)
-        return gen
 
 
 def cell_seed(master_seed: int, ix: int, iy: int) -> int:

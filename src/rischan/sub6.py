@@ -35,14 +35,13 @@ from .arrays import ArrayGeometry, as_complex, element_gain_cos, response_sum
 from .arrays import element_gain, steering_matrix  # noqa: F401
 from .geometry import DirectionAngles, Point3, angles_from, direction_unit, vector_norm
 from .mmwave import ChannelRealization
-from .scattering import Link
+from .scattering import MAX_RAYS_PER_HOP, Link
 from .scene import Scene
-from .streams import NamedStreams, substream
+from .streams import substream
 
 __all__ = [
     "G_MODES",
     "Sub6Params",
-    "Sub6Streams",
     "ClusterPowerProfile",
     "powers_from_delays",
     "gen_cluster_powers",
@@ -57,10 +56,6 @@ __all__ = [
 
 # surface -> Rx forms: the Fraunhofer test picks one, or near/far is forced
 G_MODES = ("auto", "near", "far")
-
-# rays per far-field hop (n_clusters x n_rays), 33 times the default 300: a
-# draw holds a few arrays of this many elements per hop
-MAX_RAYS_PER_HOP = 10_000
 
 
 @dataclass(frozen=True)
@@ -282,22 +277,6 @@ def _auto_g_mode(scene: Scene, edge_m: float | None) -> str:
     return "near" if scene.link(Link.RIS_RX).distance < r_f else "far"
 
 
-class Sub6Streams(NamedStreams):
-    """Named substreams of one sub-6 GHz realization (one per purpose), each
-    derived the first time the draw reads it."""
-
-    PANEL_PATHS = {
-        "powers_h": ("sub6", "powers", "h"),
-        "powers_g": ("sub6", "powers", "g"),
-        "h": ("sub6", "link", "h"),
-        "g": ("sub6", "link", "g"),
-    }
-    COMMON_PATHS = {"powers_d": ("sub6", "powers", "d"), "d": ("sub6", "link", "d")}
-
-    def _derive(self, master_seed: int, *path) -> np.random.Generator:
-        return substream(master_seed, *path)  # this module's binding, read per call
-
-
 def realize_sub6(
     scene: Scene,
     master_seed: int,
@@ -309,10 +288,11 @@ def realize_sub6(
     """One seeded sub-6 GHz realization packed as single-antenna matrices.
 
     Single-antenna terminals only (the band's model is vector/scalar); each
-    hop draws its own power profile and fading from named substreams. In
-    near-field mode the surface -> Rx hop is deterministic, a constant of
-    the scene computed once per scene object, and its streams are left
-    untouched (never derived).
+    hop draws its power profile and its fading from substreams of its own,
+    each derived where it is read (the README's determinism contract lists
+    the paths). In near-field mode the surface -> Rx hop is deterministic,
+    a constant of the scene computed once per scene object, and its
+    streams are never derived.
     """
     if scene.nt != 1 or scene.nr != 1:
         raise ValueError("sub-6 GHz generation covers single-antenna terminals (Nt = Nr = 1)")
@@ -320,20 +300,19 @@ def realize_sub6(
         raise ValueError("sub-6 GHz generation covers one surface; the scene has extra_panels")
     mode = select_g_mode(scene, g_mode, edge_m)
     p = params or Sub6Params()
-    streams = Sub6Streams(master_seed, index)
 
-    prof_h = gen_cluster_powers(streams.powers_h, p)
-    h, los_h = _sub6_hop(scene, Link.TX_RIS, prof_h, streams.h, p)
+    prof_h = gen_cluster_powers(substream(master_seed, "sub6", "powers", "h", 0, index), p)
+    h, los_h = _sub6_hop(scene, Link.TX_RIS, prof_h, substream(master_seed, "sub6", "link", "h", 0, index), p)
 
     if mode == "near":
         g = scene.constant(("near g", edge_m), gen_g_near, scene, edge_m).copy()
         los_g = True
     else:
-        prof_g = gen_cluster_powers(streams.powers_g, p)
-        g, los_g = _sub6_hop(scene, Link.RIS_RX, prof_g, streams.g, p)
+        prof_g = gen_cluster_powers(substream(master_seed, "sub6", "powers", "g", 0, index), p)
+        g, los_g = _sub6_hop(scene, Link.RIS_RX, prof_g, substream(master_seed, "sub6", "link", "g", 0, index), p)
 
-    prof_d = gen_cluster_powers(streams.powers_d, p)
-    d, los_d = _sub6_hop(scene, Link.TX_RX, prof_d, streams.d, p)
+    prof_d = gen_cluster_powers(substream(master_seed, "sub6", "powers", "d", index), p)
+    d, los_d = _sub6_hop(scene, Link.TX_RX, prof_d, substream(master_seed, "sub6", "link", "d", index), p)
 
     return ChannelRealization(
         hops=((h[:, None], g[None, :]),),

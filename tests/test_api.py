@@ -140,3 +140,29 @@ def test_every_export_has_a_caller():
                     or any(refs[other][name] for other in trees if other != path)):
                 unused.append(f"{path.name}: {name}")
     assert not unused, f"exported names with no caller outside the tests: {unused}"
+
+
+def _substream_tags(tree) -> set:
+    """The leading string tags of the path of every ``substream(seed, *path)``
+    call in ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "substream":
+            tags = []
+            for arg in node.args[1:]:
+                if not (isinstance(arg, ast.Constant) and isinstance(arg.value, str)):
+                    break
+                tags.append(arg.value)
+            found.add(tuple(tags))
+    return found
+
+
+def test_readme_lists_every_stream_path():
+    """README's determinism contract writes out the path of every stream the
+    package derives: each call's leading tags open a path listed there."""
+    readme = (ROOT / "README.md").read_text()
+    contract = readme.partition("## Determinism contract")[2].partition("\n## ")[0]
+    tags = set().union(*(_substream_tags(ast.parse(path.read_text())) for path in SOURCES))
+    assert ("link", "h") in tags and ("sub6", "link", "h") in tags
+    missing = sorted(t for t in tags if not t or "(" + ", ".join(f'"{tag}"' for tag in t) not in contract)
+    assert not missing, f"stream paths the README's determinism contract does not list: {missing}"

@@ -146,6 +146,12 @@ class TestExitCodes:
             ({**SUB6, "sub6": {"n_rays": 10**9}}, "sub6: n_clusters x n_rays = 15000000000 rays per hop"),
             ({**SUB6, "sub6": {"n_rays": 2**70}}, "over the limit of 10000"),
             ({**SUB6, "sub6": {"n_clusters": 10**7, "n_rays": 10**7}}, "over the limit of 10000"),
+            ({"cluster_density": 1e12}, "cluster_density x scattering.max_subrays = 3e+13 rays per hop"),
+            ({"cluster_density": 1e300}, "over the limit of 10000"),
+            (
+                {"scattering": {"max_subrays": 10**9}},
+                "cluster_density x scattering.max_subrays = 1.8e+09 rays per hop, over the limit of 10000",
+            ),
         ],
         ids=[
             "spread_nan", "spread_str", "delay_nan", "ray_az_inf", "exponent_nan",
@@ -154,6 +160,7 @@ class TestExitCodes:
             "tx_spacing_zero", "retry_cap_over", "coverage_grid_over",
             "tx_power_overflow", "noise_overflow", "edge_zero", "edge_over_spacing",
             "sub6_rays_1e9", "sub6_rays_2pow70", "sub6_clusters_rays_1e7",
+            "density_1e12", "density_1e300", "max_subrays_1e9",
         ],
     )
     def test_bad_section_field(self, tmp_path, capsys, over, key):

@@ -13,7 +13,6 @@ from rischan.errors import ConfigError
 from rischan.geometry import Plane, Point3, SurfaceOrientation, distance, distance_2d
 from rischan.mmwave import (
     ChannelRealization,
-    RealizationStreams,
     assemble,
     compose,
     compose_end_to_end,
@@ -173,7 +172,7 @@ def test_gen_mimo_from_named_streams(indoor_scene):
     """The variates of a draw come from the seeded named streams: the LOS
     block of H is the first three draws of its ``("link", "h")`` stream."""
     rec = draw(indoor_scene, 7, 0)
-    twin = RealizationStreams(7, 0).h
+    twin = substream(7, "link", "h", 0, 0)
     hop = rec.hops[0]
     assert (hop.u, hop.phase) == (twin.uniform(), twin.uniform(0.0, 2 * math.pi))
     again = realize(indoor_scene, master_seed=7, index=0)
@@ -187,20 +186,24 @@ class TestLazyStreams:
     """A draw derives the streams it consumes and no others; the draws do not
     depend on which other streams exist."""
 
-    ALL = [*RealizationStreams.PANEL_PATHS, *RealizationStreams.COMMON_PATHS]
+    # every stream path of panel 0 and realization 4: per surface, then direct
+    ALL = [
+        ("clusters", "txris", 0, 4), ("clusters", "risrx", 0, 4), ("link", "h", 0, 4),
+        ("link", "g", 0, 4), ("rxang", "g", 0, 4),
+        ("clusters", "txrx", 4), ("link", "d", 4), ("rxang", "d", 4),
+    ]
 
     def test_indoor_siso_derives_five(self, monkeypatch, indoor_scene):
         calls = count_substreams(monkeypatch, mmwave)
         real = realize(indoor_scene, 11, index=4)
-        assert sorted(calls) == sorted([
+        assert calls == [
             ("clusters", "txris", 0, 4), ("link", "h", 0, 4), ("link", "g", 0, 4),
             ("clusters", "txrx", 4), ("link", "d", 4),
-        ])
-        forced = RealizationStreams(11, 4)
-        for name in self.ALL:
-            getattr(forced, name)
+        ]
+        # derive every stream first, then let the draw read those generators
+        forced = {(11, *path): mmwave.substream(11, *path) for path in self.ALL}
         assert len(calls) == 5 + 8
-        monkeypatch.setattr(mmwave, "RealizationStreams", lambda *args, **kw: forced)
+        monkeypatch.setattr(mmwave, "substream", lambda *key: forced[key])
         # a fresh scene, so nothing is kept from the draw above
         full = realize(make_indoor_scene(), 11, index=4)
         for a, b in ((real.H, full.H), (real.G, full.G), (real.D, full.D)):
@@ -376,14 +379,13 @@ def test_rx_angle_streams_keep_siso_draws_stable():
 def test_direct_scalar_oracle(indoor_scene):
     """Rebuild one direct-link draw by hand: re-aimed clusters plus LOS ray."""
     seed = 41
-    streams = RealizationStreams(seed, 0)
-    cl_h = generate_clusters(indoor_scene, Link.TX_RIS, streams.clusters_h)
-    cl_d = share_clusters(indoor_scene, cl_h, streams.clusters_d)
+    cl_h = generate_clusters(indoor_scene, Link.TX_RIS, substream(seed, "clusters", "txris", 0, 0))
+    cl_d = share_clusters(indoor_scene, cl_h, substream(seed, "clusters", "txrx", 0))
     d = realize(indoor_scene, master_seed=seed).D[0, 0]
 
     coeff = cl_d.fading * np.sqrt(cl_d.attenuation) * np.exp(1j * cl_d.extra_phase)
     expected = coeff.sum() / math.sqrt(cl_d.n_subrays)
-    twin = RealizationStreams(seed, 0).d  # replay the LOS block draws
+    twin = substream(seed, "link", "d", 0)  # replay the LOS block draws
     u = twin.uniform()
     phase = twin.uniform(0.0, 2 * math.pi)
     p = los_probability(

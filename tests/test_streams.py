@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rischan.streams import NamedStreams, cell_seed, substream
+from rischan.streams import cell_seed, substream
 
 
 def _key(master_seed, *path) -> list:
@@ -100,27 +100,3 @@ def test_substream_calls_are_independent_objects():
     a.random(100)  # drawing from one leaves the other where it was
     np.testing.assert_array_equal(substream(3, "link", "g", 0, 9).random(8)[4:], b.random(4))
     np.testing.assert_array_equal(first, substream(3, "link", "g", 0, 9).random(4))
-
-
-class _Named(NamedStreams):
-    PANEL_PATHS = {"x": ("tag", "x")}
-    COMMON_PATHS = {"y": ("tag", "y")}
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.derived = []
-
-    def _derive(self, master_seed, *path):
-        self.derived.append(path)
-        return substream(master_seed, *path)
-
-
-def test_named_streams_derive_on_first_use_only():
-    s = _Named(4, 6, panel=2)
-    assert s.derived == []
-    x = s.x
-    assert s.x is x and s.derived == [("tag", "x", 2, 6)]
-    assert s.y.random() == substream(4, "tag", "y", 6).random()
-    assert s.derived == [("tag", "x", 2, 6), ("tag", "y", 6)]
-    with pytest.raises(AttributeError):
-        s.z

@@ -26,7 +26,6 @@ from rischan.sub6 import (
     MAX_RAYS_PER_HOP,
     ClusterPowerProfile,
     Sub6Params,
-    Sub6Streams,
     fraunhofer_distance,
     gen_cluster_powers,
     gen_g_near,
@@ -449,24 +448,16 @@ class TestGModeOncePerScene:
 
 
 class TestSub6Streams:
-    def test_paths_match_substream(self):
-        s = Sub6Streams(42, 7, panel=2)
-        pairs = [
-            (s.powers_h, substream(42, "sub6", "powers", "h", 2, 7)),
-            (s.powers_g, substream(42, "sub6", "powers", "g", 2, 7)),
-            (s.powers_d, substream(42, "sub6", "powers", "d", 7)),
-            (s.h, substream(42, "sub6", "link", "h", 2, 7)),
-            (s.g, substream(42, "sub6", "link", "g", 2, 7)),
-            (s.d, substream(42, "sub6", "link", "d", 7)),
+    def test_paths_match_substream(self, monkeypatch):
+        """A far draw derives six streams, in the order it reads them; the
+        surface hops' paths carry panel 0, the direct hop's none."""
+        calls = count_substreams(monkeypatch, sub6)
+        realize_sub6(make_near_scene(), 42, index=7, g_mode="far")
+        assert calls == [
+            ("sub6", "powers", "h", 0, 7), ("sub6", "link", "h", 0, 7),
+            ("sub6", "powers", "g", 0, 7), ("sub6", "link", "g", 0, 7),
+            ("sub6", "powers", "d", 7), ("sub6", "link", "d", 7),
         ]
-        for got, want in pairs:
-            assert got.random() == want.random()
-
-    def test_direct_streams_panel_free(self):
-        a = Sub6Streams(1, 0, panel=0)
-        b = Sub6Streams(1, 0, panel=3)
-        assert a.d.random() == b.d.random()
-        assert a.h.random() != b.h.random()
 
 
 class TestRealizeSub6:
@@ -501,13 +492,12 @@ class TestRealizeSub6:
         scene = make_sub6_scene()
         p = Sub6Params(n_clusters=5, n_rays=4)
         real = realize_sub6(scene, 17, index=2, params=p, g_mode="far")
-        streams = Sub6Streams(17, 2)
-        prof_h = gen_cluster_powers(streams.powers_h, p)
-        np.testing.assert_array_equal(real.H[:, 0], _far_hop(scene, Link.TX_RIS, prof_h, streams.h, p))
-        prof_g = gen_cluster_powers(streams.powers_g, p)
-        np.testing.assert_array_equal(real.G[0, :], _far_hop(scene, Link.RIS_RX, prof_g, streams.g, p))
-        prof_d = gen_cluster_powers(streams.powers_d, p)
-        assert real.D[0, 0] == _far_hop(scene, Link.TX_RX, prof_d, streams.d, p)
+        for hop, link, got in (("h", Link.TX_RIS, real.H[:, 0]), ("g", Link.RIS_RX, real.G[0, :])):
+            prof = gen_cluster_powers(substream(17, "sub6", "powers", hop, 0, 2), p)
+            rng = substream(17, "sub6", "link", hop, 0, 2)
+            np.testing.assert_array_equal(got, _far_hop(scene, link, prof, rng, p))
+        prof_d = gen_cluster_powers(substream(17, "sub6", "powers", "d", 2), p)
+        assert real.D[0, 0] == _far_hop(scene, Link.TX_RX, prof_d, substream(17, "sub6", "link", "d", 2), p)
 
     def test_auto_near_uses_deterministic_g(self):
         scene = make_near_scene()
@@ -518,7 +508,10 @@ class TestRealizeSub6:
     def test_near_derives_four_streams(self, monkeypatch):
         calls = count_substreams(monkeypatch, sub6)
         realize_sub6(make_near_scene(), 21, index=3, g_mode="near")
-        assert len(calls) == 4 and ("sub6", "link", "g", 0, 3) not in calls
+        assert calls == [
+            ("sub6", "powers", "h", 0, 3), ("sub6", "link", "h", 0, 3),
+            ("sub6", "powers", "d", 3), ("sub6", "link", "d", 3),
+        ]
         realize_sub6(make_near_scene(), 21, index=3, g_mode="far")
         assert len(calls) == 4 + 6
 
