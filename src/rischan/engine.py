@@ -116,7 +116,7 @@ class CoverageArea:
 class RunConfig:
     """A fully validated run description."""
 
-    raw: dict
+    raw: dict  # the config as given, with a path-loss table given by path read in
     band: str
     scene: Scene
     seed: int
@@ -142,6 +142,7 @@ class RunConfig:
 
     @property
     def config_sha256(self) -> str:
+        """SHA-256 of :attr:`raw` as canonical JSON (sorted keys, no spaces)."""
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -306,11 +307,9 @@ def _terminal_array(data: dict, key: str, count_key: str, spacing: float) -> Arr
     sp = _number(spec.get("spacing_wavelengths", spacing), f"{key}.spacing_wavelengths")
     return _build(key, ArrayGeometry, n_h, n_v, sp, SurfaceOrientation(wall, facing))
 
-def _path_loss_tables(params) -> dict:
-    """The ``params`` table (a mapping or the path of a JSON file) as
-    PathLossParams by environment name, each over that environment's defaults."""
-    if isinstance(params, (str, Path)):
-        params = read_json_object(params, "params")
+def _path_loss_tables(params: dict) -> dict:
+    """The ``params`` table as PathLossParams by environment name, each over
+    that environment's defaults."""
     names = [kind.value for kind in EnvironmentKind]
     return {
         name: _params(Environment._default(EnvironmentKind(name)).path_loss, v, f"params.{name}")
@@ -338,7 +337,12 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
     kind = EnvironmentKind(env_name)
 
     params = data.get("params")
-    path_loss = _path_loss_tables(params if params is not None else default_params_path or {})
+    if params is None:
+        params = default_params_path or {}
+    if isinstance(params, (str, Path)):  # the table enters config_sha256, not its path
+        params = read_json_object(params, "params")
+        data = {**data, "params": params}
+    path_loss = _path_loss_tables(params)
     overrides = {"path_loss": path_loss[env_name]} if env_name in path_loss else {}
     if "bounds" in data:
         b = data["bounds"]

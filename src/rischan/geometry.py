@@ -7,7 +7,8 @@ Conventions used everywhere in the package:
 * azimuth is measured from the +x axis in the xy-plane, in (-pi, pi];
 * the boresight angle of a direction relative to a mounted surface is the
   angle to the surface normal, in [0, pi]; targets with boresight > pi/2 are
-  behind the surface.
+  behind the surface. Its cosine is the unit direction's
+  :meth:`SurfaceOrientation.normal_component`.
 """
 
 from __future__ import annotations
@@ -99,11 +100,10 @@ class SurfaceOrientation:
 
 @dataclass(frozen=True)
 class DirectionAngles:
-    """Angles of one link direction as seen from a mounted surface."""
+    """Azimuth and elevation of one link direction."""
 
     azimuth: float
     elevation: float
-    boresight: float
 
 
 def distance(a: Point3, b: Point3) -> float:
@@ -131,17 +131,15 @@ def direction_unit(azimuth, elevation) -> np.ndarray:
     c, s = ef.cis(np.stack([az, el]))
     return np.stack([s[1] * c[0], s[1] * s[0], c[1]], axis=-1)
 
-def angles_from(origin: Point3, orientation: SurfaceOrientation, target: Point3) -> DirectionAngles:
-    """Azimuth/elevation/boresight of ``target`` as seen from ``origin``.
+def angles_from(origin: Point3, target: Point3) -> DirectionAngles:
+    """Azimuth/elevation of ``target`` as seen from ``origin``.
 
     Raises ValueError when the points coincide (the direction is undefined).
     """
-    az, el, bore = angles_from_many(origin.as_array(), orientation, target.as_array()[None, :])
-    return DirectionAngles(float(az[0]), float(el[0]), float(bore[0]))
+    az, el = angles_from_many(origin.as_array(), target.as_array()[None, :])
+    return DirectionAngles(float(az[0]), float(el[0]))
 
-def angles_from_many(
-    origin: np.ndarray, orientation: SurfaceOrientation, targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def angles_from_many(origin: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`angles_from` for an (M, 3) block of targets."""
     d = np.asarray(targets, dtype=float) - np.asarray(origin, dtype=float)
     r = vector_norm(d)
@@ -149,6 +147,4 @@ def angles_from_many(
         raise ValueError("direction undefined: target coincides with origin")
     az = ef.arctan2(d[..., 1], d[..., 0])
     az = np.where(az == -math.pi, math.pi, az)  # keep azimuth in (-pi, pi]
-    cosb = orientation.normal_component(d) / r
-    el, bore = ef.arccos(np.clip(np.stack([d[..., 2] / r, cosb]), -1.0, 1.0))
-    return az, el, bore
+    return az, ef.arccos(np.clip(d[..., 2] / r, -1.0, 1.0))

@@ -143,7 +143,7 @@ class _LosConstants(NamedTuple):
 
     loss_db: float  # close-in loss without shadowing
     loss: float  # the same as a linear power factor
-    directions: tuple  # per end: (unit (1, 3), cos boresight (1,)) toward the other end, or None
+    units: tuple  # per end: the (1, 3) unit vector toward the other end
 
 
 def _los_constants(scene: Scene, link: Link) -> _LosConstants:
@@ -152,11 +152,7 @@ def _los_constants(scene: Scene, link: Link) -> _LosConstants:
     a, b = (point.as_array() for point in ends.points)
     loss = scene.close_in(True).sample(ends.distance)
     units = ((b - a)[None, :] / ends.distance, (a - b)[None, :] / ends.distance)
-    directions = tuple(
-        None if mount is None else (unit, mount.normal_component(unit))
-        for mount, unit in zip(ends.mounts, units)
-    )
-    return _LosConstants(loss.loss_db, loss.linear, directions)
+    return _LosConstants(loss.loss_db, loss.linear, units)
 
 def _uniform_angles(rng, m: int) -> tuple[np.ndarray, np.ndarray]:
     """m arrival directions at the mobile Rx: az U[-pi, pi), el U[0, pi)."""
@@ -236,11 +232,13 @@ def hop_matrices(hops: Sequence[HopDraw]) -> list[tuple[np.ndarray, bool]]:
     link: the sum over its rays (the sub-rays of its cluster set, then the
     LOS ray when visible) of the ray amplitude times the outer product of
     the two ends' array responses, a single-antenna end contributing the
-    factor 1. The rays of all ``hops`` form one table, and each derived
-    quantity is one pass over it: the cluster sets (:func:`derive_sets`),
-    the element-pattern gains at the surface, the Rx arrival directions,
-    the ray amplitudes, and the axis factors of every array axis
-    (:func:`power_factors`). Only the sum over a hop's rays
+    factor 1. The element gain of a ray at the surface takes the cosine of
+    its boresight angle here, as the component of its direction at the
+    surface along the surface normal. The rays of all ``hops`` form one
+    table, and each derived quantity is one pass over it: the cluster sets
+    (:func:`derive_sets`), the element-pattern gains at the surface, the
+    Rx arrival directions, the ray amplitudes, and the axis factors of
+    every array axis (:func:`power_factors`). Only the sum over a hop's rays
     (:func:`rank_one_sum`) runs per hop, on that hop's operands alone, so
     a hop comes out with the same bits in any batch of one model.
 
@@ -299,13 +297,16 @@ def hop_matrices(hops: Sequence[HopDraw]) -> list[tuple[np.ndarray, bool]]:
                     units.append((geometry, slice(rx_row, rx_row + n)))
                     rx_row += n
                 continue
-            angles = getattr(cl, "angles_b" if k else "angles_a") if m else None
-            parts = ([(angles.unit, angles.cos_boresight)] if m else []) + ([los.directions[k]] if on else [])
-            if name == "ris" and pattern is not None and n:
-                cos += [c for _, c in parts]
+            gain = name == "ris" and pattern is not None and n > 0
+            if not (gain or geometry.size > 1):
+                continue
+            parts = ([cl.unit_b if k else cl.unit_a] if m else []) + ([los.units[k]] if on else [])
+            unit = parts[0] if len(parts) == 1 else _cat(parts, (0, 3))
+            if gain:
+                cos.append(ends.mounts[k].normal_component(unit))
                 gain_rows.append(np.arange(row, row + n))
             if geometry.size > 1:
-                units.append((geometry, parts[0][0] if len(parts) == 1 else _cat([u for u, _ in parts], (0, 3))))
+                units.append((geometry, unit))
         plans.append((on, row, row + n, units, (ends.arrays[1].size, ends.arrays[0].size)))
         row += n
 

@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Link",
     "ScatteringParams",
-    "AngleSet",
     "ClusterSet",
     "ClusterDraw",
     "draw_clusters",
@@ -91,27 +90,14 @@ class ScatteringParams:
             raise ValueError(f"retry_cap must be in [1, {MAX_RETRY_CAP}], got {self.retry_cap!r}")
 
 
-@dataclass(frozen=True)
-class AngleSet:
-    """Per-sub-ray directions seen from one fixed endpoint.
-
-    ``unit`` holds the (M, 3) unit vectors from the endpoint to the
-    scatterers, ``cos_boresight`` their components along the endpoint's
-    surface normal, the cosines of the boresight angles (no angle itself
-    is kept).
-    """
-
-    unit: np.ndarray
-    cos_boresight: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class ClusterSet:
     """One realization of the scatterers of one link.
 
-    ``angles_a``/``angles_b`` are present only for endpoints with a fixed
-    mounting plane (transmitter, RIS); a mobile receiver has none and its
-    arrival directions are drawn elsewhere.
+    ``unit_a``/``unit_b`` hold the (M, 3) unit vectors from endpoint A/B to
+    the scatterers, present only for endpoints with a fixed mounting plane
+    (transmitter, RIS); a mobile receiver has none and its arrival
+    directions are drawn elsewhere.
     """
 
     link: Link
@@ -122,8 +108,8 @@ class ClusterSet:
     dist_a: np.ndarray  # (M,) endpoint A -> scatterer, meters
     dist_b: np.ndarray  # (M,) scatterer -> endpoint B, meters
     attenuation: np.ndarray  # (M,) linear power attenuation of each path
-    angles_a: AngleSet | None
-    angles_b: AngleSet | None
+    unit_a: np.ndarray | None  # (M, 3)
+    unit_b: np.ndarray | None  # (M, 3)
     extra_phase: np.ndarray | None = None  # (M,) radians, re-aimed final leg
 
     @property
@@ -188,7 +174,7 @@ def _admissible(pts, lo, hi, anchors, surfaces, min_leg: float) -> np.ndarray:
     ok &= np.logical_and.reduce(vector_norm(d, axis=2) >= min_leg, axis=1)
     return ok
 
-def _place(rng, n, draw, ok, retry_cap, what):
+def _place(n, draw, ok, retry_cap, what):
     """n points from ``draw(count, rows)``, the rows that ``ok`` rejects
     drawn again (in ascending order) until all pass."""
     pts = draw(n, slice(None))
@@ -247,7 +233,7 @@ def draw_clusters(scene: "Scene", link: Link, rng: np.random.Generator) -> Clust
         return c.lo + c.span * rng.random((n, 3))
 
     ok = lambda pts: _admissible(pts, c.lo, c.hi, c.anchors, c.surfaces, p.min_leg_m)
-    centers = _place(rng, n_clusters, draw_centers, ok, p.retry_cap, f"{link.value} cluster centers")
+    centers = _place(n_clusters, draw_centers, ok, p.retry_cap, f"{link.value} cluster centers")
 
     anchor_of_point = np.repeat(centers, counts, axis=0)
 
@@ -255,7 +241,7 @@ def draw_clusters(scene: "Scene", link: Link, rng: np.random.Generator) -> Clust
         return anchor_of_point[idx] + _ball(rng, n, p.spread_m)
 
     positions = _place(
-        rng, int(counts.sum()), draw_subrays, ok, p.retry_cap, f"{link.value} sub-ray scatterers"
+        int(counts.sum()), draw_subrays, ok, p.retry_cap, f"{link.value} sub-ray scatterers"
     )
 
     m = positions.shape[0]
@@ -325,12 +311,11 @@ def derive_sets(items) -> list[ClusterSet]:
     out, start = [], 0
     for (_, d), (_, (mount_a, mount_b)), m in zip(items, legs, sizes):
         stop = start + m
-        unit_a, unit_b = unit[start:stop, 0], unit[start:stop, 1]
         out.append(ClusterSet(
             link=d.link, counts=d.counts, centers=d.centers, positions=d.positions, fading=d.fading,
             dist_a=dist[start:stop, 0], dist_b=dist[start:stop, 1], attenuation=att[start:stop],
-            angles_a=None if mount_a is None else AngleSet(unit_a, mount_a.normal_component(unit_a)),
-            angles_b=None if mount_b is None else AngleSet(unit_b, mount_b.normal_component(unit_b)),
+            unit_a=None if mount_a is None else unit[start:stop, 0],
+            unit_b=None if mount_b is None else unit[start:stop, 1],
             extra_phase=extra[start:stop] if d.reaimed else None,
         ))
         start = stop
@@ -356,4 +341,4 @@ def share_clusters(
     :func:`derive_sets` on that one set).
     """
     shared = derive_sets([(scene, share_draw(scene, tx_ris, rng))])[0]
-    return replace(shared, dist_a=tx_ris.dist_a, angles_a=tx_ris.angles_a)
+    return replace(shared, dist_a=tx_ris.dist_a, unit_a=tx_ris.unit_a)

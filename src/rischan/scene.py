@@ -32,7 +32,7 @@ LOS_MODES = ("auto", "on", "off")
 MODEL_FIELDS = ("environment", "frequency_hz", "element_pattern", "shadow_clustered", "shadow_los")
 
 # The ends (A, B) of each link. A hop matrix has B's array along its rows and
-# A's along its columns; a cluster set's ``angles_a``/``angles_b`` are the
+# A's along its columns; a cluster set's ``unit_a``/``unit_b`` are the
 # sub-ray directions seen from A/B.
 _ENDS = {Link.TX_RIS: ("tx", "ris"), Link.RIS_RX: ("ris", "rx"), Link.TX_RX: ("tx", "rx")}
 

@@ -21,8 +21,7 @@ and a call with ``start`` equal to the realizations (or rows) already
 written appends the next block. A run thus holds one block at a time, and
 the bytes do not depend on how the realizations were split into blocks. A
 tensor file whose payload stops short of its header's realization count is
-incomplete, and ``read_tensor`` refuses it. ``file_digest`` hashes in
-fixed-size blocks.
+incomplete, and ``read_tensor`` refuses it.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ MAX_DIM = 2**32 - 1  # largest dimension a header holds (uint32)
 
 _HEADER = struct.Struct("<8sI4s")
 _DIMS = struct.Struct("<III")
-_BLOCK = 1 << 16  # bytes file_digest reads at a time
 
 
 def write_tensor(path, tensor, start: int = 0, total: int | None = None) -> None:
@@ -149,10 +147,6 @@ def read_metadata(path) -> dict:
         return json.load(fh)
 
 def file_digest(path) -> str:
-    """SHA-256 hex digest of a file's bytes, read in fixed-size blocks."""
-    sha = hashlib.sha256()
-    block = memoryview(bytearray(_BLOCK))
-    with open(path, "rb", buffering=0) as fh:
-        while size := fh.readinto(block):
-            sha.update(block[:size])
-    return sha.hexdigest()
+    """SHA-256 hex digest of a file's bytes."""
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()

@@ -138,7 +138,7 @@ def _base_angles(scene: Scene, link: Link) -> DirectionAngles:
     """Direction of a surface hop's far end seen from the surface."""
     ends = scene.link(link)
     k = ends.names.index("ris")
-    return angles_from(ends.points[k], ends.mounts[k], ends.points[1 - k])
+    return angles_from(ends.points[k], ends.points[1 - k])
 
 def _sub6_hop(scene: Scene, link: Link, profile: ClusterPowerProfile, rng, params: Sub6Params):
     """One far-field hop: the (N,) surface vector of a surface hop, or the

@@ -166,3 +166,25 @@ def test_readme_lists_every_stream_path():
     assert ("link", "h") in tags and ("sub6", "link", "h") in tags
     missing = sorted(t for t in tags if not t or "(" + ", ".join(f'"{tag}"' for tag in t) not in contract)
     assert not missing, f"stream paths the README's determinism contract does not list: {missing}"
+
+
+def test_no_unused_parameters():
+    """Every parameter of every ``def`` in the package is read in its body.
+    ``self``, ``cls`` and ``_``-prefixed names are exempt (a lambda is not a
+    ``def``)."""
+    unused = []
+    for path in sorted(Path(rischan.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+            read = {
+                n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unused += [
+                f"{path.name}:{node.lineno} {node.name}({name})" for name in params
+                if name not in read and name not in ("self", "cls") and not name.startswith("_")
+            ]
+    assert not unused, f"parameters their functions never read: {unused}"

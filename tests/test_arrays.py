@@ -133,7 +133,7 @@ class TestSteering:
 
     def test_steering_vector_wraps_angles(self):
         g = ArrayGeometry(2, 2)
-        ang = DirectionAngles(0.4, 1.2, 0.5)
+        ang = DirectionAngles(0.4, 1.2)
         np.testing.assert_array_equal(
             steering_vector(g, ang, LAM), steering_matrix(g, 0.4, 1.2, LAM)
         )

@@ -106,12 +106,26 @@ class TestLoadConfigDefaults:
         with pytest.raises(ConfigError, match="JSON object"):
             load_config([1, 2])
 
-    def test_sha256_canonical(self):
+    def test_sha256_canonical(self, tmp_path):
         a = load_config(base_cfg())
         b = load_config(base_cfg())
         c = load_config(base_cfg(seed=2))
         assert a.config_sha256 == b.config_sha256
         assert a.config_sha256 != c.config_sha256
+        # a table given by path enters the hash as its content, not its path
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"InH_IndoorOffice": {}}))
+        before = load_config(base_cfg(params=str(path)))
+        table = {"InH_IndoorOffice": {"exponent_nlos": 4.0}}
+        path.write_text(json.dumps(table))
+        after = load_config(base_cfg(params=str(path)))
+        assert before.scene.environment.path_loss.exponent_nlos == 3.19
+        assert after.scene.environment.path_loss.exponent_nlos == 4.0
+        assert before.config_sha256 != after.config_sha256
+        assert load_config(base_cfg(params=table)).config_sha256 == after.config_sha256
+        default = load_config(base_cfg(), default_params_path=str(path))
+        assert default.config_sha256 != a.config_sha256
+        assert default.config_sha256 == after.config_sha256
 
 
 class TestLoadConfigValidation:

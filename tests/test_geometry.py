@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rischan.arrays import ElementPattern, element_gain_cos
 from rischan.geometry import (
     DirectionAngles,
     Plane,
@@ -68,36 +69,35 @@ def test_direction_unit_norm(az, el):
 class TestAnglesFrom:
     def test_broadside_xz(self):
         # target straight along the +y normal of an xz wall
-        ang = angles_from(Point3(0, 0, 0), SurfaceOrientation(Plane.XZ), Point3(0, 5, 0))
+        ang = angles_from(Point3(0, 0, 0), Point3(0, 5, 0))
         assert ang.azimuth == pytest.approx(math.pi / 2)
         assert ang.elevation == pytest.approx(math.pi / 2)
-        assert ang.boresight == pytest.approx(0.0)
 
     def test_behind_flipped_surface(self):
-        ang = angles_from(
-            Point3(0, 0, 0), SurfaceOrientation(Plane.XZ, facing=-1), Point3(0, 5, 0)
-        )
-        assert ang.boresight == pytest.approx(math.pi)
+        # straight behind a flipped xz wall: a negative normal component, no gain
+        cos = SurfaceOrientation(Plane.XZ, facing=-1).normal_component(Point3(0, 5, 0).as_array())
+        assert cos == -5.0
+        assert element_gain_cos(ElementPattern(), cos) == 0.0
 
     def test_in_plane_counts_as_front(self):
-        ang = angles_from(Point3(0, 0, 0), SurfaceOrientation(Plane.XZ), Point3(3, 0, 1))
-        assert ang.boresight <= math.pi / 2  # the pattern's edge, still in front
-        assert ang.boresight == pytest.approx(math.pi / 2)
+        cos = SurfaceOrientation(Plane.XZ).normal_component(Point3(3, 0, 1).as_array())
+        assert cos == 0.0  # the pattern's edge, still in front
+        assert element_gain_cos(ElementPattern(0.0), cos) == ElementPattern(0.0).boresight_gain
 
     def test_azimuth_half_open(self):
         # straight along -x maps to +pi, never -pi
-        ang = angles_from(Point3(0, 0, 0), SurfaceOrientation(Plane.YZ), Point3(-2, 0, 0))
+        ang = angles_from(Point3(0, 0, 0), Point3(-2, 0, 0))
         assert ang.azimuth == math.pi
 
     def test_elevation_up_down(self):
-        up = angles_from(Point3(0, 0, 0), SurfaceOrientation(Plane.XZ), Point3(0, 0, 4))
+        up = angles_from(Point3(0, 0, 0), Point3(0, 0, 4))
         assert up.elevation == pytest.approx(0.0)
-        down = angles_from(Point3(0, 0, 0), SurfaceOrientation(Plane.XZ), Point3(0, 0, -4))
+        down = angles_from(Point3(0, 0, 0), Point3(0, 0, -4))
         assert down.elevation == pytest.approx(math.pi)
 
     def test_coincident_raises(self):
         with pytest.raises(ValueError, match="coincides"):
-            angles_from(Point3(1, 1, 1), SurfaceOrientation(Plane.XZ), Point3(1, 1, 1))
+            angles_from(Point3(1, 1, 1), Point3(1, 1, 1))
 
     @given(
         ox=finite, oy=finite, oz=finite,
@@ -109,28 +109,24 @@ class TestAnglesFrom:
         # squared subnormals underflow; skip anything the norm cannot resolve
         if np.linalg.norm(target - origin) == 0.0:
             return
-        orient = SurfaceOrientation(Plane.XZ, facing=-1)
-        az, el, bore = angles_from_many(origin, orient, target[None, :])
-        scalar = angles_from(Point3(*origin), orient, Point3(*target))
+        az, el = angles_from_many(origin, target[None, :])
+        scalar = angles_from(Point3(*origin), Point3(*target))
         assert scalar.azimuth == az[0]
         assert scalar.elevation == el[0]
-        assert scalar.boresight == bore[0]
         assert -math.pi < az[0] <= math.pi
         assert 0.0 <= el[0] <= math.pi
-        assert 0.0 <= bore[0] <= math.pi
 
 
 def test_angles_from_many_block(rng):
     origin = np.array([10.0, 20.0, 1.0])
     targets = origin + rng.normal(size=(50, 3))
-    az, el, bore = angles_from_many(origin, SurfaceOrientation(Plane.YZ), targets)
-    assert az.shape == el.shape == bore.shape == (50,)
-    # boresight of a yz surface is the angle to +x
+    az, el = angles_from_many(origin, targets)
+    assert az.shape == el.shape == (50,)
     d = targets - origin
-    expected = np.arccos(d[:, 0] / np.linalg.norm(d, axis=1))
-    np.testing.assert_allclose(bore, expected, atol=1e-12)
+    np.testing.assert_allclose(el, np.arccos(d[:, 2] / np.linalg.norm(d, axis=1)), atol=1e-12)
+    np.testing.assert_allclose(az, np.arctan2(d[:, 1], d[:, 0]), atol=1e-12)
 
 
 def test_direction_angles_is_plain_data():
-    d = DirectionAngles(0.1, 0.2, 0.3)
-    assert (d.azimuth, d.elevation, d.boresight) == (0.1, 0.2, 0.3)
+    d = DirectionAngles(0.1, 0.2)
+    assert (d.azimuth, d.elevation) == (0.1, 0.2)

@@ -58,10 +58,10 @@ def test_at_least_one_cluster(indoor_scene):
     assert empty.fading.shape == (0,) and empty.fading.dtype == np.complex128
     for arr in (empty.dist_a, empty.dist_b, empty.attenuation):
         assert arr.shape == (0,) and arr.dtype == np.float64
-    for angles in (empty.angles_a, empty.angles_b):  # both ends are mounted
-        assert angles.unit.shape == (0, 3) and angles.cos_boresight.shape == (0,)
+    for unit in (empty.unit_a, empty.unit_b):  # both ends are mounted
+        assert unit.shape == (0, 3) and unit.dtype == np.float64
     direct = generate_clusters(off, Link.TX_RX, substream(2, "c"))
-    assert direct.angles_a.unit.shape == (0, 3) and direct.angles_b is None
+    assert direct.unit_a.shape == (0, 3) and direct.unit_b is None
 
 
 def test_counts_and_bounds(indoor_scene):
@@ -93,19 +93,21 @@ def test_legs_and_half_space(indoor_scene):
 
 def test_rx_endpoint_has_no_angles(indoor_scene):
     cs = generate_clusters(indoor_scene, Link.RIS_RX, substream(5, "c"))
-    assert cs.angles_a is not None  # the surface end
-    assert cs.angles_b is None      # the mobile receiver
+    assert cs.unit_a is not None  # the surface end
+    assert cs.unit_b is None      # the mobile receiver
     direct = generate_clusters(indoor_scene, Link.TX_RX, substream(5, "d"))
-    assert direct.angles_a is not None and direct.angles_b is None
+    assert direct.unit_a is not None and direct.unit_b is None
 
 
 def test_angles_match_positions(indoor_scene):
     cs = generate_clusters(indoor_scene, Link.TX_RIS, substream(6, "c"))
-    d = cs.positions - indoor_scene.ris.as_array()
-    r = np.linalg.norm(d, axis=1)
-    cosb = d @ indoor_scene.ris_geometry.orientation.normal / r
-    np.testing.assert_allclose(cs.angles_b.cos_boresight, cosb, atol=1e-12)
-    assert np.all(cs.angles_b.cos_boresight > 0.0)  # in front, by construction
+    for unit, end in ((cs.unit_a, indoor_scene.tx), (cs.unit_b, indoor_scene.ris)):
+        d = cs.positions - end.as_array()
+        np.testing.assert_allclose(unit, d / np.linalg.norm(d, axis=1)[:, None], atol=1e-12)
+    orientation = indoor_scene.ris_geometry.orientation
+    cosb = orientation.normal_component(cs.unit_b)
+    np.testing.assert_allclose(cosb, cs.unit_b @ orientation.normal, atol=1e-12)
+    assert np.all(cosb > 0.0)  # in front, by construction
 
 
 def test_attenuation_is_two_leg_nlos_loss():

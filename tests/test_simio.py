@@ -7,7 +7,6 @@ import struct
 import numpy as np
 import pytest
 
-from rischan import simio
 from rischan.simio import (
     FORMAT_VERSION,
     MAGIC,
@@ -219,7 +218,7 @@ def test_file_digest_matches_hashlib(tmp_path):
 
 
 def test_file_digest_over_several_blocks(tmp_path):
-    data = bytes(range(256)) * (5 * simio._BLOCK // 512) + b"tail"
+    data = bytes(range(256)) * (5 * 65536 // 512) + b"tail"
     path = tmp_path / "x.bin"
     path.write_bytes(data)
     assert file_digest(path) == hashlib.sha256(data).hexdigest()

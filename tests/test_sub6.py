@@ -197,7 +197,7 @@ class TestFarFieldHops:
         m = c * s
         ray_power = np.repeat(prof.powers, s) / s
         geom = scene.ris_geometry
-        base = angles_from(scene.ris, geom.orientation, scene.tx)
+        base = angles_from(scene.ris, scene.tx)
         d2r = math.pi / 180.0
         caz = base.azimuth + d2r * p.cluster_az_spread_deg * twin.standard_normal(c)
         cel = base.elevation + d2r * p.cluster_el_spread_deg * twin.standard_normal(c)
