@@ -9,7 +9,9 @@ Subcommands:
 
 All take ``-c/--config config.json`` plus a few overriding flags. The
 ``RISCHAN_PARAMS`` environment variable names a JSON path-loss parameter
-table used when the configuration has no ``params`` entry.
+table used when the configuration has no ``params`` entry; a relative
+``params`` path in the config file is taken from that file's directory,
+a relative ``RISCHAN_PARAMS`` from the working directory.
 
 Exit codes: 0 success, 2 configuration problem (bad file, bad field,
 unknown key), 3 runtime failure during generation or output writing.
@@ -24,7 +26,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .engine import BANDS, STRATEGIES, coverage_run, load_config, read_json_object, run
+from .engine import BANDS, STRATEGIES, coverage_run, load_config, read_config, run
 from .errors import ConfigError
 
 __all__ = ["main"]
@@ -60,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 def _load(args: argparse.Namespace):
-    data = read_json_object(args.config, "config")
+    data = read_config(args.config)
     for key in ("seed", "realizations", "out_dir", "workers", "frequency_ghz", "band"):
         if getattr(args, key) is not None:
             data[key] = getattr(args, key)

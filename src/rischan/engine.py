@@ -6,8 +6,12 @@ of channel realizations, applies the configured surface control strategy,
 evaluates rates, and writes channel tensors, a rates table, and a metadata
 sidecar. ``coverage_run`` sweeps the receiver over a grid and records the
 per-cell mean rate. Both write through one output path: chunks of indices
-mapped in index order, appended to ``.part`` files, hashed, listed in the
+worked in index order, appended to ``.part`` files, hashed, listed in the
 sidecar and published together.
+
+A chunk of draws (a run's, or a coverage cell's) is realized in one
+``_realizations`` call, at mmWave one batched ``realize_multi``; then
+``_one_realization`` controls, composes and rates each draw in index order.
 
 Everything is reproducible from (config, seed): realizations and grid cells
 consume hash-derived substreams, so results do not depend on worker count
@@ -56,7 +60,7 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "load_config",
-    "read_json_object",
+    "read_config",
     "run",
     "coverage_run",
 ]
@@ -242,7 +246,7 @@ def _shape_for(n: int | None, shape, key: str) -> tuple[int, int]:
         )
     return root, root
 
-def read_json_object(path, what: str) -> dict:
+def _read_json(path, what: str) -> dict:
     """The JSON object in file ``path``; ``what`` names the file in errors."""
     where = f"{what} file {str(path)!r}"
     try:
@@ -254,6 +258,14 @@ def read_json_object(path, what: str) -> dict:
         raise ConfigError(f"{where}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a JSON object")
+    return data
+
+def read_config(path) -> dict:
+    """The run description in JSON file ``path``, a relative ``params`` path
+    in it taken from the file's directory."""
+    data = _read_json(path, "config")
+    if isinstance(data.get("params"), str):
+        data["params"] = str(Path(path).parent / data["params"])
     return data
 
 def _section(value, key: str, fields, what: str = "fields") -> dict:
@@ -319,11 +331,13 @@ def _path_loss_tables(params: dict) -> dict:
 def load_config(source, default_params_path: str | None = None) -> RunConfig:
     """Validate a run description (mapping, or path to a JSON file).
 
+    A relative ``params`` path in a config file is taken from the config
+    file's directory; in a mapping, from the working directory.
     ``default_params_path`` supplies a path-loss parameter table used when
     the configuration itself has no ``params`` entry (the CLI wires the
     ``RISCHAN_PARAMS`` environment variable into this).
     """
-    data = read_json_object(source, "config") if isinstance(source, (str, Path)) else source
+    data = read_config(source) if isinstance(source, (str, Path)) else source
     if not isinstance(data, dict):
         raise ConfigError("config: expected a JSON object at the top level")
     unknown = set(data) - _KNOWN_KEYS
@@ -340,7 +354,7 @@ def load_config(source, default_params_path: str | None = None) -> RunConfig:
     if params is None:
         params = default_params_path or {}
     if isinstance(params, (str, Path)):  # the table enters config_sha256, not its path
-        params = read_json_object(params, "params")
+        params = _read_json(params, "params")
         data = {**data, "params": params}
     path_loss = _path_loss_tables(params)
     overrides = {"path_loss": path_loss[env_name]} if env_name in path_loss else {}
@@ -525,16 +539,20 @@ def _phase_config(config: RunConfig, h_mat, g_mat, seed_val: int, index: int, pa
         cfg = quantize_phases(cfg, config.quant_bits)
     return cfg
 
-def _one_realization(config: RunConfig, scene, seed_val: int, index: int):
-    """Generate realization ``index``, control it, rate it."""
+def _realizations(config: RunConfig, scene, seed_val: int, indices: range) -> list:
+    """The realizations ``indices`` of ``scene``: one batched mmWave call,
+    or one sub-6 draw per index."""
     if config.band == "sub6":
-        real = realize_sub6(
-            scene, seed_val, index, config.sub6_params, config.sub6_g_mode, config.sub6_edge_m
-        )
-    else:
-        real = realize_multi(scene, seed_val, index, clustered=config.clustered)
+        return [
+            realize_sub6(scene, seed_val, i, config.sub6_params, config.sub6_g_mode, config.sub6_edge_m)
+            for i in indices
+        ]
+    return realize_multi(scene, seed_val, indices, clustered=config.clustered)
+
+def _one_realization(config: RunConfig, real, seed_val: int):
+    """Control realization ``real`` and rate it."""
     phases = [
-        _phase_config(config, h_mat, g_mat, seed_val, index, k)
+        _phase_config(config, h_mat, g_mat, seed_val, real.index, k)
         for k, (h_mat, g_mat) in enumerate(real.hops)
     ]
     rate = achievable_rate(compose_multi(real, phases), config.tx_power_dbm, config.noise_dbm)
@@ -563,6 +581,12 @@ def _tensor_dims(config: RunConfig) -> dict[str, tuple[int, int]]:
     panels = config.scene.panel_scenes
     nt, nr = panels[0].nt, panels[0].nr
     return _by_tensor_name([((p.n, nt), (nr, p.n)) for p in panels], (nr, nt))
+
+def _chunk_draws(config: RunConfig) -> int:
+    """Realizations per chunk: as many as ``_CHUNK_BYTES`` of channel
+    tensors hold, at least one."""
+    per_draw = 16 * sum(rows * cols for rows, cols in _tensor_dims(config).values())
+    return max(1, _CHUNK_BYTES // per_draw)
 
 def _part(path: Path) -> Path:
     """Where ``path`` is written until it is complete."""
@@ -599,16 +623,16 @@ def _stream(config: RunConfig, files: dict[str, Path], count: int, step: int, wo
     """Write ``files`` under their ``.part`` names, chunk by chunk, and
     return their digests by key; ``config.out_dir`` is created if missing.
 
-    ``work`` maps over the indices ``0 .. count - 1``, ``step`` at a time
-    and in index order (``_map_ordered``), and ``append(parts, start,
-    results)`` appends each chunk's results to the part files. If anything
-    raises, the part files are removed."""
+    ``work`` takes the indices ``0 .. count - 1`` as ranges of ``step``, in
+    index order, and returns a chunk's results, and ``append(parts, start,
+    results)`` appends them to the part files. If anything raises, the part
+    files are removed."""
     config.out_dir.mkdir(parents=True, exist_ok=True)
     parts = {key: _part(path) for key, path in files.items()}
     with _removed_on_error(parts.values()):
         for start in range(0, count, step):
             chunk = range(start, min(start + step, count))
-            append(parts, start, _map_ordered(work, chunk, config.workers))
+            append(parts, start, work(chunk))
         return {key: file_digest(part) for key, part in parts.items()}
 
 def _result(config: RunConfig, files, digests, rates, dims, **fields) -> RunResult:
@@ -663,11 +687,15 @@ def run(config: RunConfig) -> RunResult:
         files["rates"] = config.out_dir / "rates.csv"
     rates = np.empty(config.realizations)
 
+    def work(chunk):
+        reals = _realizations(config, config.scene, config.seed, chunk)
+        return _map_ordered(lambda real: _one_realization(config, real, config.seed), reals, config.workers)
+
     def append(parts, start, results):
         if config.write_channels:
-            mats = [_by_tensor_name(real.hops, real.D) for real, _ in results]
-            for name in dims:
-                chunk = [m[name] for m in mats]
+            # per draw H, G (H0, G0, H1, ...) then D, the order of dims
+            mats = zip(*[[m for hop in real.hops for m in hop] + [real.D] for real, _ in results])
+            for name, chunk in zip(dims, mats):
                 write_tensor(parts[name], chunk, start, config.realizations)
                 if config.csv:
                     write_tensor_csv(parts[f"{name}_csv"], chunk, start)
@@ -676,11 +704,7 @@ def run(config: RunConfig) -> RunResult:
         if config.write_rates:
             write_csv(parts["rates"], "index,rate_bits_hz", "{},{:.12g}", enumerate(chunk_rates, start), start)
 
-    per_draw = 16 * sum(rows * cols for rows, cols in dims.values())
-    digests = _stream(
-        config, files, config.realizations, max(1, _CHUNK_BYTES // per_draw),
-        lambda i: _one_realization(config, config.scene, config.seed, i), append,
-    )
+    digests = _stream(config, files, config.realizations, _chunk_draws(config), work, append)
     return _result(
         config, files, digests, rates, dims,
         format="RISCH1",
@@ -707,7 +731,7 @@ def coverage_run(config: RunConfig) -> RunResult:
         raise ConfigError("coverage: section is required for a coverage run")
     area = config.coverage
     xs, ys = area.xs, area.ys
-    grid = np.empty((xs.size, ys.size))
+    grid, step = np.empty((xs.size, ys.size)), _chunk_draws(config)
 
     def one_cell(cell):
         ix, iy = divmod(cell, ys.size)
@@ -718,9 +742,10 @@ def coverage_run(config: RunConfig) -> RunResult:
         except ConfigError:
             return math.nan  # cell sits on a terminal, or closer than the close-in law holds
         seed_val = cell_seed(config.seed, ix, iy)
-        total = 0.0
-        for i in range(config.realizations):
-            total += _one_realization(config, scene, seed_val, i)[1]
+        indices, total = range(config.realizations), 0.0
+        for start in range(0, len(indices), step):
+            for real in _realizations(config, scene, seed_val, indices[start:start + step]):
+                total += _one_realization(config, real, seed_val)[1]
         return total / config.realizations
 
     def append(parts, start, values):
@@ -730,6 +755,8 @@ def coverage_run(config: RunConfig) -> RunResult:
         write_csv(parts["coverage"], "x,y,mean_rate_bits_hz", "{:.12g},{:.12g},{:.12g}", rows, start)
 
     files = {"coverage": config.out_dir / "coverage.csv"}
-    digests = _stream(config, files, grid.size, ys.size, one_cell, append)
+    digests = _stream(
+        config, files, grid.size, ys.size, lambda cells: _map_ordered(one_cell, cells, config.workers), append
+    )
     grid_meta = {"nx": int(xs.size), "ny": int(ys.size), "z": area.z, "step": area.step}
     return _result(config, files, digests, grid, {}, grid=grid_meta)

@@ -27,8 +27,10 @@ applies one model: the scenes of its records may differ in geometry, not
 in environment, carrier, element pattern or shadowing switches
 (:data:`rischan.scene.MODEL_FIELDS`), as the panel views of one scene do.
 :func:`realize` (also bound as :func:`rischan.multiris.realize_multi`) is
-``assemble([draw(...)])[0]`` for any panel count, and :func:`compose`
-forms ``C = D + sum_k G_k diag(exp(j phi_k)) H_k``.
+``assemble([draw(...)])[0]`` for any panel count; given a range of
+indices, it draws them in order and assembles them in passes bounded by
+:data:`_PASS_RAYS` rays. :func:`compose` forms
+``C = D + sum_k G_k diag(exp(j phi_k)) H_k``.
 
 Multi-antenna terminals turn each ray's rank-one contribution into an outer
 product of the two ends' array responses (plain transpose, no conjugation).
@@ -72,6 +74,10 @@ from .scattering import ClusterDraw, Link, derive_sets, draw_clusters, share_dra
 from .scattering import generate_clusters, share_clusters  # noqa: F401
 from .scene import Scene
 from .streams import substream
+
+# Rays a stage-2 pass of a batched :func:`realize` gathers before it is
+# assembled: it bounds the memory of a pass; no output bit depends on it.
+_PASS_RAYS = 1024
 
 __all__ = [
     "ChannelRealization",
@@ -351,18 +357,32 @@ def _cat(parts, shape=(0,)) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(shape)
 
 def realize(
-    scene: Scene, master_seed: int, index: int = 0, clustered: bool = True
-) -> ChannelRealization:
+    scene: Scene, master_seed: int, index: int | range = 0, clustered: bool = True
+) -> ChannelRealization | list[ChannelRealization]:
     """Generate realization ``index`` of a scene with one or more surfaces:
-    ``assemble([draw(...)])[0]``.
+    ``assemble([draw(...)])[0]``; for a ``range`` of indices, the list of
+    their realizations.
 
+    A range is drawn index by index, in order, and the records are
+    assembled in passes of at least :data:`_PASS_RAYS` rays (a record holds
+    the sub-rays of its cluster sets plus one LOS ray per hop), the last
+    pass taking the rest; every realization has the bits it has alone.
     Panel k consumes the panel-k streams; the direct link consumes the
     panel-independent streams, so its draw is the same whatever subset of
     panels exists. With ``clustered=False`` all cluster generation is
     skipped and every hop is its LOS component alone (useful for
     geometry-only studies).
     """
-    return assemble([draw(scene, master_seed, index, clustered)])[0]
+    if not isinstance(index, range):
+        return assemble([draw(scene, master_seed, index, clustered)])[0]
+    out, batch, rays = [], [], 0
+    for i in index:
+        batch.append(draw(scene, master_seed, i, clustered))
+        rays += sum(1 + (h.clusters.n_subrays if h.clusters is not None else 0) for h in batch[-1].hops)
+        if rays >= _PASS_RAYS:
+            out += assemble(batch)
+            batch, rays = [], 0
+    return out + assemble(batch)
 
 def compose(realization: ChannelRealization, phase_list: Sequence) -> np.ndarray:
     """Effective Rx x Tx channel ``D + sum_k G_k diag(exp(j phi_k)) H_k``.

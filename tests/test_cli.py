@@ -328,6 +328,30 @@ class TestParamsEnv:
         meta = read_metadata(tmp_path / "out" / "metadata.json")
         assert meta["mean_rate_bits_hz"] > 1.0  # default exponent, healthy link
 
+    def test_relative_params_path_is_beside_the_config(self, tmp_path, monkeypatch):
+        """A relative ``params`` path in a config file names a file in the
+        config file's directory, from any working directory; a relative
+        ``RISCHAN_PARAMS`` path stays relative to the working directory."""
+        cfgs = tmp_path / "cfgs"
+        cfgs.mkdir()
+        table = {"InH_IndoorOffice": {"exponent_los": 9.9}}
+        (cfgs / "p.json").write_text(json.dumps(table))
+        inline = write_cfg(cfgs, "inline.json", los=self.LOS_ON, params=table)
+        assert main(["rate", "-c", str(inline)]) == 0
+        expected = (cfgs / "out" / "rates.csv").read_text()
+        by_path = write_cfg(cfgs, los=self.LOS_ON, params="p.json")
+        for cwd in (tmp_path, cfgs):
+            monkeypatch.chdir(cwd)
+            assert main(["rate", "-c", str(by_path.relative_to(cwd))]) == 0
+            assert (cfgs / "out" / "rates.csv").read_text() == expected
+        plain = write_cfg(cfgs, "plain.json", los=self.LOS_ON)
+        monkeypatch.setenv(PARAMS_ENV, "p.json")
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", "-c", str(plain)]) == 2
+        monkeypatch.chdir(cfgs)
+        assert main(["rate", "-c", str(plain)]) == 0
+        assert (cfgs / "out" / "rates.csv").read_text() == expected
+
     def test_env_file_missing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(PARAMS_ENV, str(tmp_path / "ghost.json"))
         cfg = write_cfg(tmp_path)

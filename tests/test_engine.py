@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import gc
+import itertools
 import subprocess
 import sys
 import tracemalloc
@@ -13,14 +15,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rischan import engine
+from rischan import engine, mmwave
 from rischan.arrays import ArrayGeometry, ElementPattern
 from rischan.engine import CoverageArea, coverage_run, load_config, run
 from rischan.errors import ConfigError, GenerationError
 from rischan.geometry import Point3
+from rischan.control import achievable_rate, random_phases
+from rischan.mmwave import compose_end_to_end, realize
 from rischan.scene import Scene
 from rischan.simio import MAX_DIM, file_digest, read_metadata, read_tensor
-from rischan.streams import cell_seed
+from rischan.streams import cell_seed, substream
 
 
 SUB6 = {"band": "sub6", "frequency_ghz": 3.5}
@@ -416,6 +420,12 @@ class TestParamsTable:
         cfg = load_config(base_cfg(params=self.TABLE), default_params_path=str(path))
         assert cfg.scene.environment.path_loss.exponent_los == 2.5
 
+    def test_relative_path_in_a_mapping_is_from_the_working_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "p.json").write_text(json.dumps(self.TABLE))
+        monkeypatch.chdir(tmp_path)
+        cfg = load_config(base_cfg(params="p.json"))
+        assert cfg.scene.environment.path_loss.exponent_los == 2.5
+
     def test_other_environment_ignored(self):
         cfg = load_config(base_cfg(params={"UMi_StreetCanyon": {"exponent_los": 2.5}}))
         assert cfg.scene.environment.path_loss.exponent_los == 1.73
@@ -538,6 +548,18 @@ class TestRun:
         result = run(run_cfg(tmp_path, control={"strategy": strategy}, write_channels=False))
         assert np.all(np.isfinite(result.rates))
 
+    def test_random_phases_follow_the_realization_index(self, tmp_path):
+        """Under the ``random`` strategy, realization i is rated with the
+        phases of its own stream ``("phases", panel, i)``."""
+        cfg = run_cfg(tmp_path, realizations=4, control={"strategy": "random"})
+        expected = []
+        for i in range(cfg.realizations):
+            real = realize(cfg.scene, cfg.seed, i)
+            phases = random_phases(real.H.shape[0], substream(cfg.seed, "phases", 0, i))
+            composed = compose_end_to_end(real, phases)
+            expected.append(achievable_rate(composed, cfg.tx_power_dbm, cfg.noise_dbm).rate_bits_hz)
+        np.testing.assert_array_equal(run(cfg).rates, expected)
+
     def test_cophase_beats_off(self, tmp_path):
         on = run(run_cfg(tmp_path, control={"strategy": "cophase"}, write_channels=False))
         off = run(run_cfg(tmp_path, control={"strategy": "off"}, write_channels=False))
@@ -611,14 +633,18 @@ class TestStreamingRun:
         ids=["siso_csv", "mimo_two_panel"],
     )
     def test_chunk_size_invisible(self, tmp_path, monkeypatch, over, workers):
+        """Chunks of 1 draw, 7 draws and the whole run, each assembled in
+        stage-2 passes of 1 ray (one record a pass), 300 rays (a few) and
+        without bound, write identical files."""
         cfg = run_cfg(tmp_path, realizations=17, workers=workers, **over)
         outputs = []
-        for draws in (1, 7, None):
+        for draws, rays in itertools.product((1, 7, None), (1, 300, 2**62)):
             chunk = 2**62 if draws is None else draws * draw_bytes(cfg)
             monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk)
+            monkeypatch.setattr(mmwave, "_PASS_RAYS", rays)
             result = run(cfg)
             outputs.append(dir_bytes(cfg.out_dir))
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert all(out == outputs[0] for out in outputs[1:])
         assert not any(name.endswith(".part") for name in outputs[0])
         for name, entry in result.metadata["files"].items():
             if "dims" in entry:
@@ -626,16 +652,24 @@ class TestStreamingRun:
 
     def test_memory_flat_in_realizations(self, tmp_path, monkeypatch):
         # The generator's own working set varies from draw to draw, so its
-        # peak over 400 draws exceeds that over 40; a stub that returns fresh
-        # copies of one realization isolates what run() itself holds.
+        # peak over 400 draws exceeds that over 40; a realization source that
+        # returns fresh copies of one realization isolates what run() itself
+        # holds. CPython keeps freed tuples in free lists of up to 2000 per
+        # size, and a tuple built from a generator (resized from its first
+        # guess) joins another size's list, so such lists can grow chunk by
+        # chunk up to that cap; a full collection before each chunk empties
+        # them, so the peak does not depend on how a record's tuples are built.
         cfg = run_cfg(tmp_path, n=256, control={"strategy": "cophase"})
-        real, rate = engine._one_realization(cfg, cfg.scene, cfg.seed, 0)
+        real = engine._realizations(cfg, cfg.scene, cfg.seed, range(1))[0]
 
-        def fresh_copy(config, scene, seed_val, index):
-            hops = ((real.H.copy(), real.G.copy()),)
-            return replace(real, hops=hops, D=real.D.copy()), rate
+        def fresh_copies(config, scene, seed_val, indices):
+            gc.collect()
+            return [
+                replace(real, hops=tuple((h.copy(), g.copy()) for h, g in real.hops), D=real.D.copy(), index=i)
+                for i in indices
+            ]
 
-        monkeypatch.setattr(engine, "_one_realization", fresh_copy)
+        monkeypatch.setattr(engine, "_realizations", fresh_copies)
         monkeypatch.setattr(engine, "_CHUNK_BYTES", 3 * draw_bytes(cfg))
         run(cfg)
         peaks = []
@@ -657,25 +691,25 @@ class TestStreamingRun:
         cov = {"x": [36.0, 40.0], "y": [46.0, 48.0], "step": 2.0, "z": 1.0}
         cfg = run_cfg(tmp_path, realizations=9, csv=True, coverage=cov)
         monkeypatch.setattr(engine, "_CHUNK_BYTES", 2 * draw_bytes(cfg))
-        original, seen = engine._one_realization, []
+        original, seen = engine._realizations, []
 
-        def failing(config, scene, seed_val, index):
-            bad = (config.seed, 5) if entry == "run" else (cell_seed(config.seed, 1, 0), 0)
-            if (seed_val, index) == bad:
+        def failing(config, scene, seed_val, indices):
+            bad_seed, bad_index = (config.seed, 5) if entry == "run" else (cell_seed(config.seed, 1, 0), 0)
+            if seed_val == bad_seed and bad_index in indices:
                 seen.append(sorted(p.name for p in config.out_dir.iterdir()))
                 raise GenerationError("injected failure")
-            return original(config, scene, seed_val, index)
+            return original(config, scene, seed_val, indices)
 
-        monkeypatch.setattr(engine, "_one_realization", failing)
+        monkeypatch.setattr(engine, "_realizations", failing)
         with pytest.raises(GenerationError, match="injected"):
             getattr(engine, entry)(cfg)
         assert list(cfg.out_dir.iterdir()) == []
         part = "rates.csv.part" if entry == "run" else "coverage.csv.part"
         assert part in seen[0]  # an earlier chunk was appended
-        monkeypatch.setattr(engine, "_one_realization", original)
+        monkeypatch.setattr(engine, "_realizations", original)
         getattr(engine, entry)(cfg)
         before = dir_bytes(cfg.out_dir)
-        monkeypatch.setattr(engine, "_one_realization", failing)
+        monkeypatch.setattr(engine, "_realizations", failing)
         with pytest.raises(GenerationError, match="injected"):
             getattr(engine, entry)(replace(cfg, seed=8))
         assert dir_bytes(cfg.out_dir) == before
@@ -792,13 +826,19 @@ class TestCoverageRun:
         assert "nan" in (cfg.out_dir / "coverage.csv").read_text()
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_rows_recomputed_cell_by_cell(self, tmp_path, workers):
+    def test_rows_recomputed_cell_by_cell(self, tmp_path, monkeypatch, workers):
         """``coverage.csv`` holds, string for string, the rows recomputed one
-        cell at a time from ``cell_seed`` and ``_one_realization``, the cell
-        on the Tx a NaN, and the result's grid holds the same means."""
+        cell at a time from ``cell_seed``, one public draw per index and
+        ``_one_realization``, the cell on the Tx a NaN, and the result's grid
+        holds the same means."""
         cov = {"x": [-2.0, 2.0], "y": [23.0, 27.0], "step": 2.0, "z": 2.0}
-        cfg = self.cov_cfg(tmp_path, coverage=cov, workers=workers)
+        cfg = self.cov_cfg(tmp_path, coverage=cov, workers=workers, realizations=3)
         result = coverage_run(cfg)
+        with monkeypatch.context() as patch:  # a cell's draws in chunks of 2, one record a pass
+            patch.setattr(engine, "_CHUNK_BYTES", 2 * draw_bytes(cfg))
+            patch.setattr(mmwave, "_PASS_RAYS", 1)
+            chunked = coverage_run(replace(cfg, out_dir=tmp_path / "chunked"))
+        assert chunked.digests == result.digests
         area, means = cfg.coverage, []
         rows = ["x,y,mean_rate_bits_hz"]
         for ix, x in enumerate(area.xs):
@@ -809,7 +849,8 @@ class TestCoverageRun:
                     seed_val = cell_seed(cfg.seed, ix, iy)
                     total = 0.0
                     for i in range(cfg.realizations):
-                        total += engine._one_realization(cfg, scene, seed_val, i)[1]
+                        real = realize(scene, seed_val, i, clustered=cfg.clustered)
+                        total += engine._one_realization(cfg, real, seed_val)[1]
                     mean = total / cfg.realizations
                 means.append(mean)
                 rows.append(f"{x:.12g},{y:.12g},{mean:.12g}")

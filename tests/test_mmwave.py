@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rischan import mmwave
 from rischan.arrays import ArrayGeometry, ElementPattern
 from rischan.control import RisPhaseConfig
-from rischan.errors import ConfigError
+from rischan.errors import ConfigError, GenerationError
 from rischan.geometry import Plane, Point3, SurfaceOrientation, distance, distance_2d
 from rischan.mmwave import (
     ChannelRealization,
@@ -21,7 +21,14 @@ from rischan.mmwave import (
 )
 from rischan.multiris import RisPanel, realize_multi
 from rischan.propagation import Environment, los_probability, path_loss
-from rischan.scattering import Link, derive_sets, draw_clusters, generate_clusters, share_clusters
+from rischan.scattering import (
+    Link,
+    ScatteringParams,
+    derive_sets,
+    draw_clusters,
+    generate_clusters,
+    share_clusters,
+)
 from rischan.scene import LOS_MODES, MODEL_FIELDS
 from rischan.streams import substream
 
@@ -268,6 +275,10 @@ def _leaves(obj):
         yield obj
 
 
+def _mats(real):
+    return [m.tobytes() for hop in real.hops for m in hop] + [real.D.tobytes()]
+
+
 @settings(max_examples=40, deadline=None)
 @given(_BATCHES)
 def test_assembly_is_the_same_in_any_batch(cases):
@@ -284,10 +295,57 @@ def test_assembly_is_the_same_in_any_batch(cases):
     finally:
         mmwave.substream = original
     for a, b in zip(together, alone):
-        mats_a = [m for hop in a.hops for m in hop] + [a.D]
-        mats_b = [m for hop in b.hops for m in hop] + [b.D]
-        assert [m.tobytes() for m in mats_a] == [m.tobytes() for m in mats_b]
+        assert _mats(a) == _mats(b)
         assert (a.los_panels, a.los_direct, a.index) == (b.los_panels, b.los_direct, b.index)
+
+
+_PASS_SIZES = (1, 300, 2**62)  # one record a pass, a few, the whole range
+
+
+@pytest.mark.parametrize("pass_rays", _PASS_SIZES, ids=["one_record", "few", "unbounded"])
+@settings(max_examples=15, deadline=None)
+@given(_MODELS.flatmap(lambda model: _scenes(*model)), st.integers(0, 9), st.integers(0, 5), st.booleans())
+def test_realize_range_is_the_serial_loop(pass_rays, scene, start, count, clustered):
+    """``realize`` over a range gives, index by index, the bits and LOS
+    flags of one realization at a time, whatever the size of its stage-2
+    passes."""
+    serial = [realize(scene, 17, i, clustered) for i in range(start, start + count)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mmwave, "_PASS_RAYS", pass_rays)
+        batched = realize(scene, 17, range(start, start + count), clustered)
+    assert len(batched) == count
+    for a, b in zip(batched, serial):
+        assert _mats(a) == _mats(b)
+        assert (a.los_panels, a.los_direct, a.index) == (b.los_panels, b.los_direct, b.index)
+
+
+@pytest.mark.parametrize("pass_rays", _PASS_SIZES, ids=["one_record", "few", "unbounded"])
+def test_batched_failure_is_the_serial_one(monkeypatch, pass_rays):
+    """A placement failure inside a batched ``realize`` is the serial loop's:
+    the draws stop at the same lowest failing index, with its message."""
+    scene = make_outdoor_scene(scattering=ScatteringParams(retry_cap=2))
+    monkeypatch.setattr(mmwave, "_PASS_RAYS", pass_rays)
+    drawn, original = [], mmwave.draw
+
+    def spy(scene, master_seed, index, clustered=True):
+        drawn.append(index)
+        return original(scene, master_seed, index, clustered)
+
+    monkeypatch.setattr(mmwave, "draw", spy)
+    for start in (0, 12, 18):  # each range draws records before its failure
+        serial = None
+        for i in range(start, 40):
+            try:
+                realize(scene, 3, i)
+            except GenerationError as exc:
+                serial = (i, str(exc))
+                break
+        assert serial is not None and serial[0] > start
+        drawn.clear()
+        with pytest.raises(GenerationError) as batched:
+            realize(scene, 3, range(start, 40))
+        assert drawn == list(range(start, serial[0] + 1))
+        assert str(batched.value) == serial[1]
 
 
 _OTHER_MODEL = {  # per model field, a value the default indoor scene does not have
