@@ -559,28 +559,24 @@ def _one_realization(config: RunConfig, real, seed_val: int):
     return real, rate.rate_bits_hz
 
 def _map_ordered(fn, items, workers: int) -> list:
-    if workers <= 1:
+    if workers <= 1 or len(items) <= 1:  # a single item starts no pool
         return [fn(item) for item in items]
     from concurrent.futures import ThreadPoolExecutor  # imported here: serial runs start faster
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
-def _by_tensor_name(hops, direct) -> dict:
-    """Per-surface (H, G) items and the direct-link item under their tensor
-    names: H and G for one surface, H0, G0, H1, ... for several."""
-    named = {}
-    for k, (h_item, g_item) in enumerate(hops):
-        suffix = str(k) if len(hops) > 1 else ""
-        named[f"H{suffix}"], named[f"G{suffix}"] = h_item, g_item
-    named["D"] = direct
-    return named
-
 def _tensor_dims(config: RunConfig) -> dict[str, tuple[int, int]]:
-    """(rows, cols) of each channel tensor ``run`` writes, by tensor name."""
+    """(rows, cols) of each channel tensor ``run`` writes, by tensor name:
+    H and G for one surface, H0, G0, H1, ... for several, then D."""
     panels = config.scene.panel_scenes
     nt, nr = panels[0].nt, panels[0].nr
-    return _by_tensor_name([((p.n, nt), (nr, p.n)) for p in panels], (nr, nt))
+    dims = {}
+    for k, p in enumerate(panels):
+        suffix = str(k) if len(panels) > 1 else ""
+        dims[f"H{suffix}"], dims[f"G{suffix}"] = (p.n, nt), (nr, p.n)
+    dims["D"] = (nr, nt)
+    return dims
 
 def _chunk_draws(config: RunConfig) -> int:
     """Realizations per chunk: as many as ``_CHUNK_BYTES`` of channel

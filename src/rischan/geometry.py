@@ -29,7 +29,6 @@ __all__ = [
     "distance",
     "distance_2d",
     "angles_from",
-    "angles_from_many",
     "direction_unit",
     "vector_norm",
 ]
@@ -132,19 +131,15 @@ def direction_unit(azimuth, elevation) -> np.ndarray:
     return np.stack([s[1] * c[0], s[1] * s[0], c[1]], axis=-1)
 
 def angles_from(origin: Point3, target: Point3) -> DirectionAngles:
-    """Azimuth/elevation of ``target`` as seen from ``origin``.
+    """Azimuth/elevation of ``target`` as seen from ``origin``, each one
+    C-library call (``atan2``, ``acos``) on the difference vector.
 
     Raises ValueError when the points coincide (the direction is undefined).
     """
-    az, el = angles_from_many(origin.as_array(), target.as_array()[None, :])
-    return DirectionAngles(float(az[0]), float(el[0]))
-
-def angles_from_many(origin: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`angles_from` for an (M, 3) block of targets."""
-    d = np.asarray(targets, dtype=float) - np.asarray(origin, dtype=float)
+    d = target.as_array() - origin.as_array()
     r = vector_norm(d)
-    if np.any(r == 0.0):
+    if r == 0.0:
         raise ValueError("direction undefined: target coincides with origin")
-    az = ef.arctan2(d[..., 1], d[..., 0])
-    az = np.where(az == -math.pi, math.pi, az)  # keep azimuth in (-pi, pi]
-    return az, ef.arccos(np.clip(d[..., 2] / r, -1.0, 1.0))
+    az = float(ef.arctan2(d[1], d[0]))
+    el = float(ef.arccos(np.clip(d[2] / r, -1.0, 1.0)))
+    return DirectionAngles(math.pi if az == -math.pi else az, el)  # azimuth in (-pi, pi]

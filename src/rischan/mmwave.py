@@ -68,7 +68,6 @@ from .arrays import array_axes, as_complex, element_gain_cos, power_factors, ran
 # unused here, but bench/tracer.py wraps these names of this module
 from .arrays import element_gain, steering_matrix, steering_vector  # noqa: F401
 from .geometry import direction_unit
-from .propagation import PathLossSample
 from .scattering import ClusterDraw, Link, derive_sets, draw_clusters, share_draw
 # unused here, but bench/tracer.py wraps these names of this module
 from .scattering import generate_clusters, share_clusters  # noqa: F401
@@ -147,8 +146,7 @@ class _LosConstants(NamedTuple):
     """What a scene fixes about one link's LOS ray besides its ends and rule
     (:meth:`Scene.link`)."""
 
-    loss_db: float  # close-in loss without shadowing
-    loss: float  # the same as a linear power factor
+    loss: float  # close-in loss without shadowing, as a linear power factor
     units: tuple  # per end: the (1, 3) unit vector toward the other end
 
 
@@ -156,9 +154,9 @@ def _los_constants(scene: Scene, link: Link) -> _LosConstants:
     """Per-scene LOS loss and directions of ``link`` (kept in the scene's memo)."""
     ends = scene.link(link)
     a, b = (point.as_array() for point in ends.points)
-    loss = scene.close_in(True).sample(ends.distance)
+    loss = scene.close_in(True).sample(ends.distance).linear
     units = ((b - a)[None, :] / ends.distance, (a - b)[None, :] / ends.distance)
-    return _LosConstants(loss.loss_db, loss.linear, units)
+    return _LosConstants(loss, units)
 
 def _uniform_angles(rng, m: int) -> tuple[np.ndarray, np.ndarray]:
     """m arrival directions at the mobile Rx: az U[-pi, pi), el U[0, pi)."""
@@ -249,19 +247,19 @@ def hop_matrices(hops: Sequence[HopDraw]) -> list[tuple[np.ndarray, bool]]:
     a hop comes out with the same bits in any batch of one model.
 
     The scenes of ``hops`` share one model (:data:`rischan.scene.MODEL_FIELDS`;
-    ValueError names the first field that differs), so the element pattern,
-    the wavelength and the LOS shadowing sigma are the first scene's.
+    ValueError names the first field that differs), so the element pattern
+    and the wavelength are the first scene's. A shadowed LOS ray takes its
+    loss from the close-in law of its scene (:meth:`Scene.close_in`).
     """
     if not hops:
         return []
     model = hops[0].scene
     model.check_model(h.scene for h in hops)
     pattern, wavelength = model.element_pattern, model.wavelength
-    sigma_los = model.environment.path_loss.sigma_los_db
     sets = iter(derive_sets([(h.scene, h.clusters) for h in hops if h.clusters is not None]))
     # the ray table, piece by piece: a hop's sub-rays, then its LOS ray
     power, fr, fi, norm, size = [], [], [], [], []
-    extra, extra_rows, db_rows = [], [], []  # excess phases; LOS losses still in dB
+    extra, extra_rows = [], []  # excess phases
     cos, gain_rows = [], []  # element-pattern gains at the surface
     az, el = [], []  # Rx arrival angles, in Rx-table order
     plans, row, rx_row = [], 0, 0
@@ -285,8 +283,7 @@ def hop_matrices(hops: Sequence[HopDraw]) -> list[tuple[np.ndarray, bool]]:
             if hop.shadow is None:
                 power.append((los.loss,))
             else:
-                power.append((los.loss_db + sigma_los * hop.shadow,))
-                db_rows.append(row + m)
+                power.append((scene.close_in(True).sample(ends.distance, hop.shadow).linear,))
             fr.append((math.cos(hop.phase),))
             fi.append((math.sin(hop.phase),))
             norm.append(1.0)
@@ -319,8 +316,6 @@ def hop_matrices(hops: Sequence[HopDraw]) -> list[tuple[np.ndarray, bool]]:
     # ray amplitudes: sqrt(power x gain), the fading (rotated by any excess
     # phase) or the LOS phase, and 1/sqrt(sub-ray count) on the sub-rays
     power = _cat(power)
-    if db_rows:
-        power[db_rows] = PathLossSample(power[db_rows]).linear
     if cos:
         power[np.concatenate(gain_rows)] *= element_gain_cos(pattern, np.concatenate(cos))
     amp = np.sqrt(power)

@@ -74,34 +74,19 @@ class PathLossParams:
             raise ValueError(f"anchor_hz must be > 0, got {self.anchor_hz!r}")
 
 
-_DEFAULT_PATH_LOSS = {
-    EnvironmentKind.INDOOR_OFFICE: PathLossParams(
-        exponent_los=1.73,
-        exponent_nlos=3.19,
-        sigma_los_db=3.02,
-        sigma_nlos_db=8.29,
-        b_los=0.0,
-        b_nlos=0.06,
+# per environment: the close-in fit, the scatterer placement volume ((x, y,
+# z) extents in meters) and the mean cluster count
+_DEFAULTS = {
+    EnvironmentKind.INDOOR_OFFICE: (
+        PathLossParams(exponent_los=1.73, exponent_nlos=3.19, sigma_los_db=3.02, sigma_nlos_db=8.29, b_nlos=0.06),
+        ((0.0, 75.0), (0.0, 50.0), (0.0, 3.5)),
+        1.8,
     ),
-    EnvironmentKind.STREET_CANYON: PathLossParams(
-        exponent_los=1.98,
-        exponent_nlos=3.19,
-        sigma_los_db=3.1,
-        sigma_nlos_db=8.2,
-        b_los=0.0,
-        b_nlos=0.0,
+    EnvironmentKind.STREET_CANYON: (
+        PathLossParams(exponent_los=1.98, exponent_nlos=3.19, sigma_los_db=3.1, sigma_nlos_db=8.2),
+        ((0.0, 200.0), (0.0, 200.0), (0.0, 25.0)),
+        1.9,
     ),
-}
-
-_DEFAULT_BOUNDS = {
-    # scatterer placement volume: (x, y, z) extents in meters
-    EnvironmentKind.INDOOR_OFFICE: ((0.0, 75.0), (0.0, 50.0), (0.0, 3.5)),
-    EnvironmentKind.STREET_CANYON: ((0.0, 200.0), (0.0, 200.0), (0.0, 25.0)),
-}
-
-_DEFAULT_CLUSTER_DENSITY = {
-    EnvironmentKind.INDOOR_OFFICE: 1.8,
-    EnvironmentKind.STREET_CANYON: 1.9,
 }
 
 
@@ -134,12 +119,7 @@ class Environment:
 
     @classmethod
     def _default(cls, kind: EnvironmentKind, **overrides) -> "Environment":
-        env = cls(
-            kind=kind,
-            path_loss=_DEFAULT_PATH_LOSS[kind],
-            bounds=_DEFAULT_BOUNDS[kind],
-            cluster_density=_DEFAULT_CLUSTER_DENSITY[kind],
-        )
+        env = cls(kind, *_DEFAULTS[kind])
         return replace(env, **overrides) if overrides else env
 
 

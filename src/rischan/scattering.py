@@ -129,10 +129,13 @@ class ClusterSet:
 
 
 class _Placement(NamedTuple):
-    """What a scene fixes about one link's scatterers."""
+    """What a scene fixes about one link's scatterers: where they may lie
+    and where their legs end. Placement keeps the scatterers away from ends
+    A and B; the surface is the end that a re-aimed set's final leg
+    replaces (:func:`derive_sets`)."""
 
-    anchors: np.ndarray  # (2, 3): the positions of endpoints A and B
-    surfaces: tuple  # their mounting orientations, None for the mobile Rx
+    anchors: np.ndarray  # (3, 3): ends A and B of the link, then the surface
+    surfaces: tuple  # the mounting orientations of A and B, None for the mobile Rx
     lo: np.ndarray  # (3,) lower corner of the placement volume
     hi: np.ndarray  # (3,) upper corner
     span: np.ndarray  # (3,) hi - lo
@@ -142,7 +145,7 @@ class _Placement(NamedTuple):
 def _placement(scene: "Scene", link: Link) -> _Placement:
     env = scene.environment
     ends = scene.link(link)
-    anchors = np.stack([point.as_array() for point in ends.points])
+    anchors = np.stack([point.as_array() for point in (*ends.points, scene.ris)])
     lo = np.array([b[0] for b in env.bounds])
     hi = np.array([b[1] for b in env.bounds])
     return _Placement(anchors, ends.mounts, lo, hi, hi - lo, env.cluster_density)
@@ -232,7 +235,7 @@ def draw_clusters(scene: "Scene", link: Link, rng: np.random.Generator) -> Clust
     def draw_centers(n, _idx):
         return c.lo + c.span * rng.random((n, 3))
 
-    ok = lambda pts: _admissible(pts, c.lo, c.hi, c.anchors, c.surfaces, p.min_leg_m)
+    ok = lambda pts: _admissible(pts, c.lo, c.hi, c.anchors[:2], c.surfaces, p.min_leg_m)
     centers = _place(n_clusters, draw_centers, ok, p.retry_cap, f"{link.value} cluster centers")
 
     anchor_of_point = np.repeat(centers, counts, axis=0)
@@ -268,13 +271,6 @@ def share_draw(scene: "Scene", tx_ris, rng: np.random.Generator | None = None) -
         Link.TX_RX, tx_ris.counts, tx_ris.centers, tx_ris.positions, tx_ris.fading, shadow, True
     )
 
-def _legs(scene: "Scene", link: Link):
-    """The anchors of a set's legs as a (3, 3) array, ends A and B of its
-    link and then the surface (the end a re-aimed set's final leg
-    replaces), with the mounts of A and B."""
-    ends = scene.link(link)
-    return np.stack([p.as_array() for p in (*ends.points, scene.ris)]), ends.mounts
-
 def derive_sets(items) -> list[ClusterSet]:
     """Stage 2 of cluster generation for any number of sets: the
     :class:`ClusterSet` of each ``(scene, ClusterDraw)`` pair of ``items``.
@@ -295,8 +291,8 @@ def derive_sets(items) -> list[ClusterSet]:
     model = items[0][0]
     model.check_model(scene for scene, _ in items)
     sizes = [d.n_subrays for _, d in items]
-    legs = [scene.constant(("legs", d.link), _legs, scene, d.link) for scene, d in items]
-    anchors = np.repeat(np.array([anchors for anchors, _ in legs]), sizes, axis=0)
+    placed = [scene.constant(("placement", d.link), _placement, scene, d.link) for scene, d in items]
+    anchors = np.repeat(np.array([c.anchors for c in placed]), sizes, axis=0)
     rel = np.concatenate([d.positions for _, d in items])[:, None, :] - anchors
     dist = vector_norm(rel, axis=2)  # (M, 3): to A, to B, to the surface
     unit = rel[:, :2] / dist[:, :2, None]
@@ -309,7 +305,8 @@ def derive_sets(items) -> list[ClusterSet]:
         extra = 2.0 * math.pi * np.mod((dist[:, 1] - dist[:, 2]) / model.wavelength, 1.0)
 
     out, start = [], 0
-    for (_, d), (_, (mount_a, mount_b)), m in zip(items, legs, sizes):
+    for (_, d), c, m in zip(items, placed, sizes):
+        mount_a, mount_b = c.surfaces
         stop = start + m
         out.append(ClusterSet(
             link=d.link, counts=d.counts, centers=d.centers, positions=d.positions, fading=d.fading,

@@ -35,6 +35,8 @@ MODEL_FIELDS = ("environment", "frequency_hz", "element_pattern", "shadow_cluste
 # A's along its columns; a cluster set's ``unit_a``/``unit_b`` are the
 # sub-ray directions seen from A/B.
 _ENDS = {Link.TX_RIS: ("tx", "ris"), Link.RIS_RX: ("ris", "rx"), Link.TX_RX: ("tx", "rx")}
+# The scene field that holds each link's visibility policy
+_LOS_FIELDS = {Link.TX_RIS: "los_tx_ris", Link.RIS_RX: "los_ris_rx", Link.TX_RX: "los_tx_rx"}
 
 
 class LinkRecord(NamedTuple):
@@ -108,11 +110,8 @@ class Scene:
                 f"cluster_density x scattering.max_subrays = {rays:g} rays per hop, "
                 f"over the limit of {MAX_RAYS_PER_HOP}"
             )
-        for name, mode in (
-            ("los_tx_ris", self.los_tx_ris),
-            ("los_ris_rx", self.los_ris_rx),
-            ("los_tx_rx", self.los_tx_rx),
-        ):
+        for name in _LOS_FIELDS.values():
+            mode = getattr(self, name)
             if mode not in LOS_MODES:
                 raise ConfigError(f"{name}={mode!r}: expected one of {LOS_MODES}")
         for link in Link:
@@ -205,11 +204,7 @@ class Scene:
         return self.share_direct_clusters
 
     def los_mode(self, link: Link) -> str:
-        return {
-            Link.TX_RIS: self.los_tx_ris,
-            Link.RIS_RX: self.los_ris_rx,
-            Link.TX_RX: self.los_tx_rx,
-        }[link]
+        return getattr(self, _LOS_FIELDS[link])
 
     def link(self, link: Link) -> LinkRecord:
         """The ends and LOS rule of ``link``, the same record on every call."""

@@ -488,6 +488,50 @@ def test_pinned_digests_of_mimo_and_near_field_runs():
     assert got[1] == SUB6_NEAR_FIELD_DIGESTS
 
 
+# Three draw paths that the pins above do not reach: LOS shadowing on
+# mmWave hops with LOS forced on, the sub-6 far-field G forced on, and a
+# surface on a yz wall. Their tensor digests are pinned like the ones above;
+# rates are left out, because they still go through LAPACK.
+DRAW_PATH_CONFIGS = {
+    "los_shadowing": dict(
+        GOLDEN_CONFIG, seed=5, realizations=20, shadowing={"los": True},
+        los={"tx_ris": "on", "ris_rx": "on", "tx_rx": "on"},
+    ),
+    "sub6_far": dict(SUB6_NEAR_FIELD_CONFIG, seed=13, sub6={"g_mode": "far"}),
+    "yz_wall": dict(
+        GOLDEN_CONFIG, seed=17, realizations=20,
+        tx=[30.0, 10.0, 2.0], ris=[0.0, 30.0, 2.0], rx=[10.0, 40.0, 1.0], ris_wall="yz", ris_facing=1,
+    ),
+}
+DRAW_PATH_DIGESTS = {
+    "los_shadowing": {
+        "H": "c5d995582b9a4d9cc213556d377d70c6ce102ad867f16e5bdd02895943c5102a",
+        "G": "1a01c8eb383ec9b7a70ba394b5d787f6d42eac64c50f78db75b51b3bc1f562a9",
+        "D": "8408c2670a5aef9ce77b5cf805dada80203a3e8f36a3dd1318fcbf2f3e597460",
+    },
+    "sub6_far": {
+        "H": "7b0cbb255f5be4b718f979ea5ef977b613dd9fe1d32090c3b6dd381d8566fd69",
+        "G": "05d483c26cd539131d38a28532a505b4c3ca872b9b56478770e61c696aa941e5",
+        "D": "24f248ed6cbc6f403c803c6958e60a6263adcbee7c2bf27371af7415f76dc20c",
+    },
+    "yz_wall": {
+        "H": "477b67f334762c03921295b246bb0556cbaca7693b92f92aaace6158c0e517fb",
+        "G": "3802c369bd78302a7774823caa98d8cdcaaa709445b5bcf4a779c2554b8c9786",
+        "D": "c560b56fa2c4019ec0493b7f0feb58917cc17f2ec7471944b60357db8ad2ab69",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_PATH_CONFIGS))
+def test_pinned_digests_of_draw_paths(name):
+    """LOS shadowing, the forced far-field sub-6 G and a yz-wall surface
+    write their pinned tensor digests."""
+    got = platform_probe.tensor_digests(DRAW_PATH_CONFIGS[name])
+    ok = got == DRAW_PATH_DIGESTS[name]
+    report(f"pinned {name} digests", ok, f"match: {ok}; platform: {platform_probe.describe()}")
+    assert got == DRAW_PATH_DIGESTS[name]
+
+
 @pytest.mark.skipif(
     not (
         platform.machine().lower() in ("x86_64", "amd64")

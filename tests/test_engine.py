@@ -1,5 +1,6 @@
 """Configuration loading, run execution, and coverage sweeps."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -179,8 +180,9 @@ class TestLoadConfigValidation:
                 "coverage.step",
             ),
             ({"rx": [math.nan, 48.0, 1.0]}, r"rx\[0\]"),
+            ({"frequency_ghz": 10**400}, "frequency_ghz"),
         ],
-        ids=["tx_power_nan", "spacing_inf", "coverage_step_nan", "rx_nan"],
+        ids=["tx_power_nan", "spacing_inf", "coverage_step_nan", "rx_nan", "frequency_int_overflow"],
     )
     def test_non_finite_number(self, over, key):
         with pytest.raises(ConfigError, match=key + ": expected a finite number"):
@@ -200,10 +202,14 @@ class TestLoadConfigValidation:
             ({"tx_array": {"facing": True}}, "tx_array.facing: expected 1 or -1"),
             ({"ris_facing": True}, "ris_facing: expected 1 or -1"),
             ({"scattering": {"retry_cap": 10_001}}, r"retry_cap must be in \[1, 10000\]"),
+            ({"scattering": {"at_least_one": 1}}, "scattering.at_least_one: expected true/false"),
+            ({"ris": []}, r"ris: expected \[x, y, z\] or a list of positions"),
+            ({"n": None}, "ris_shape: give n or an explicit shape"),
         ],
         ids=[
             "spread_nan", "spread_str", "subrays_float", "delay_nan", "ray_az_inf", "rays_str",
             "params_list", "los_null", "tx_facing_bool", "ris_facing_bool", "retry_cap_over",
+            "at_least_one_int", "ris_empty", "no_n_no_shape",
         ],
     )
     def test_section_field_types(self, over, message):
@@ -651,36 +657,57 @@ class TestStreamingRun:
                 assert list(read_tensor(result.files[name]).shape) == entry["dims"]
 
     def test_memory_flat_in_realizations(self, tmp_path, monkeypatch):
-        # The generator's own working set varies from draw to draw, so its
-        # peak over 400 draws exceeds that over 40; a realization source that
-        # returns fresh copies of one realization isolates what run() itself
-        # holds. CPython keeps freed tuples in free lists of up to 2000 per
-        # size, and a tuple built from a generator (resized from its first
-        # guess) joins another size's list, so such lists can grow chunk by
-        # chunk up to that cap; a full collection before each chunk empties
-        # them, so the peak does not depend on how a record's tuples are built.
+        """From 40 to 400 draws, the traced peak of the chunk loop grows by
+        no more than the rate vector (8 B a draw) and a fixed slack.
+
+        The generator's own working set varies from draw to draw, so its
+        peak over 400 draws exceeds that over 40; a realization source that
+        returns fresh copies of one realization isolates what run() itself
+        holds. CPython keeps freed tuples in free lists of up to 2000 per
+        size, and a tuple built from a generator (resized from its first
+        guess) joins another size's list, so such lists can grow chunk by
+        chunk up to that cap; a full collection before each chunk empties
+        them, so the peak does not depend on how a record's tuples are built.
+        The interpreter's method cache likewise keeps some of the strings
+        that opening a text file makes (up to a few kB, at random), until
+        the cache is cleared, which is also done before each chunk. The
+        peak is read when the first output file is hashed: that ends the
+        chunk loop, and leaves out the digest's own read buffer (256 KiB,
+        the same at any realization count)."""
         cfg = run_cfg(tmp_path, n=256, control={"strategy": "cophase"})
         real = engine._realizations(cfg, cfg.scene, cfg.seed, range(1))[0]
 
         def fresh_copies(config, scene, seed_val, indices):
             gc.collect()
+            sys._clear_type_cache()
             return [
                 replace(real, hops=tuple((h.copy(), g.copy()) for h, g in real.hops), D=real.D.copy(), index=i)
                 for i in indices
             ]
 
+        def loop_peak(count):
+            peak = []
+
+            def digest(path):
+                if not peak:
+                    peak.append(tracemalloc.get_traced_memory()[1])
+                return file_digest(path)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "file_digest", digest)
+                tracemalloc.start()
+                try:
+                    run(replace(cfg, realizations=count))
+                finally:
+                    tracemalloc.stop()
+            return peak[0]
+
         monkeypatch.setattr(engine, "_realizations", fresh_copies)
         monkeypatch.setattr(engine, "_CHUNK_BYTES", 3 * draw_bytes(cfg))
         run(cfg)
-        peaks = []
-        for count in (40, 400):
-            tracemalloc.start()
-            try:
-                run(replace(cfg, realizations=count))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.25 * peaks[0], peaks
+        small, large = loop_peak(40), loop_peak(400)
+        slack = 1024  # bytes: what else may differ between the two runs
+        assert large - small <= 8 * (400 - 40) + slack, (small, large)
 
     @pytest.mark.parametrize("entry", ["run", "coverage_run"])
     def test_failed_run_leaves_nothing_complete(self, tmp_path, monkeypatch, entry):
@@ -790,6 +817,20 @@ class TestCoverageRun:
         r1 = coverage_run(self.cov_cfg(tmp_path, workers=1))
         r2 = coverage_run(self.cov_cfg(tmp_path, workers=3))
         assert r1.digests == r2.digests
+
+    def test_one_cell_columns_start_no_pool(self, tmp_path, monkeypatch):
+        """A 14x1 grid (one cell a column, so one cell a chunk) at two
+        workers writes the bytes of one worker and constructs no pool."""
+        cov = {"x": [27.0, 40.0], "y": [46.0, 46.0], "step": 1.0, "z": 1.0}
+        serial = coverage_run(self.cov_cfg(tmp_path, coverage=cov, out_dir=str(tmp_path / "w1")))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-cell chunk started a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        pooled = coverage_run(self.cov_cfg(tmp_path, coverage=cov, workers=2, out_dir=str(tmp_path / "w2")))
+        assert pooled.rates.shape == (14, 1)
+        assert pooled.digests == serial.digests
 
     def test_rerun_identical(self, tmp_path):
         r1 = coverage_run(self.cov_cfg(tmp_path))
