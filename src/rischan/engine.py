@@ -603,16 +603,21 @@ def _publish(out: Path, files: dict[str, Path], metadata: dict) -> Path:
     """Write ``metadata.json`` under its ``.part`` name, then give the
     complete ``.part`` files of ``files`` their final names and the sidecar
     its name, last. If the sidecar cannot be written, every ``.part`` file
-    is removed and the old outputs stay as they were; the old sidecar goes
+    is removed and the old outputs stay as they were. The old sidecar goes
     before the first rename, so none is left over a mix of old and new
-    files."""
+    files, and each old output goes just before its ``.part`` file takes
+    its name: a rename onto an existing file would make ext4 write the new
+    file's data back first (its ``auto_da_alloc`` heuristic). If a rename
+    fails, the ``.part`` files left are removed too; the directory then
+    holds no ``metadata.json``."""
     meta_path = out / "metadata.json"
     with _removed_on_error([_part(meta_path), *map(_part, files.values())]):
         write_metadata(_part(meta_path), metadata)
-    meta_path.unlink(missing_ok=True)
-    for path in files.values():
-        os.replace(_part(path), path)
-    os.replace(_part(meta_path), meta_path)
+        meta_path.unlink(missing_ok=True)
+        for path in files.values():
+            path.unlink(missing_ok=True)
+            os.replace(_part(path), path)
+        os.replace(_part(meta_path), meta_path)
     return meta_path
 
 def _stream(config: RunConfig, files: dict[str, Path], count: int, step: int, work, append):
@@ -669,8 +674,9 @@ def run(config: RunConfig) -> RunResult:
     sidecar last. A run that raises before the renames (in generation, a
     digest or the sidecar write) removes its ``.part`` files and leaves every
     old file as it was; ``out_dir`` itself is created if missing. The old
-    sidecar is deleted before the first rename, so if a rename itself fails,
-    the directory holds no ``metadata.json``.
+    sidecar is deleted before the first rename, and each old output just
+    before its new file takes its name, so if a rename itself fails, the
+    directory holds no ``metadata.json`` and no ``.part`` file.
     """
     dims = _tensor_dims(config)
     files: dict[str, Path] = {}

@@ -20,7 +20,8 @@ a line-of-sight ray:
 A realization is one :class:`ChannelRealization`: an (H_k, G_k) pair per
 surface plus D, a single surface being the one-panel case. It is made in
 two stages. :func:`draw` reads every variate from the realization's
-streams into a :class:`RealizationDraw`; :func:`assemble` derives the
+streams into a :class:`RealizationDraw` (for a range of indices, placing
+all their cluster sets in shared rejection rounds); :func:`assemble` derives the
 matrices from any number of such records without reading a stream, in
 one pass per derived quantity over the rays of all their hops. A pass
 applies one model: the scenes of its records may differ in geometry, not
@@ -28,8 +29,8 @@ in environment, carrier, element pattern or shadowing switches
 (:data:`rischan.scene.MODEL_FIELDS`), as the panel views of one scene do.
 :func:`realize` (also bound as :func:`rischan.multiris.realize_multi`) is
 ``assemble([draw(...)])[0]`` for any panel count; given a range of
-indices, it draws them in order and assembles them in passes bounded by
-:data:`_PASS_RAYS` rays. :func:`compose` forms
+indices, it draws them in one :func:`draw` call and assembles them in
+passes bounded by :data:`_PASS_RAYS` rays. :func:`compose` forms
 ``C = D + sum_k G_k diag(exp(j phi_k)) H_k``.
 
 Multi-antenna terminals turn each ray's rank-one contribution into an outer
@@ -44,11 +45,15 @@ to it, in a documented fixed order. Each line-of-sight block consumes exactly on
 uniform (visibility), one uniform (phase), and, if the scene enables LOS
 shadowing, one normal draw, whether or not the ray ends up visible; forced
 "on"/"off" modes consume the same draws. Each purpose has a substream of
-its own, derived where :func:`draw` reads it: keyed by surface and
+its own, derived by :func:`draw` only if it reads it: keyed by surface and
 realization for the surface hops, by realization alone for the direct link
 (one physical Tx-Rx path, whatever the surface count). The README's
 determinism contract lists the paths. So realizations can be generated
-independently, in any order, with bitwise-stable results. The arithmetic from the draws to the matrices
+independently, in any order, with bitwise-stable results. :func:`draw`
+places the cluster sets of a range of realizations together, one
+lockstep table per range (:func:`rischan.scattering.draw_clusters_many`),
+each set from its own stream, so a record is the same drawn alone or in
+any range. The arithmetic from the draws to the matrices
 follows the README's determinism contract (no BLAS; the elementary
 functions of :mod:`rischan.elementary`; elementwise passes, whose bits do
 not depend on what else is in the pass; sums over rays per hop), so those
@@ -68,7 +73,7 @@ from .arrays import array_axes, as_complex, element_gain_cos, power_factors, ran
 # unused here, but bench/tracer.py wraps these names of this module
 from .arrays import element_gain, steering_matrix, steering_vector  # noqa: F401
 from .geometry import direction_unit
-from .scattering import ClusterDraw, Link, derive_sets, draw_clusters, share_draw
+from .scattering import ClusterDraw, Link, derive_sets, draw_clusters_many, share_draw
 # unused here, but bench/tracer.py wraps these names of this module
 from .scattering import generate_clusters, share_clusters  # noqa: F401
 from .scene import Scene
@@ -178,42 +183,83 @@ def _link_draw(scene: Scene, link: Link, rng, clusters, rxang=None) -> HopDraw:
         angles = (*_uniform_angles(rxang, m), *_uniform_angles(rxang, 1))
     return HopDraw(scene, link, u, phase, shadow, clusters, angles)
 
-def draw(scene: Scene, master_seed: int, index: int = 0, clustered: bool = True) -> RealizationDraw:
-    """Stage 1 of realization ``index``: read every stream it consumes.
+class _HopStreams(NamedTuple):
+    """The streams one hop of a realization reads (:func:`_hop_streams`)."""
+
+    scene: Scene  # the panel's view
+    link: Link
+    clusters: np.random.Generator | None  # its cluster set's, when the draw reads one
+    los: np.random.Generator  # its LOS block's
+    rxang: np.random.Generator | None  # its Rx arrival angles', at a multi-antenna Rx
+
+
+def _hop_streams(views, master_seed: int, index: int, clustered: bool) -> list[_HopStreams]:
+    """The streams of realization ``index`` per hop (H_k, G_k of each panel,
+    then D), each derived only if the draw reads it, in one fixed order."""
+    hops = []
+    for k, view in enumerate(views):
+        cl_h = substream(master_seed, "clusters", "txris", k, index) if clustered else None
+        cl_g = None
+        if clustered and not view.environment.indoor:
+            cl_g = substream(master_seed, "clusters", "risrx", k, index)
+        rxang = substream(master_seed, "rxang", "g", k, index) if view.nr > 1 else None
+        hops += [
+            _HopStreams(view, Link.TX_RIS, cl_h, substream(master_seed, "link", "h", k, index), None),
+            _HopStreams(view, Link.RIS_RX, cl_g, substream(master_seed, "link", "g", k, index), rxang),
+        ]
+    view = views[0]
+    cl_d = None
+    if clustered and (not view.shares_direct_clusters or view.shadow_clustered):
+        cl_d = substream(master_seed, "clusters", "txrx", index)
+    rxang = substream(master_seed, "rxang", "d", index) if view.nr > 1 else None
+    hops.append(_HopStreams(view, Link.TX_RX, cl_d, substream(master_seed, "link", "d", index), rxang))
+    return hops
+
+def draw(
+    scene: Scene, master_seed: int, index: int | range = 0, clustered: bool = True
+) -> RealizationDraw | list[RealizationDraw]:
+    """Stage 1 of realization ``index``: read every stream it consumes; for
+    a ``range`` of indices, the list of their records, each the one its
+    index gives alone.
 
     Each panel draws its H and G hops from its own view and streams; the
     direct link is drawn once, from the first panel's, re-viewing that
-    panel's Tx-side clusters when its view shares them. A stream is read
-    (and so derived) only when its draws are consumed: the Rx angle
-    streams for a multi-antenna Rx, the surface -> Rx cluster stream
-    outdoors, the direct cluster stream for a draw it feeds.
+    panel's Tx-side clusters when its view shares them. A stream is
+    derived only when its draws are consumed: the Rx angle streams for a
+    multi-antenna Rx, the surface -> Rx cluster stream outdoors, the direct
+    cluster stream for a draw it feeds. The streams of each index are
+    derived first; then every cluster set of the range is drawn by
+    :func:`draw_clusters_many`, one column per (panel, link), so that the
+    rejection rounds of each column run in lockstep and a placement failure
+    is the one the lowest failing index raises alone; then each index reads
+    its LOS blocks and Rx angles.
     """
-    hops, views = [], scene.panel_scenes
-    for k, view in enumerate(views):
-        cl_h = cl_g = rxang = None
-        if clustered:
-            cl_h = draw_clusters(view, Link.TX_RIS, substream(master_seed, "clusters", "txris", k, index))
-            if not view.environment.indoor:
-                cl_g = draw_clusters(view, Link.RIS_RX, substream(master_seed, "clusters", "risrx", k, index))
-        if view.nr > 1:
-            rxang = substream(master_seed, "rxang", "g", k, index)
-        hops += [
-            _link_draw(view, Link.TX_RIS, substream(master_seed, "link", "h", k, index), cl_h),
-            _link_draw(view, Link.RIS_RX, substream(master_seed, "link", "g", k, index), cl_g, rxang),
-        ]
-
-    view = views[0]
-    cl_d = rxang = None
-    if clustered:
-        if not view.shares_direct_clusters:
-            cl_d = draw_clusters(view, Link.TX_RX, substream(master_seed, "clusters", "txrx", index))
-        else:  # re-viewing draws only the shadowing of the re-aimed paths
-            rng = substream(master_seed, "clusters", "txrx", index) if view.shadow_clustered else None
-            cl_d = share_draw(view, hops[0].clusters, rng)
-    if view.nr > 1:
-        rxang = substream(master_seed, "rxang", "d", index)
-    hops.append(_link_draw(view, Link.TX_RX, substream(master_seed, "link", "d", index), cl_d, rxang))
-    return RealizationDraw(tuple(hops), index)
+    if not isinstance(index, range):
+        return draw(scene, master_seed, range(index, index + 1), clustered)[0]
+    views = scene.panel_scenes
+    streams = [_hop_streams(views, master_seed, i, clustered) for i in index]
+    if not streams:
+        return []
+    shared = clustered and views[0].shares_direct_clusters
+    # the hops whose cluster sets are placed: all but a re-viewed direct link
+    placed = [
+        j for j, hop in enumerate(streams[0])
+        if hop.clusters is not None and not (shared and hop.link is Link.TX_RX)
+    ]
+    sets = draw_clusters_many(
+        [(streams[0][j].scene, streams[0][j].link) for j in placed],
+        [[row[j].clusters for j in placed] for row in streams],
+    )
+    out = []
+    for i, row, drawn in zip(index, streams, sets):
+        clusters, hops = dict(zip(placed, drawn)), []
+        for j, hop in enumerate(row):
+            cl = clusters.get(j)
+            if shared and hop.link is Link.TX_RX:  # re-viewing draws only the shadowing of the re-aimed paths
+                cl = share_draw(hop.scene, hops[0].clusters, hop.clusters)
+            hops.append(_link_draw(hop.scene, hop.link, hop.los, cl, hop.rxang))
+        out.append(RealizationDraw(tuple(hops), i))
+    return out
 
 def assemble(draws: Sequence[RealizationDraw]) -> list[ChannelRealization]:
     """Stage 2: the realization of each of ``draws``, reading no stream
@@ -358,10 +404,12 @@ def realize(
     ``assemble([draw(...)])[0]``; for a ``range`` of indices, the list of
     their realizations.
 
-    A range is drawn index by index, in order, and the records are
-    assembled in passes of at least :data:`_PASS_RAYS` rays (a record holds
-    the sub-rays of its cluster sets plus one LOS ray per hop), the last
-    pass taking the rest; every realization has the bits it has alone.
+    A range is drawn in one :func:`draw` call, which places the cluster
+    sets of all its indices in lockstep, and the records are assembled in
+    passes of at least :data:`_PASS_RAYS` rays (a record holds the
+    sub-rays of its cluster sets plus one LOS ray per hop), the last pass
+    taking the rest; every realization has the bits it has alone, and a
+    placement failure is the one the lowest failing index raises alone.
     Panel k consumes the panel-k streams; the direct link consumes the
     panel-independent streams, so its draw is the same whatever subset of
     panels exists. With ``clustered=False`` all cluster generation is
@@ -371,9 +419,9 @@ def realize(
     if not isinstance(index, range):
         return assemble([draw(scene, master_seed, index, clustered)])[0]
     out, batch, rays = [], [], 0
-    for i in index:
-        batch.append(draw(scene, master_seed, i, clustered))
-        rays += sum(1 + (h.clusters.n_subrays if h.clusters is not None else 0) for h in batch[-1].hops)
+    for record in draw(scene, master_seed, index, clustered):
+        batch.append(record)
+        rays += sum(1 + (h.clusters.n_subrays if h.clusters is not None else 0) for h in record.hops)
         if rays >= _PASS_RAYS:
             out += assemble(batch)
             batch, rays = [], 0

@@ -8,10 +8,15 @@ the two-leg travel distance. Placement is rejection-sampled so every
 scatterer is inside the environment bounds, in front of each fixed-mounted
 endpoint surface, and at least ``min_leg_m`` from both endpoints.
 
-Draw order per call is fixed (cluster count, sub-ray counts, centers,
-sub-ray offsets, fading, shadowing), so equal seeds give equal sets; the
-number of uniform draws consumed varies only with rejection retries, which
-are themselves deterministic for a given scene and seed.
+Each set reads its own stream in a fixed order (cluster count, sub-ray
+counts, centers, sub-ray offsets, fading, shadowing), so equal seeds give
+equal sets; the number of uniform draws consumed varies only with
+rejection retries, which are themselves deterministic for a given scene
+and seed. :func:`draw_clusters_many` draws a table of sets, one stream
+each, and places them in lockstep: a rejection round runs its arithmetic
+once over the points of every set still redrawing, elementwise, so a set
+has the same bits in any table (:func:`draw_clusters` is the one-set
+case).
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ __all__ = [
     "ClusterSet",
     "ClusterDraw",
     "draw_clusters",
+    "draw_clusters_many",
     "share_draw",
     "derive_sets",
     "generate_clusters",
@@ -61,6 +67,11 @@ MAX_RETRY_CAP = 10_000
 # max_subrays (its mean cluster count times its most sub-rays per cluster).
 # A draw holds a few arrays of this many elements per hop.
 MAX_RAYS_PER_HOP = 10_000
+
+# Sub-rays a lockstep group of :func:`draw_clusters_many` places at once (at
+# least one row of sets): it bounds the memory of a group; no output bit
+# depends on it.
+_GROUP_RAYS = MAX_RAYS_PER_HOP
 
 
 @dataclass(frozen=True)
@@ -150,12 +161,15 @@ def _placement(scene: "Scene", link: Link) -> _Placement:
     hi = np.array([b[1] for b in env.bounds])
     return _Placement(anchors, ends.mounts, lo, hi, hi - lo, env.cluster_density)
 
-def _ball(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
-    """n points uniform in a ball of the given radius."""
-    v = rng.standard_normal((n, 3))
+def _ball(parts, radius: float) -> np.ndarray:
+    """Points uniform in a ball of the given radius: for each ``(rng, n)``
+    of ``parts``, n normal triples and then n uniforms from ``rng``, and
+    one pass of arithmetic over the points of all of them."""
+    v = np.concatenate([rng.standard_normal((n, 3)) for rng, n in parts])
+    u = np.concatenate([rng.random((n, 1)) for rng, n in parts])
     norm = vector_norm(v, axis=1, keepdims=True)
     norm[norm == 0.0] = 1.0
-    r = radius * ef.cbrt(rng.random((n, 1)))
+    r = radius * ef.cbrt(u)
     return v / norm * r
 
 def _admissible(pts, lo, hi, anchors, surfaces, min_leg: float) -> np.ndarray:
@@ -177,25 +191,27 @@ def _admissible(pts, lo, hi, anchors, surfaces, min_leg: float) -> np.ndarray:
     ok &= np.logical_and.reduce(vector_norm(d, axis=2) >= min_leg, axis=1)
     return ok
 
-def _place(n, draw, ok, retry_cap, what):
-    """n points from ``draw(count, rows)``, the rows that ``ok`` rejects
-    drawn again (in ascending order) until all pass."""
-    pts = draw(n, slice(None))
+def _place_many(parts, draw, ok, retry_cap: int):
+    """The points of the sets ``parts``, one ``(rng, n)`` each, concatenated,
+    and per set how many of its points are still rejected after
+    ``retry_cap`` resampling rounds (0 for a placed set).
+
+    ``draw(parts, rows)`` makes the points of rows ``rows`` of the table,
+    n of them from each ``(rng, n)`` of ``parts``; the rows that ``ok``
+    rejects are drawn again, each set's in ascending order, until all pass.
+    A round draws from every set that still has rejected rows and runs the
+    arithmetic of ``draw`` and ``ok`` once over all of their points."""
+    owner = np.repeat(np.arange(len(parts)), [n for _, n in parts])
+    pts = draw(parts, slice(None))
     idx = (~ok(pts)).nonzero()[0]
-    rounds = 0
-    while idx.size:
-        rounds += 1
-        if rounds > retry_cap:
-            raise GenerationError(
-                f"placing {what}: {idx.size}/{n} points still inadmissible "
-                f"after {retry_cap} resampling rounds; the scene geometry leaves "
-                "(almost) no volume inside bounds, in front of the mounted "
-                "surfaces, and >= min_leg_m from the endpoints"
-            )
-        fresh = draw(idx.size, idx)
+    for _ in range(retry_cap):
+        if not idx.size:
+            break
+        redo = np.bincount(owner[idx], minlength=len(parts))
+        fresh = draw([(rng, k) for (rng, _), k in zip(parts, redo) if k], idx)
         pts[idx] = fresh
         idx = idx[~ok(fresh)]
-    return pts
+    return pts, np.bincount(owner[idx], minlength=len(parts))
 
 class ClusterDraw(NamedTuple):
     """The variates of one cluster set, as :func:`draw_clusters` reads them
@@ -220,38 +236,132 @@ class ClusterDraw(NamedTuple):
         return int(self.positions.shape[0])
 
 
-def draw_clusters(scene: "Scene", link: Link, rng: np.random.Generator) -> ClusterDraw:
-    """Stage 1 of :func:`generate_clusters`: every draw of one set from
-    ``rng``, the rejection sampling included (it decides how many), with
-    the scene's :class:`ScatteringParams`."""
+def _place_column(scene: "Scene", link: Link, rngs, counts):
+    """Place the sets of one column in lockstep, set s drawn from
+    ``rngs[s]`` with the sub-ray counts ``counts[s]``: the centers and the
+    positions of all of them, concatenated, and the first set that fails
+    as ``(s, message)``, or None. No set after a set whose centers fail
+    has its sub-rays placed."""
     p = scene.scattering
     c = scene.constant(("placement", link), _placement, scene, link)
 
-    n_clusters = int(rng.poisson(c.density))
-    if p.at_least_one:
-        n_clusters = max(1, n_clusters)
-    counts = rng.integers(p.min_subrays, p.max_subrays + 1, size=n_clusters)
+    def ok(pts):
+        return _admissible(pts, c.lo, c.hi, c.anchors[:2], c.surfaces, p.min_leg_m)
 
-    def draw_centers(n, _idx):
-        return c.lo + c.span * rng.random((n, 3))
+    def draw_centers(parts, _rows):
+        return c.lo + c.span * np.concatenate([rng.random((n, 3)) for rng, n in parts])
 
-    ok = lambda pts: _admissible(pts, c.lo, c.hi, c.anchors[:2], c.surfaces, p.min_leg_m)
-    centers = _place(n_clusters, draw_centers, ok, p.retry_cap, f"{link.value} cluster centers")
+    def draw_subrays(parts, rows):
+        return anchor_of_point[rows] + _ball(parts, p.spread_m)
 
-    anchor_of_point = np.repeat(centers, counts, axis=0)
+    sizes, m = [k.size for k in counts], [int(k.sum()) for k in counts]
+    centers, left = _place_many(list(zip(rngs, sizes)), draw_centers, ok, p.retry_cap)
+    failure, positions = None, np.zeros((0, 3))
+    if left.any():
+        s = int(left.nonzero()[0][0])
+        failure, rngs = (s, "cluster centers", left[s], sizes[s]), rngs[:s]
+    if rngs:
+        anchor_of_point = np.repeat(centers, np.concatenate(counts), axis=0)
+        positions, lost = _place_many(list(zip(rngs, m)), draw_subrays, ok, p.retry_cap)
+        if lost.any():
+            s = int(lost.nonzero()[0][0])
+            failure = (s, "sub-ray scatterers", lost[s], m[s])
+    if failure is not None:
+        s, what, still, n = failure
+        failure = s, (
+            f"placing {link.value} {what}: {still}/{n} points still inadmissible "
+            f"after {p.retry_cap} resampling rounds; the scene geometry leaves "
+            "(almost) no volume inside bounds, in front of the mounted "
+            "surfaces, and >= min_leg_m from the endpoints"
+        )
+    return centers, positions, failure
 
-    def draw_subrays(n, idx):
-        return anchor_of_point[idx] + _ball(rng, n, p.spread_m)
+def _draw_group(columns, rows, counts) -> list[tuple[ClusterDraw, ...]]:
+    """The sets of one group of rows of :func:`draw_clusters_many`, each
+    column placed in lockstep; raises the first failure in row, then
+    column order, before any fading is drawn."""
+    placed, failures = [], []
+    for j, (scene, link) in enumerate(columns):
+        rngs, ks = [row[j] for row in rows], [row[j] for row in counts]
+        centers, positions, failure = _place_column(scene, link, rngs, ks)
+        placed.append((rngs, ks, centers, positions))
+        if failure is not None:
+            failures.append((failure[0], j, failure[1]))
+    if failures:
+        raise GenerationError(min(failures)[2])
+    table = []
+    for (scene, link), (rngs, ks, centers, positions) in zip(columns, placed):
+        m = [int(k.sum()) for k in ks]
+        cuts = np.cumsum(m)[:-1]  # where the sub-rays of each set after the first start
+        # per set, the real parts, then the imaginary parts, then the shadowing
+        re = np.concatenate([rng.standard_normal(n) for rng, n in zip(rngs, m)]) / math.sqrt(2.0)
+        im = np.concatenate([rng.standard_normal(n) for rng, n in zip(rngs, m)]) / math.sqrt(2.0)
+        fading = np.split(as_complex(re, im), cuts)
+        shadow = [None] * len(rngs)
+        if scene.shadow_clustered:
+            shadow = np.split(np.concatenate([rng.standard_normal(n) for rng, n in zip(rngs, m)]), cuts)
+        centers = np.split(centers, np.cumsum([k.size for k in ks])[:-1])
+        table.append([
+            ClusterDraw(link, *variates) for variates in zip(ks, centers, np.split(positions, cuts), fading, shadow)
+        ])
+    return [tuple(sets[r] for sets in table) for r in range(len(rows))]
 
-    positions = _place(
-        int(counts.sum()), draw_subrays, ok, p.retry_cap, f"{link.value} sub-ray scatterers"
-    )
+def draw_clusters_many(columns, rows) -> list[tuple[ClusterDraw, ...]]:
+    """Stage 1 of a table of cluster sets: per row of ``rows``, the tuple
+    of its sets, entry j drawn from stream ``row[j]`` for ``columns[j]``,
+    a ``(scene, link)`` pair, with that scene's :class:`ScatteringParams`.
 
-    m = positions.shape[0]
-    fading_re = rng.standard_normal(m) / math.sqrt(2.0)  # drawn before the imaginary part
-    fading = as_complex(fading_re, rng.standard_normal(m) / math.sqrt(2.0))
-    shadow = rng.standard_normal(m) if scene.shadow_clustered else None
-    return ClusterDraw(link, counts, centers, positions, fading, shadow)
+    Each set reads its own stream in one fixed order: the Poisson cluster
+    count, the sub-ray counts, the center block, a block for each redraw
+    of its rejected centers (in ascending order), then per sub-ray round
+    the ball normals and radii, then the fading (real parts before
+    imaginary ones) and, when the scene enables clustered shadowing, the
+    shadowing normals. A stream may feed one set only. So every set has
+    the bits it has alone (:func:`draw_clusters`), whatever else is in
+    the table, and leaves its stream where its draw alone would.
+
+    The sub-ray counts are drawn first; the rows are then placed in groups
+    of consecutive rows holding at most :data:`_GROUP_RAYS` sub-rays (at
+    least one row). Within a group, the sets of a column are placed in
+    lockstep: a rejection round draws from every set that still has
+    rejected points and runs the arithmetic once over all their points
+    (the affine map of the centers, the ball's norm, cube root and scale,
+    and the admissibility mask), elementwise or as fixed 3-term row sums,
+    so that no bit depends on the group. A set still rejected after
+    ``retry_cap`` rounds raises :class:`GenerationError`; of several, the
+    first in row, then column order (centers before sub-rays within a
+    set), with the message a loop over the rows would raise, and no later
+    group is drawn.
+    """
+    streams = [rng for row in rows for rng in row]
+    if len(set(map(id, streams))) != len(streams):
+        raise ValueError("a stream may feed one cluster set only")
+    knobs = [(scene.scattering, scene.constant(("placement", link), _placement, scene, link).density)
+             for scene, link in columns]
+    counts = []
+    for row in rows:
+        counts.append([])
+        for (p, density), rng in zip(knobs, row):
+            n_clusters = int(rng.poisson(density))
+            if p.at_least_one:
+                n_clusters = max(1, n_clusters)
+            counts[-1].append(rng.integers(p.min_subrays, p.max_subrays + 1, size=n_clusters))
+    out, start = [], 0
+    rays = [sum(int(k.sum()) for k in row) for row in counts]
+    while start < len(rows):
+        stop, total = start + 1, rays[start]
+        while stop < len(rows) and total + rays[stop] <= _GROUP_RAYS:
+            total, stop = total + rays[stop], stop + 1
+        out += _draw_group(columns, rows[start:stop], counts[start:stop])
+        start = stop
+    return out
+
+def draw_clusters(scene: "Scene", link: Link, rng: np.random.Generator) -> ClusterDraw:
+    """Stage 1 of :func:`generate_clusters`: every draw of one set from
+    ``rng``, the rejection sampling included (it decides how many), with
+    the scene's :class:`ScatteringParams`; the one-set case of
+    :func:`draw_clusters_many`."""
+    return draw_clusters_many([(scene, link)], [(rng,)])[0][0]
 
 def share_draw(scene: "Scene", tx_ris, rng: np.random.Generator | None = None) -> ClusterDraw:
     """Stage 1 of :func:`share_clusters`: the Tx-side set ``tx_ris`` (a

@@ -36,7 +36,7 @@ from rischan.propagation import (
     los_probability,
     path_loss,
 )
-from rischan.scattering import Link, derive_sets, draw_clusters
+from rischan.scattering import Link, derive_sets, draw_clusters_many
 from rischan.scene import Scene
 from rischan.streams import substream
 from rischan.sub6 import fraunhofer_distance, nearfield_element_capture
@@ -92,12 +92,11 @@ def test_fading_normalization(monkeypatch):
     reals, chunk = 100_000, 2_000
     total = 0.0
     for start in range(0, reals, chunk):
+        indices = range(start, start + chunk)
+        sets = draw_clusters_many([(scene, Link.TX_RIS)], [(substream(505, "norm", "cl", i),) for i in indices])
         hops = [
-            mmwave._link_draw(
-                scene, Link.TX_RIS, substream(505, "norm", "h", i),
-                draw_clusters(scene, Link.TX_RIS, substream(505, "norm", "cl", i)),
-            )
-            for i in range(start, start + chunk)
+            mmwave._link_draw(scene, Link.TX_RIS, substream(505, "norm", "h", i), cl)
+            for i, (cl,) in zip(indices, sets)
         ]
         for h, _ in mmwave.hop_matrices(hops):
             total += float(np.sum(np.abs(h) ** 2))

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rischan import engine, mmwave
+from rischan import engine, mmwave, scattering
 from rischan.arrays import ArrayGeometry, ElementPattern
 from rischan.engine import CoverageArea, coverage_run, load_config, run
 from rischan.errors import ConfigError, GenerationError
@@ -641,13 +641,15 @@ class TestStreamingRun:
     def test_chunk_size_invisible(self, tmp_path, monkeypatch, over, workers):
         """Chunks of 1 draw, 7 draws and the whole run, each assembled in
         stage-2 passes of 1 ray (one record a pass), 300 rays (a few) and
-        without bound, write identical files."""
+        without bound, and placed in stage-1 lockstep groups of 1 ray (one
+        realization a group) and without bound, write identical files."""
         cfg = run_cfg(tmp_path, realizations=17, workers=workers, **over)
         outputs = []
-        for draws, rays in itertools.product((1, 7, None), (1, 300, 2**62)):
+        for draws, rays, group in itertools.product((1, 7, None), (1, 300, 2**62), (1, 2**62)):
             chunk = 2**62 if draws is None else draws * draw_bytes(cfg)
             monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk)
             monkeypatch.setattr(mmwave, "_PASS_RAYS", rays)
+            monkeypatch.setattr(scattering, "_GROUP_RAYS", group)
             result = run(cfg)
             outputs.append(dir_bytes(cfg.out_dir))
         assert all(out == outputs[0] for out in outputs[1:])
@@ -771,6 +773,33 @@ def test_failure_leaves_no_part_file(tmp_path, monkeypatch, entry, stage):
     with pytest.raises(OSError, match="injected"):
         getattr(engine, entry)(replace(cfg, seed=8))
     assert dir_bytes(cfg.out_dir) == before
+
+
+def test_failed_rename_leaves_no_sidecar_and_no_part_file(tmp_path, monkeypatch):
+    """Publishing removes each old output just before its new file takes
+    its name; a rename that fails after that removal leaves no
+    ``metadata.json`` and no ``.part`` file, the outputs renamed before it
+    new and the ones after it old."""
+    cfg = run_cfg(tmp_path, n=4, realizations=2)
+    run(cfg)
+    before = dir_bytes(cfg.out_dir)
+    renamed, original = [], os.replace
+
+    def failing(src, dst):
+        assert not Path(dst).exists()  # the old output is already gone
+        if Path(dst).name == "G.risch":
+            raise OSError("injected failure")
+        renamed.append(Path(dst).name)
+        original(src, dst)
+
+    monkeypatch.setattr(engine.os, "replace", failing)
+    with pytest.raises(OSError, match="injected"):
+        run(replace(cfg, seed=8))
+    after = dir_bytes(cfg.out_dir)
+    assert renamed == ["H.risch"]
+    assert sorted(after) == ["D.risch", "H.risch", "rates.csv"]
+    assert after["H.risch"] != before["H.risch"]
+    assert after["D.risch"] == before["D.risch"] and after["rates.csv"] == before["rates.csv"]
 
 
 def test_import_stays_light():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rischan import mmwave
+from rischan import mmwave, scattering
 from rischan.arrays import ArrayGeometry, ElementPattern
 from rischan.control import RisPhaseConfig
 from rischan.errors import ConfigError, GenerationError
@@ -300,6 +300,7 @@ def test_assembly_is_the_same_in_any_batch(cases):
 
 
 _PASS_SIZES = (1, 300, 2**62)  # one record a pass, a few, the whole range
+_GROUP_SIZES = (1, 2**62)  # stage-1 lockstep groups of one row, and of the whole range
 
 
 @pytest.mark.parametrize("pass_rays", _PASS_SIZES, ids=["one_record", "few", "unbounded"])
@@ -308,44 +309,56 @@ _PASS_SIZES = (1, 300, 2**62)  # one record a pass, a few, the whole range
 def test_realize_range_is_the_serial_loop(pass_rays, scene, start, count, clustered):
     """``realize`` over a range gives, index by index, the bits and LOS
     flags of one realization at a time, whatever the size of its stage-2
-    passes."""
+    passes and of its stage-1 lockstep groups."""
     serial = [realize(scene, 17, i, clustered) for i in range(start, start + count)]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mmwave, "_PASS_RAYS", pass_rays)
-        batched = realize(scene, 17, range(start, start + count), clustered)
-    assert len(batched) == count
-    for a, b in zip(batched, serial):
-        assert _mats(a) == _mats(b)
-        assert (a.los_panels, a.los_direct, a.index) == (b.los_panels, b.los_direct, b.index)
+    for group_rays in _GROUP_SIZES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mmwave, "_PASS_RAYS", pass_rays)
+            patch.setattr(scattering, "_GROUP_RAYS", group_rays)
+            batched = realize(scene, 17, range(start, start + count), clustered)
+        assert len(batched) == count
+        for a, b in zip(batched, serial):
+            assert _mats(a) == _mats(b)
+            assert (a.los_panels, a.los_direct, a.index) == (b.los_panels, b.los_direct, b.index)
 
 
-@pytest.mark.parametrize("pass_rays", _PASS_SIZES, ids=["one_record", "few", "unbounded"])
-def test_batched_failure_is_the_serial_one(monkeypatch, pass_rays):
+_LINK_ORDER = ("txris", "risrx", "txrx")  # an outdoor panel's cluster sets, in draw order
+
+
+@pytest.mark.parametrize("group_rays", (1, 300, 2**62), ids=["one_record", "few", "unbounded"])
+def test_batched_failure_is_the_serial_one(monkeypatch, group_rays):
     """A placement failure inside a batched ``realize`` is the serial loop's:
-    the draws stop at the same lowest failing index, with its message."""
+    the lowest failing index raises, with the message it raises alone,
+    also where a higher index of the range fails in an earlier link, and
+    no stage-1 lockstep group after the one holding it is drawn."""
     scene = make_outdoor_scene(scattering=ScatteringParams(retry_cap=2))
-    monkeypatch.setattr(mmwave, "_PASS_RAYS", pass_rays)
-    drawn, original = [], mmwave.draw
+    monkeypatch.setattr(scattering, "_GROUP_RAYS", group_rays)
+    alone = {}  # index -> the message of its failure, drawn alone
+    for i in range(40):
+        try:
+            realize(scene, 3, i)
+        except GenerationError as exc:
+            alone[i] = str(exc)
+    link = {i: _LINK_ORDER.index(message.split()[1]) for i, message in alone.items()}
+    groups, original = [], scattering._draw_group
 
-    def spy(scene, master_seed, index, clustered=True):
-        drawn.append(index)
-        return original(scene, master_seed, index, clustered)
+    def spy(columns, rows, counts):
+        groups.append(len(rows))
+        return original(columns, rows, counts)
 
-    monkeypatch.setattr(mmwave, "draw", spy)
+    monkeypatch.setattr(scattering, "_draw_group", spy)
+    crossed = False
     for start in (0, 12, 18):  # each range draws records before its failure
-        serial = None
-        for i in range(start, 40):
-            try:
-                realize(scene, 3, i)
-            except GenerationError as exc:
-                serial = (i, str(exc))
-                break
-        assert serial is not None and serial[0] > start
-        drawn.clear()
+        first = min(i for i in alone if i >= start)
+        assert first > start
+        crossed |= any(link[i] < link[first] for i in alone if i > first)
+        groups.clear()
         with pytest.raises(GenerationError) as batched:
             realize(scene, 3, range(start, 40))
-        assert drawn == list(range(start, serial[0] + 1))
-        assert str(batched.value) == serial[1]
+        assert str(batched.value) == alone[first]
+        end = start + sum(groups)  # the rows drawn are start .. end - 1
+        assert end - groups[-1] <= first < end
+    assert crossed
 
 
 _OTHER_MODEL = {  # per model field, a value the default indoor scene does not have

@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 
 from rischan import scattering
 from rischan.errors import GenerationError
-from rischan.geometry import Point3
+from rischan.arrays import ArrayGeometry
+from rischan.geometry import Plane, Point3, SurfaceOrientation
 from rischan.propagation import Environment, path_loss
+from rischan.scene import RisPanel
 from rischan.scattering import (
     ClusterSet,
     Link,
     ScatteringParams,
     _admissible,
     _placement,
+    draw_clusters,
+    draw_clusters_many,
     generate_clusters,
     share_clusters,
 )
@@ -299,3 +303,96 @@ def test_admissible_matches_reference(pts, min_leg, which):
     got = _admissible(block, c.lo, c.hi, c.anchors[:2], c.surfaces, min_leg)
     want = _reference_admissible(block, scene.environment.bounds, anchors)
     np.testing.assert_array_equal(got, want)
+
+
+# placement knobs: the default, and tight ones that take indoor sets about
+# 17 rounds of rejection (centers and sub-rays together) on average
+_KNOBS = (ScatteringParams(), ScatteringParams(min_leg_m=12.0, spread_m=10.0, min_subrays=5))
+_SECOND = {  # a second surface on the first one's wall
+    True: RisPanel(Point3(20.0, 50.0, 2.0), ArrayGeometry(2, 2, orientation=SurfaceOrientation(Plane.XZ, facing=-1))),
+    False: RisPanel(Point3(40.0, 0.0, 12.0), ArrayGeometry(2, 2, orientation=SurfaceOrientation(Plane.XZ, facing=1))),
+}
+
+
+def _column(indoor, knobs, shadow, panel, link):
+    """A (view, link) column: a panel view of a one- or two-surface scene."""
+    make = make_indoor_scene if indoor else make_outdoor_scene
+    scene = make(scattering=knobs, shadow_clustered=shadow, extra_panels=(_SECOND[indoor],) if panel else ())
+    return scene.panel_scenes[panel], link
+
+
+def _serial_draw(scene, link, rng):
+    """The one-set loop that the lockstep placement replaced, kept as the
+    reference: (counts, centers, positions, fading, shadow) of one set."""
+    p, c = scene.scattering, _placement(scene, link)
+    n_clusters = int(rng.poisson(c.density))
+    if p.at_least_one:
+        n_clusters = max(1, n_clusters)
+    counts = rng.integers(p.min_subrays, p.max_subrays + 1, size=n_clusters)
+
+    def place(n, draw):
+        pts = draw(n, slice(None))
+        idx = (~_admissible(pts, c.lo, c.hi, c.anchors[:2], c.surfaces, p.min_leg_m)).nonzero()[0]
+        for _ in range(p.retry_cap):
+            if not idx.size:
+                return pts
+            fresh = draw(idx.size, idx)
+            pts[idx] = fresh
+            idx = idx[~_admissible(fresh, c.lo, c.hi, c.anchors[:2], c.surfaces, p.min_leg_m)]
+        assert not idx.size
+        return pts
+
+    def ball(n, idx):
+        v = rng.standard_normal((n, 3))
+        norm = np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
+        norm[norm == 0.0] = 1.0
+        r = p.spread_m * np.array([math.cbrt(u) for u in rng.random(n)]).reshape(n, 1)
+        return anchor_of_point[idx] + v / norm * r
+
+    centers = place(n_clusters, lambda n, _: c.lo + c.span * rng.random((n, 3)))
+    anchor_of_point = np.repeat(centers, counts, axis=0)
+    positions = place(int(counts.sum()), ball)
+    m = positions.shape[0]
+    fading = np.empty(m, dtype=complex)
+    fading.real = rng.standard_normal(m) / math.sqrt(2.0)  # drawn before the imaginary part
+    fading.imag = rng.standard_normal(m) / math.sqrt(2.0)
+    shadow = rng.standard_normal(m) if scene.shadow_clustered else None
+    return counts, centers, positions, fading, shadow
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    columns=st.lists(
+        st.builds(_column, st.booleans(), st.sampled_from(_KNOBS), st.booleans(), st.integers(0, 1),
+                  st.sampled_from(list(Link))),
+        min_size=1, max_size=3,
+    ),
+    seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=6),
+    group_rays=st.sampled_from((1, 60, 2**62)),
+)
+def test_lockstep_is_the_one_set_draw(columns, seeds, group_rays):
+    """Every set of a ``draw_clusters_many`` table has the bits of its
+    one-set ``draw_clusters`` and of the serial loop, over mixed seeds,
+    geometry, panel views, tight bounds and group sizes, and leaves its
+    stream where those draws leave it: the next uniform is equal."""
+    rows = [[substream(seed, "set", j) for j in range(len(columns))] for seed in seeds]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scattering, "_GROUP_RAYS", group_rays)
+        table = draw_clusters_many(columns, rows)
+    assert len(table) == len(rows)
+    for seed, row, sets in zip(seeds, rows, table):
+        for j, ((scene, link), rng, got) in enumerate(zip(columns, row, sets)):
+            twin, loop = substream(seed, "set", j), substream(seed, "set", j)
+            want = draw_clusters(scene, link, twin)
+            assert (got.link, got.reaimed, got.shadow is None) == (want.link, want.reaimed, want.shadow is None)
+            for a, b, c in zip(got[1:6], want[1:6], _serial_draw(scene, link, loop)):
+                if a is not None:
+                    assert a.dtype == b.dtype == c.dtype and a.shape == b.shape == c.shape
+                    assert a.tobytes() == b.tobytes() == c.tobytes()
+            assert rng.random() == twin.random() == loop.random()
+
+
+def test_one_stream_feeds_one_set(indoor_scene):
+    rng = substream(1, "c")
+    with pytest.raises(ValueError, match="one cluster set"):
+        draw_clusters_many([(indoor_scene, Link.TX_RIS)] * 2, [(rng, rng)])
