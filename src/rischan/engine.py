@@ -609,7 +609,9 @@ def _publish(out: Path, files: dict[str, Path], metadata: dict) -> Path:
     its name: a rename onto an existing file would make ext4 write the new
     file's data back first (its ``auto_da_alloc`` heuristic). If a rename
     fails, the ``.part`` files left are removed too; the directory then
-    holds no ``metadata.json``."""
+    holds no ``metadata.json``. Nothing is fsynced: this guards against a
+    failing run, not a crash of the machine, after which a ``metadata.json``
+    may stand beside outputs whose data never reached the disk."""
     meta_path = out / "metadata.json"
     with _removed_on_error([_part(meta_path), *map(_part, files.values())]):
         write_metadata(_part(meta_path), metadata)

@@ -396,3 +396,59 @@ def test_one_stream_feeds_one_set(indoor_scene):
     rng = substream(1, "c")
     with pytest.raises(ValueError, match="one cluster set"):
         draw_clusters_many([(indoor_scene, Link.TX_RIS)] * 2, [(rng, rng)])
+
+
+# one retry round and long minimum legs: indoor sets fail both ways, some
+# at their cluster centers and more at their sub-rays
+_FAILING = make_indoor_scene(scattering=ScatteringParams(retry_cap=1, min_leg_m=20.0))
+_FAILING_COLUMNS = [(_FAILING, Link.TX_RIS), (_FAILING, Link.RIS_RX)]
+
+
+def _alone(j, seed):
+    """The message that the set of column j, drawn alone from seed's
+    stream, raises, or None when it is placed."""
+    try:
+        draw_clusters(*_FAILING_COLUMNS[j], substream(seed, "set", j))
+    except GenerationError as exc:
+        return str(exc)
+    return None
+
+
+def _seeds(j, kind, n):
+    """The first n seeds whose set in column j is placed (kind None) or
+    fails placing its "cluster centers" or "sub-ray scatterers"."""
+    out = []
+    for seed in range(200):
+        message = _alone(j, seed)
+        if (message is None) if kind is None else (message is not None and kind in message):
+            out.append(seed)
+            if len(out) == n:
+                return out
+    raise AssertionError(f"fewer than {n} seeds of kind {kind!r}")
+
+
+@pytest.mark.parametrize("group_rays", (1, 2**62), ids=["one_row", "unbounded"])
+def test_lockstep_failure_is_the_serial_one(monkeypatch, group_rays):
+    """A table with failing sets raises the ``GenerationError`` that a loop
+    over its rows, then columns, raises first, with the one-set message:
+    also where the centers of a later row of a lockstep group fail, and
+    where an earlier row of that column, or of another, fails its sub-rays."""
+    monkeypatch.setattr(scattering, "_GROUP_RAYS", group_rays)
+    ok = [_seeds(j, None, 3) for j in (0, 1)]
+    centers = [_seeds(j, "cluster centers", 2) for j in (0, 1)]
+    subrays = [_seeds(j, "sub-ray scatterers", 2) for j in (0, 1)]
+    cases = [  # (rows of seeds, the (row, column) of the first failure, what fails there)
+        ([(ok[0][0], ok[1][0]), (centers[0][0], ok[1][1])], (1, 0), "cluster centers"),
+        ([(ok[0][0], ok[1][0]), (ok[0][1], ok[1][1]), (ok[0][2], centers[1][0])], (2, 1), "cluster centers"),
+        ([(ok[0][0], ok[1][0]), (subrays[0][0], ok[1][1]), (centers[0][0], ok[1][2])], (1, 0), "sub-ray scatterers"),
+        ([(ok[0][0], subrays[1][0]), (centers[0][0], ok[1][1])], (0, 1), "sub-ray scatterers"),
+        ([(ok[0][0], ok[1][0]), (ok[0][1], centers[1][0]), (centers[0][1], subrays[1][1])], (1, 1), "cluster centers"),
+        ([(ok[0][0], ok[1][0]), (centers[0][0], subrays[1][0]), (subrays[0][1], ok[1][1])], (1, 0), "cluster centers"),
+    ]
+    for seeds, (r, j), kind in cases:
+        want = _alone(j, seeds[r][j])
+        assert kind in want
+        rows = [[substream(seed, "set", k) for k, seed in enumerate(row)] for row in seeds]
+        with pytest.raises(GenerationError) as batched:
+            draw_clusters_many(_FAILING_COLUMNS, rows)
+        assert str(batched.value) == want
