@@ -123,16 +123,21 @@ def element_gain_cos(pattern: ElementPattern, cos_boresight) -> np.ndarray:
     gain = pattern.boresight_gain * ef.power(np.where(front, c, 0.0), 2.0 * pattern.q)
     return np.where(front, gain, 0.0)
 
-def _powers(wr, wi, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) of w^i for i < n, shape (n, K), for K unit numbers w.
+# Columns of one _powers block: past about a thousand columns of 16 rows
+# the ladder's working set outgrows the core's cache, and a column took about
+# twice as long at 2048 columns
+_LADDER_COLUMNS = 1024
+
+def _powers(wr, wi, out) -> None:
+    """Fill ``out``, shape (2, n, K), with the (re, im) of w^i for i < n,
+    for K unit numbers w.
 
     Built by doubling: rows [0, 2^k) times w^(2^k) give rows [2^k, 2^(k+1)),
     and w^(2^k) is squared for the next step; real arithmetic throughout.
-    re and im are the halves of one (2, n, K) array, so each complex
-    product is two real products over both halves, then one difference
-    and one sum.
+    Each complex product is two real products over both halves of
+    ``out``, then one difference and one sum.
     """
-    out = np.empty((2, n, wr.size))
+    n = out.shape[1]
     out[0, 0], out[1, 0] = 1.0, 0.0
     k = 1
     while k < n:
@@ -144,7 +149,6 @@ def _powers(wr, wi, n: int) -> tuple[np.ndarray, np.ndarray]:
         if j < n:
             wr, wi = wr * wr - wi * wi, 2.0 * wr * wi
         k = j
-    return out[0], out[1]
 
 def array_axes(geometry: ArrayGeometry, unit, wavelength: float) -> list:
     """(n, kd, u_axis) of each axis of ``geometry`` with more than one
@@ -164,14 +168,21 @@ def power_factors(axes) -> list:
     The C library is called once for all the steps kd u_axis together, and
     one :func:`_powers` ladder, as tall as the tallest axis, serves every
     axis: its rows do not depend on its height, so each axis takes its
-    first n rows of its own columns.
+    first n rows of its own columns. The ladder is built in blocks of at
+    most ``_LADDER_COLUMNS`` columns; each column's arithmetic is its own,
+    so the blocks do not enter the bits.
     """
     if not axes:
         return []
     rows, kd, columns = zip(*axes)
     lengths = [column.size for column in columns]
     steps = np.concatenate(columns) * (kd[0] if kd.count(kd[0]) == len(kd) else np.repeat(kd, lengths))
-    re, im = _powers(*ef.cis(steps), max(rows))
+    wr, wi = ef.cis(steps)
+    ladder = np.empty((2, max(rows), steps.size))
+    for first in range(0, steps.size, _LADDER_COLUMNS):
+        block = slice(first, first + _LADDER_COLUMNS)
+        _powers(wr[block], wi[block], ladder[:, :, block])
+    re, im = ladder
     out, start = [], 0
     for n, m in zip(rows, lengths):
         out.append((re[:n, start:start + m], im[:n, start:start + m]))

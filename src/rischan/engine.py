@@ -10,7 +10,7 @@ worked in index order, appended to ``.part`` files, hashed, listed in the
 sidecar and published together.
 
 A chunk of draws (a run's, or a coverage cell's) is realized in one
-``_realizations`` call, at mmWave one batched ``realize_multi``; then
+``_realizations`` call, one batched ``realize_multi`` or ``realize_sub6``; then
 ``_one_realization`` controls, composes and rates each draw in index order.
 
 Everything is reproducible from (config, seed): realizations and grid cells
@@ -518,11 +518,11 @@ def _check_close_in(band: str, scene: Scene, g_mode: str, edge_m: float | None) 
         links.remove(Link.RIS_RX)
     for k, view in enumerate(scene.panel_scenes):
         for link in links:
-            ends = view.link(link)
-            if ends.distance < CLOSE_IN_REF_M:
-                a, b = (f"ris[{k}]" if name == "ris" and scene.extra_panels else name for name in ends.names)
+            names, span = view.span(link)
+            if span < CLOSE_IN_REF_M:
+                a, b = (f"ris[{k}]" if name == "ris" and scene.extra_panels else name for name in names)
                 raise ConfigError(
-                    f"{a} and {b} are {ends.distance:.6g} m apart, below the {CLOSE_IN_REF_M:g} m "
+                    f"{a} and {b} are {span:.6g} m apart, below the {CLOSE_IN_REF_M:g} m "
                     "reference distance of the close-in path-loss law"
                 )
 
@@ -540,13 +540,10 @@ def _phase_config(config: RunConfig, h_mat, g_mat, seed_val: int, index: int, pa
     return cfg
 
 def _realizations(config: RunConfig, scene, seed_val: int, indices: range) -> list:
-    """The realizations ``indices`` of ``scene``: one batched mmWave call,
-    or one sub-6 draw per index."""
+    """The realizations ``indices`` of ``scene``, in one batched call of the
+    band's generator."""
     if config.band == "sub6":
-        return [
-            realize_sub6(scene, seed_val, i, config.sub6_params, config.sub6_g_mode, config.sub6_edge_m)
-            for i in indices
-        ]
+        return realize_sub6(scene, seed_val, indices, config.sub6_params, config.sub6_g_mode, config.sub6_edge_m)
     return realize_multi(scene, seed_val, indices, clustered=config.clustered)
 
 def _one_realization(config: RunConfig, real, seed_val: int):

@@ -10,7 +10,7 @@ single-surface view per surface (:attr:`Scene.panel_scenes`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -22,7 +22,7 @@ from .propagation import (
 )
 from .scattering import MAX_RAYS_PER_HOP, Link, ScatteringParams
 
-__all__ = ["LOS_MODES", "MODEL_FIELDS", "LinkRecord", "RisPanel", "Scene"]
+__all__ = ["LOS_MODES", "MODEL_FIELDS", "RX_FREE_KEYS", "LinkRecord", "RisPanel", "Scene"]
 
 # per-hop visibility policy: distance-dependent Bernoulli, forced on, forced off
 LOS_MODES = ("auto", "on", "off")
@@ -37,6 +37,14 @@ MODEL_FIELDS = ("environment", "frequency_hz", "element_pattern", "shadow_cluste
 _ENDS = {Link.TX_RIS: ("tx", "ris"), Link.RIS_RX: ("ris", "rx"), Link.TX_RX: ("tx", "rx")}
 # The scene field that holds each link's visibility policy
 _LOS_FIELDS = {Link.TX_RIS: "los_tx_ris", Link.RIS_RX: "los_ris_rx", Link.TX_RX: "los_tx_rx"}
+
+# The memo keys whose values do not depend on the receiver: the Tx -> surface
+# link's record, LOS constants, placement record and sub-6 base angles, and
+# the close-in laws. A scene shares them with the scenes ``with_rx`` makes.
+RX_FREE_KEYS = frozenset({
+    ("link", Link.TX_RIS), ("los", Link.TX_RIS), ("placement", Link.TX_RIS),
+    ("sub6 base", Link.TX_RIS), ("close-in", False), ("close-in", True),
+})
 
 
 class LinkRecord(NamedTuple):
@@ -114,31 +122,43 @@ class Scene:
             mode = getattr(self, name)
             if mode not in LOS_MODES:
                 raise ConfigError(f"{name}={mode!r}: expected one of {LOS_MODES}")
-        for link in Link:
-            ends = self.link(link)
-            if ends.distance == 0.0:
-                a, b = ends.names
-                raise ConfigError(f"positions {a} and {b} coincide at {ends.points[0]}")
+        self._check_apart(Link)
         if self.share_direct_clusters and not self.environment.indoor:
             raise ConfigError(
                 "share_direct_clusters=True: sharing models an indoor layout; "
                 "outdoor scenes use an independent direct-link cluster set"
             )
 
+    def _check_apart(self, links) -> None:
+        """Raise ConfigError if the two ends of one of ``links`` coincide."""
+        for link in links:
+            (a, b), span = self.span(link)
+            if span == 0.0:
+                raise ConfigError(f"positions {a} and {b} coincide at {getattr(self, a)}")
+
     @cached_property
     def memo(self) -> dict:
         """Constants derived from this scene alone (the record of each link,
-        say), computed on first use and kept with the scene object."""
+        say), computed on first use and kept with the scene object; those of
+        :data:`RX_FREE_KEYS` are kept in :attr:`rx_free`."""
+        return {}
+
+    @cached_property
+    def rx_free(self) -> dict:
+        """The constants of :data:`RX_FREE_KEYS`, kept in one dict that this
+        scene shares with every scene :meth:`with_rx` makes from it. Threads
+        that compute one of them at once store equal values."""
         return {}
 
     def constant(self, key, fn, *args):
         """``fn(*args)``, computed on the first call for ``key`` and kept in
-        :attr:`memo`; ``key`` names what the value depends on besides the
-        scene."""
+        :attr:`memo` or :attr:`rx_free`; ``key`` names what the value
+        depends on besides the scene."""
+        memo = self.rx_free if key in RX_FREE_KEYS else self.memo
         try:
-            return self.memo[key]
+            return memo[key]
         except KeyError:
-            value = self.memo[key] = fn(*args)
+            value = memo[key] = fn(*args)
             return value
 
     def close_in(self, los: bool) -> CloseIn:
@@ -210,6 +230,12 @@ class Scene:
         """The ends and LOS rule of ``link``, the same record on every call."""
         return self.constant(("link", link), self._link_record, link)
 
+    def span(self, link: Link) -> tuple[tuple[str, str], float]:
+        """The names of the ends of ``link`` and the distance between them,
+        the distance its record holds, without building the record."""
+        names = _ENDS[link]
+        return names, distance(*(getattr(self, n) for n in names))
+
     def _link_record(self, link: Link) -> LinkRecord:
         names = _ENDS[link]
         a, b = points = tuple(getattr(self, n) for n in names)
@@ -222,8 +248,18 @@ class Scene:
         return LinkRecord(names, points, arrays, mounts, distance(a, b), self.los_mode(link), p)
 
     def with_rx(self, rx: Point3) -> "Scene":
-        """Same scene, receiver moved (used by coverage sweeps)."""
-        return replace(self, rx=rx)
+        """Same scene, receiver moved (used by coverage sweeps). It shares
+        :attr:`rx_free` with this scene, and in every surface view it checks
+        only the links that end at the receiver, as the constructor would:
+        a receiver on a terminal raises ConfigError."""
+        moved = object.__new__(Scene)  # the fields alone: no constant of this scene but rx_free
+        moved.__dict__.update({f.name: getattr(self, f.name) for f in fields(Scene)}, rx=rx, rx_free=self.rx_free)
+        if self.extra_panels:
+            moved.__dict__["panel_scenes"] = tuple(view.with_rx(rx) for view in self.panel_scenes)
+        else:
+            moved.__dict__["panel_scenes"] = (moved,)
+            moved._check_apart((Link.RIS_RX, Link.TX_RX))
+        return moved
 
     def describe(self) -> str:
         """One-line human summary for logs."""

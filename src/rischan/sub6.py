@@ -17,10 +17,13 @@ the fraction of isotropically radiated power that its physical aperture
 subtends (exact rectangle integral, polarization included) with the phase
 of its element-center travel distance reduced modulo one wavelength.
 
-Draw order per hop: visibility uniform, optional loss shadowing normal,
-cluster azimuth/elevation means, ray azimuth/elevation offsets, ray phases.
-The direct hop has no angles, only phases. Power profiles consume their own
-generator: delay uniforms then per-cluster shadowing normals.
+A draw is made in two stages. Stage 1 reads the streams; per hop:
+visibility uniform, optional loss shadowing normal, cluster azimuth/elevation
+means, ray azimuth/elevation offsets, ray phases (the direct hop has no
+angles, only phases). Power profiles consume their own generator: delay
+uniforms then per-cluster shadowing normals. Stage 2 reads no stream and
+runs each derived quantity once over every hop of a range of draws; only a
+hop's axis factors and its sum over rays run per hop.
 """
 
 from __future__ import annotations
@@ -30,11 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elementary as ef
-from .arrays import ArrayGeometry, as_complex, element_gain_cos, response_sum
+from .arrays import ArrayGeometry, array_axes, as_complex, element_gain_cos, power_factors, rank_one_sum
 # unused here, but bench/tracer.py wraps these names of this module
 from .arrays import element_gain, steering_matrix  # noqa: F401
 from .geometry import DirectionAngles, Point3, angles_from, direction_unit, vector_norm
 from .mmwave import ChannelRealization
+from .propagation import CloseIn
 from .scattering import MAX_RAYS_PER_HOP, Link
 from .scene import Scene
 from .streams import substream
@@ -56,6 +60,10 @@ __all__ = [
 
 # surface -> Rx forms: the Fraunhofer test picks one, or near/far is forced
 G_MODES = ("auto", "near", "far")
+
+# Rays of one stage-2 pass of realize_sub6, at least: a coverage cell of 5
+# draws of the default 15 x 20 rays per hop is one pass
+_PASS_RAYS = 4096
 
 
 @dataclass(frozen=True)
@@ -104,30 +112,40 @@ def powers_from_delays(
     """Normalized cluster powers for given excess delays.
 
     Pure function behind :func:`gen_cluster_powers`: exponential decay in
-    delay with optional per-cluster dB shadowing, normalized to sum to one.
-    Equal delays and zero shadowing give exactly equal powers.
+    delay with optional per-cluster dB shadowing, normalized to sum to one
+    (each row of a 2-D ``delays_s`` is a profile of its own). Equal delays
+    and zero shadowing give exactly equal powers.
     """
     tau = np.asarray(delays_s, dtype=float)
     if np.any(tau < 0):
         raise ValueError("delays must be >= 0")
     raw = ef.exp(-tau * (delay_scaling - 1.0) / (delay_scaling * delay_spread_s))
     raw = raw * ef.pow10(-np.asarray(shadow_db, dtype=float) / 10.0)
-    total = raw.sum()
-    if total == 0.0:
+    total = raw.sum(axis=-1, keepdims=True)
+    if not total.all():
         raise ValueError("all cluster powers collapsed to zero")
     return raw / total
+
+def _profile_draws(rng, p: Sub6Params) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 1 of a power profile: its delay uniforms, then its shadow normals."""
+    return rng.random(p.n_clusters), rng.standard_normal(p.n_clusters)
+
+def _profiles(uniforms, normals, p: Sub6Params) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 2 of power profiles: the (P, C) delays and powers of the
+    profiles whose :func:`_profile_draws` are the rows of ``uniforms`` and
+    ``normals``, one pass for all."""
+    u = np.array(uniforms, dtype=float)
+    u[u == 0.0] = np.nextafter(0.0, 1.0)  # ln(0) guard; measure-zero event
+    delays = np.sort(-p.delay_scaling * p.delay_spread_s * ef.log(u), axis=-1)
+    delays -= delays[:, :1]
+    shadows = p.shadow_cluster_db * np.asarray(normals, dtype=float)
+    return delays, powers_from_delays(delays, p.delay_scaling, p.delay_spread_s, shadows)
 
 def gen_cluster_powers(rng: np.random.Generator, params: Sub6Params | None = None) -> ClusterPowerProfile:
     """Draw one delay/power profile (delay uniforms, then shadow normals)."""
     p = params or Sub6Params()
-    u = rng.random(p.n_clusters)
-    u[u == 0.0] = np.nextafter(0.0, 1.0)  # ln(0) guard; measure-zero event
-    delays = -p.delay_scaling * p.delay_spread_s * ef.log(u)
-    delays = np.sort(delays)
-    delays -= delays[0]
-    shadows = p.shadow_cluster_db * rng.standard_normal(p.n_clusters)
-    powers = powers_from_delays(delays, p.delay_scaling, p.delay_spread_s, shadows)
-    return ClusterPowerProfile(delays_s=delays, powers=powers)
+    delays, powers = _profiles(*([draw] for draw in _profile_draws(rng, p)), p)
+    return ClusterPowerProfile(delays_s=delays[0], powers=powers[0])
 
 
 def _wrap_azimuth(a: np.ndarray) -> np.ndarray:
@@ -140,37 +158,63 @@ def _base_angles(scene: Scene, link: Link) -> DirectionAngles:
     k = ends.names.index("ris")
     return angles_from(ends.points[k], ends.points[1 - k])
 
-def _sub6_hop(scene: Scene, link: Link, profile: ClusterPowerProfile, rng, params: Sub6Params):
-    """One far-field hop: the (N,) surface vector of a surface hop, or the
-    complex 0-d array of the direct Tx -> Rx hop (no array, no angles);
-    returns (value, los_state)."""
-    ends = scene.link(link)
+def _draw_hop(scene: Scene, link: Link, rng, p: Sub6Params) -> tuple:
+    """Stage 1 of one far-field hop: (link, visibility uniform, LOS shadow
+    normal or None, angle normals, ray phases), read in that order; the
+    angle normals are None on the direct hop, else the cluster azimuth and
+    elevation means (C each) and the ray offsets (M each)."""
+    c, m = p.n_clusters, p.n_clusters * p.n_rays
     u = rng.uniform()
     shadow = rng.standard_normal() if scene.shadow_los else None
-    on = ends.visible(u)
-    loss = scene.close_in(on).sample(ends.distance, shadow).linear
-    c, s = profile.n_clusters, params.n_rays
-    m = c * s
-    ray_power = np.repeat(profile.powers, s) / s
+    angles = None if link is Link.TX_RX else tuple(rng.standard_normal(k) for k in (c, c, m, m))
+    return link, u, shadow, angles, rng.uniform(0.0, 2.0 * math.pi, size=m)
 
-    gain, arrays = 1.0, []
-    if link is not Link.TX_RX:
-        base = scene.constant(("sub6 base", link), _base_angles, scene, link)
-        geometry = scene.ris_geometry
+def _hop_values(scene: Scene, hops, powers: np.ndarray, p: Sub6Params) -> list[tuple[np.ndarray, bool]]:
+    """Stage 2 of the far-field ``hops`` (:func:`_draw_hop`) of ``scene``,
+    row k of ``powers`` holding hop k's cluster powers: the value and LOS
+    state of each hop, the value the (N,) surface vector of a surface hop
+    and the complex 0-d array of the direct hop.
+
+    Each derived quantity is one pass over the rays of every hop: ray
+    powers, losses, wrapped and clipped angles, directions, element gains
+    at the surface, amplitudes and phasors. These passes are elementwise;
+    the axis factors (:func:`power_factors`, one ladder of a hop's columns
+    at a time) and the sum over a hop's rays (:func:`rank_one_sum`) run per
+    hop. So a hop has the bits that :func:`response_sum` gives its rays
+    alone, in any batch.
+    """
+    links, us, shadows, angles, phases = zip(*hops)
+    ends = [scene.link(link) for link in links]
+    ons = [e.visible(u) for e, u in zip(ends, us)]
+    law = CloseIn(*np.array([scene.close_in(on) for on in ons]).T)  # each hop's terms
+    loss = law.sample([e.distance for e in ends], shadows if scene.shadow_los else None).linear
+    s = p.n_rays
+    ray_power = np.repeat(powers, s, axis=1) / s
+    gain = np.ones(ray_power.shape)
+    surface = [k for k, a in enumerate(angles) if a is not None]
+    units = []
+    if surface:
+        base = [scene.constant(("sub6 base", links[k]), _base_angles, scene, links[k]) for k in surface]
+        caz, cel, raz, rel = (np.array(draws) for draws in zip(*(angles[k] for k in surface)))
         d2r = math.pi / 180.0
-        caz = base.azimuth + d2r * params.cluster_az_spread_deg * rng.standard_normal(c)
-        cel = base.elevation + d2r * params.cluster_el_spread_deg * rng.standard_normal(c)
-        az = np.repeat(caz, s) + d2r * params.ray_az_spread_deg * rng.standard_normal(m)
-        el = np.repeat(cel, s) + d2r * params.ray_el_spread_deg * rng.standard_normal(m)
-        unit = direction_unit(_wrap_azimuth(az), np.clip(el, 0.0, math.pi))
-        arrays = [(geometry, unit)]
+        caz = np.array([[b.azimuth] for b in base]) + d2r * p.cluster_az_spread_deg * caz
+        cel = np.array([[b.elevation] for b in base]) + d2r * p.cluster_el_spread_deg * cel
+        az = np.repeat(caz, s, axis=1) + d2r * p.ray_az_spread_deg * raz
+        el = np.repeat(cel, s, axis=1) + d2r * p.ray_el_spread_deg * rel
+        units = direction_unit(_wrap_azimuth(az), np.clip(el, 0.0, math.pi))
         if scene.element_pattern is not None:
-            gain = element_gain_cos(scene.element_pattern, geometry.orientation.normal_component(unit))
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=m)
-    amp = np.sqrt(ray_power * gain * loss)
-    c, s = ef.cis(phases)
-    return response_sum((amp * c, amp * s), arrays, scene.wavelength), on
-
+            cos = scene.ris_geometry.orientation.normal_component(units)
+            gain[surface] = element_gain_cos(scene.element_pattern, cos)
+    amp = np.sqrt(ray_power * gain * loss[:, None])
+    cos_phase, sin_phase = ef.cis(np.array(phases))
+    re, im = amp * cos_phase, amp * sin_phase
+    geometry, units, out = scene.ris_geometry, iter(units), []
+    for k, a in enumerate(angles):
+        shape = [] if a is None else [geometry.size]
+        axes = array_axes(geometry, next(units), scene.wavelength) if shape else []
+        vr, vi = rank_one_sum((re[k], im[k]), power_factors(axes))
+        out.append((as_complex(vr, vi).reshape(shape), ons[k]))
+    return out
 
 def element_edge(geometry: ArrayGeometry, wavelength: float, edge_m: float | None = None) -> float:
     """Side of each element's square aperture: ``edge_m``, or the element
@@ -274,50 +318,63 @@ def select_g_mode(scene: Scene, mode: str, edge_m: float | None) -> str:
 
 def _auto_g_mode(scene: Scene, edge_m: float | None) -> str:
     r_f = fraunhofer_distance(scene.ris_geometry, scene.wavelength, edge_m)
-    return "near" if scene.link(Link.RIS_RX).distance < r_f else "far"
+    return "near" if scene.span(Link.RIS_RX)[1] < r_f else "far"
 
+
+def _draw(scene: Scene, master_seed: int, index: int, p: Sub6Params, near: bool) -> list:
+    """Stage 1 of realization ``index``: the profile draws and the hop draw
+    of each far-field hop, h, g (unless ``near``) and d, each stream
+    derived where it is read."""
+    hops = [(_profile_draws(substream(master_seed, "sub6", "powers", "h", 0, index), p),
+             _draw_hop(scene, Link.TX_RIS, substream(master_seed, "sub6", "link", "h", 0, index), p))]
+    if not near:
+        hops.append((_profile_draws(substream(master_seed, "sub6", "powers", "g", 0, index), p),
+                     _draw_hop(scene, Link.RIS_RX, substream(master_seed, "sub6", "link", "g", 0, index), p)))
+    hops.append((_profile_draws(substream(master_seed, "sub6", "powers", "d", index), p),
+                 _draw_hop(scene, Link.TX_RX, substream(master_seed, "sub6", "link", "d", index), p)))
+    return hops
 
 def realize_sub6(
     scene: Scene,
     master_seed: int,
-    index: int = 0,
+    index: int | range = 0,
     params: Sub6Params | None = None,
     g_mode: str = "auto",
     edge_m: float | None = None,
-) -> ChannelRealization:
-    """One seeded sub-6 GHz realization packed as single-antenna matrices.
+) -> ChannelRealization | list[ChannelRealization]:
+    """One seeded sub-6 GHz realization packed as single-antenna matrices;
+    for a ``range`` of indices, the list of their realizations.
 
     Single-antenna terminals only (the band's model is vector/scalar); each
     hop draws its power profile and its fading from substreams of its own,
     each derived where it is read (the README's determinism contract lists
     the paths). In near-field mode the surface -> Rx hop is deterministic,
     a constant of the scene computed once per scene object, and its
-    streams are never derived.
+    streams are never derived. A range is drawn (stage 1) and assembled
+    (stage 2) in passes of as many draws as hold :data:`_PASS_RAYS` rays;
+    every realization has the bits it has alone.
     """
     if scene.nt != 1 or scene.nr != 1:
         raise ValueError("sub-6 GHz generation covers single-antenna terminals (Nt = Nr = 1)")
     if scene.extra_panels:
         raise ValueError("sub-6 GHz generation covers one surface; the scene has extra_panels")
-    mode = select_g_mode(scene, g_mode, edge_m)
+    near = select_g_mode(scene, g_mode, edge_m) == "near"
     p = params or Sub6Params()
-
-    prof_h = gen_cluster_powers(substream(master_seed, "sub6", "powers", "h", 0, index), p)
-    h, los_h = _sub6_hop(scene, Link.TX_RIS, prof_h, substream(master_seed, "sub6", "link", "h", 0, index), p)
-
-    if mode == "near":
-        g = scene.constant(("near g", edge_m), gen_g_near, scene, edge_m).copy()
-        los_g = True
-    else:
-        prof_g = gen_cluster_powers(substream(master_seed, "sub6", "powers", "g", 0, index), p)
-        g, los_g = _sub6_hop(scene, Link.RIS_RX, prof_g, substream(master_seed, "sub6", "link", "g", 0, index), p)
-
-    prof_d = gen_cluster_powers(substream(master_seed, "sub6", "powers", "d", index), p)
-    d, los_d = _sub6_hop(scene, Link.TX_RX, prof_d, substream(master_seed, "sub6", "link", "d", index), p)
-
-    return ChannelRealization(
-        hops=((h[:, None], g[None, :]),),
-        D=np.array([[d]], dtype=complex),
-        los_panels=({Link.TX_RIS: los_h, Link.RIS_RX: los_g},),
-        los_direct=los_d,
-        index=index,
-    )
+    indices = index if isinstance(index, range) else range(index, index + 1)
+    step = -(-_PASS_RAYS // ((3 - near) * p.n_clusters * p.n_rays))  # draws per pass
+    out = []
+    for first in range(0, len(indices), step):
+        batch = [_draw(scene, master_seed, i, p, near) for i in indices[first:first + step]]
+        uniforms, normals = zip(*(profile for draws in batch for profile, _ in draws))
+        powers = _profiles(uniforms, normals, p)[1]
+        values = iter(_hop_values(scene, [hop for draws in batch for _, hop in draws], powers, p))
+        for i in indices[first:first + step]:
+            h, los_h = next(values)
+            if near:  # the surface -> Rx hop is a constant of the scene
+                g, los_g = scene.constant(("near g", edge_m), gen_g_near, scene, edge_m).copy(), True
+            else:
+                g, los_g = next(values)
+            d, los_d = next(values)
+            out.append(ChannelRealization(((h[:, None], g[None, :]),), np.array([[d]], dtype=complex),
+                                          ({Link.TX_RIS: los_h, Link.RIS_RX: los_g},), los_d, i))
+    return out if isinstance(index, range) else out[0]

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from rischan import arrays
 from rischan.arrays import (
     ArrayGeometry,
     ElementPattern,
+    array_axes,
     element_gain,
     element_gain_cos,
+    power_factors,
     response_sum,
     steering_matrix,
     steering_vector,
@@ -194,3 +197,22 @@ def test_element_gain_cos_matches_angle_form():
     psi = np.array([0.0, 0.4, 1.2, math.pi / 2, 2.0, math.pi])
     np.testing.assert_allclose(element_gain_cos(p, np.cos(psi)), element_gain(p, psi), rtol=1e-12, atol=1e-30)
     assert element_gain_cos(p, -0.1) == 0.0
+
+
+@pytest.mark.parametrize("block", [1, 7, 600, 1024])
+def test_ladder_blocks_do_not_enter_the_bits(monkeypatch, block):
+    """The axis factors of 3700 columns (two arrays of different spacing,
+    so two phase steps) have the same bits in ladder blocks of any size as
+    in one block of all columns."""
+    rng = np.random.default_rng(27)
+    unit = direction_unit(rng.uniform(-math.pi, math.pi, 1500), rng.uniform(0.0, math.pi, 1500))
+    axes = array_axes(ArrayGeometry(16, 8), unit, 0.0857)
+    axes += array_axes(ArrayGeometry(5, 3, spacing_wavelengths=0.7), unit[:350], 0.0857)
+    monkeypatch.setattr(arrays, "_LADDER_COLUMNS", 10**6)
+    whole = power_factors(axes)
+    monkeypatch.setattr(arrays, "_LADDER_COLUMNS", block)
+    blocked = power_factors(axes)
+    assert sum(fr.shape[1] for fr, _ in whole) == 3700
+    for (wr, wi), (br, bi) in zip(whole, blocked, strict=True):
+        assert wr.shape == br.shape
+        assert wr.tobytes() == br.tobytes() and wi.tobytes() == bi.tobytes()

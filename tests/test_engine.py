@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rischan import engine, mmwave, scattering
+from rischan import engine, mmwave, scattering, sub6
 from rischan.arrays import ArrayGeometry, ElementPattern
 from rischan.engine import CoverageArea, coverage_run, load_config, run
 from rischan.errors import ConfigError, GenerationError
@@ -26,6 +26,7 @@ from rischan.mmwave import compose_end_to_end, realize
 from rischan.scene import Scene
 from rischan.simio import MAX_DIM, file_digest, read_metadata, read_tensor
 from rischan.streams import cell_seed, substream
+from rischan.sub6 import realize_sub6, select_g_mode
 
 
 SUB6 = {"band": "sub6", "frequency_ghz": 3.5}
@@ -895,6 +896,14 @@ class TestCoverageRun:
         assert math.isnan(result.rates[0, 0])
         assert "nan" in (cfg.out_dir / "coverage.csv").read_text()
 
+    def test_cell_on_either_surface_is_nan(self, tmp_path):
+        """On a two-surface scene, the cells on the first and on the second
+        surface come out NaN, and the cell between them does not."""
+        cov = {"x": [40.0, 40.0], "y": [30.0, 50.0], "step": 10.0, "z": 2.0}
+        cfg = self.cov_cfg(tmp_path, ris=[[40.0, 50.0, 2.0], [40.0, 30.0, 2.0]], coverage=cov)
+        rates = coverage_run(cfg).rates[0]
+        assert math.isnan(rates[0]) and math.isfinite(rates[1]) and math.isnan(rates[2])
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_rows_recomputed_cell_by_cell(self, tmp_path, monkeypatch, workers):
         """``coverage.csv`` holds, string for string, the rows recomputed one
@@ -927,6 +936,39 @@ class TestCoverageRun:
         assert (cfg.out_dir / "coverage.csv").read_text().splitlines() == rows
         assert sum("nan" in row for row in rows) == 1
         np.testing.assert_array_equal(result.rates, np.reshape(means, (3, 3)))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_sub6_rows_recomputed_cell_by_cell(self, tmp_path, monkeypatch, workers):
+        """A sub-6 ``coverage.csv`` holds, string for string, the rows
+        recomputed one cell at a time from ``cell_seed``, one public draw per
+        index and ``_one_realization``, whether a cell's draws come in one
+        chunk or in chunks of 2 of one draw a pass; the grid has a NaN cell
+        on the Tx, near-field cells and far-field cells."""
+        cov = {"x": [0.0, 40.0], "y": [25.0, 45.0], "step": 10.0, "z": 2.0}
+        cfg = self.cov_cfg(tmp_path, **SUB6, n=64, coverage=cov, workers=workers, realizations=3)
+        result = coverage_run(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_CHUNK_BYTES", 2 * draw_bytes(cfg))
+            patch.setattr(sub6, "_PASS_RAYS", 1)
+            chunked = coverage_run(replace(cfg, out_dir=tmp_path / "chunked"))
+        assert chunked.digests == result.digests
+        area, rows, means, modes = cfg.coverage, ["x,y,mean_rate_bits_hz"], [], []
+        for ix, x in enumerate(area.xs):
+            for iy, y in enumerate(area.ys):
+                mean = math.nan
+                if (x, y, area.z) != (0.0, 25.0, 2.0):  # not on the Tx
+                    scene = replace(cfg.scene, rx=Point3(float(x), float(y), area.z))
+                    modes.append(select_g_mode(scene, cfg.sub6_g_mode, cfg.sub6_edge_m))
+                    seed_val, total = cell_seed(cfg.seed, ix, iy), 0.0
+                    for i in range(cfg.realizations):
+                        real = realize_sub6(scene, seed_val, i, cfg.sub6_params, cfg.sub6_g_mode, cfg.sub6_edge_m)
+                        total += engine._one_realization(cfg, real, seed_val)[1]
+                    mean = total / cfg.realizations
+                means.append(mean)
+                rows.append(f"{x:.12g},{y:.12g},{mean:.12g}")
+        assert (cfg.out_dir / "coverage.csv").read_text().splitlines() == rows
+        assert sum("nan" in row for row in rows) == 1 and {"near", "far"} <= set(modes)
+        np.testing.assert_array_equal(result.rates, np.reshape(means, result.rates.shape))
 
     def test_requires_section(self, tmp_path):
         with pytest.raises(ConfigError, match="coverage"):

@@ -1,6 +1,8 @@
 """Sub-6 GHz generator: power profiles, hop draw-order oracles, near field."""
 
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from rischan.propagation import los_probability, path_loss
 from rischan.scattering import Link
 from rischan.streams import substream
 from rischan.sub6 import (
+    G_MODES,
     MAX_RAYS_PER_HOP,
     ClusterPowerProfile,
     Sub6Params,
@@ -158,8 +161,11 @@ def _wrap_azimuth(a):
 
 
 def _far_hop(scene, link, prof, rng, params=None):
-    """The value of one far-field hop drawn from ``rng``."""
-    return sub6._sub6_hop(scene, link, prof, rng, params or Sub6Params())[0]
+    """The value of one far-field hop drawn from ``rng``: its stage-1 draw,
+    then its stage-2 value with the cluster powers of ``prof`` (whose
+    cluster count it takes)."""
+    p = replace(params or Sub6Params(), n_clusters=prof.n_clusters)
+    return sub6._hop_values(scene, [sub6._draw_hop(scene, link, rng, p)], prof.powers[None, :], p)[0][0]
 
 
 def _fixed_profile(c=4):
@@ -530,3 +536,40 @@ class TestRealizeSub6:
         np.testing.assert_array_equal(a.H, b.H)
         np.testing.assert_array_equal(a.D, b.D)
         assert not np.array_equal(a.G, b.G)
+
+
+@given(
+    wall=st.sampled_from([Plane.XZ, Plane.YZ]),
+    facing=st.sampled_from([1, -1]),
+    shape=st.sampled_from([(8, 4), (6, 1), (1, 1)]),
+    rx_m=st.sampled_from([3.0, 12.0]),  # inside or outside the 8x4 panel's Fraunhofer distance
+    g_mode=st.sampled_from(G_MODES),
+    shadow_los=st.booleans(),
+    pattern=st.booleans(),
+    grid=st.sampled_from([(1, 1), (3, 2), (15, 20), (40, 50)]),
+    start=st.integers(0, 50),
+    count=st.integers(1, 6),
+    pass_rays=st.sampled_from([1, 400, 4096]),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_range_is_the_one_index_draws(wall, facing, shape, rx_m, g_mode, shadow_los, pattern, grid,
+                                      start, count, pass_rays, seed):
+    """A range realizes, bit for bit and with the same LOS states, what one
+    call per index realizes, in passes of any size."""
+    kw = {} if pattern else {"element_pattern": None}
+    scene = make_near_scene(
+        ris_geometry=ArrayGeometry(*shape, orientation=SurfaceOrientation(wall, facing)),
+        ris=Point3(20.0, 20.0, 2.0), tx=Point3(5.0, 8.0, 2.5), rx=Point3(20.0 - rx_m, 20.0 - 0.5, 1.5),
+        shadow_los=shadow_los, **kw,
+    )
+    p = Sub6Params(n_clusters=grid[0], n_rays=grid[1])
+    indices = range(start, start + count)
+    with mock.patch.object(sub6, "_PASS_RAYS", pass_rays):
+        batch = realize_sub6(scene, seed, indices, p, g_mode)
+    alone = [realize_sub6(scene, seed, i, p, g_mode) for i in indices]
+    assert [r.index for r in batch] == list(indices)
+    for got, want in zip(batch, alone, strict=True):
+        for a, b in ((got.H, want.H), (got.G, want.G), (got.D, want.D)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert got.los == want.los
